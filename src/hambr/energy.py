@@ -49,11 +49,42 @@ class BankSnapshot:
 
     Energy queries run against snapshots so a concurrent writer cannot change
     the neighbor set mid-query.
+
+    The constructor also stacks every class into one padded layout, so that
+    the global potential scores all classes in one pass.  With C classes
+    (row c is ``classes[c]``), m_c entries in class c and m_max the largest
+    m_c:
+
+    - the feature stack is (C * m_max, d): class c fills rows
+      c * m_max .. c * m_max + m_c - 1 and zero rows pad it to m_max;
+    - the weight stack is (C, m_max), zero on padding;
+    - the bias is (C, m_max), 0 on real entries and -inf on padding.
+
+    Adding the bias to the stacked similarities sends every padding slot to
+    -inf, so padding never wins a top-K selection over a real entry; it is
+    selected only when a class has fewer than K entries, and then its zero
+    weight drops it from the log-sum-exp.
     """
 
     def __init__(self, groups: dict[int, tuple[np.ndarray, np.ndarray]]):
         self._groups = groups
         self.classes = sorted(groups)
+        sizes = [self.size(c) for c in self.classes]
+        m_max = max(sizes, default=0)
+        d = groups[self.classes[0]][0].shape[1] if self.classes else 0
+        feats = np.zeros((len(sizes), m_max, d))
+        weights = np.zeros((len(sizes), m_max))
+        bias = np.full((len(sizes), m_max), -np.inf)
+        for row, c in enumerate(self.classes):
+            m = sizes[row]
+            feats[row, :m] = self.features(c)
+            weights[row, :m] = self.weights(c)
+            bias[row, :m] = 0.0
+        self._stack_feats = feats.reshape(len(sizes) * m_max, d)
+        self._stack_weights = weights
+        self._stack_bias = bias
+        for a in (self._stack_feats, weights, bias):
+            a.flags.writeable = False
 
     def features(self, class_id: int) -> np.ndarray:
         return self._groups[class_id][0]
@@ -133,48 +164,86 @@ class EnergyParams:
             raise ValueError("k_neighbors must be >= 1")
 
 
-def _select_neighbors(snap: BankSnapshot, z: np.ndarray, class_id: int,
-                      params: EnergyParams) -> tuple[np.ndarray, np.ndarray]:
-    """Similarities and weights of the top-K entries of one class."""
-    if class_id not in snap or snap.size(class_id) == 0:
+def _top_k(sims: np.ndarray, weights: np.ndarray, k: int):
+    """The k largest similarities in each row of `sims` (rows, m), with their weights.
+
+    `weights` is one (m,) vector shared by every row or one (rows, m) row per
+    row.  Returns (sims, weights, columns); when k covers the whole row,
+    nothing is dropped, `weights` comes back as given and columns is None.
+    """
+    rows, m = sims.shape
+    if k >= m:
+        return sims, weights, None
+    idx = np.argpartition(-sims, k - 1, axis=1)[:, :k]
+    flat = idx + m * np.arange(rows)[:, None]
+    w = weights[idx] if weights.ndim == 1 else weights.ravel()[flat]
+    return sims.ravel()[flat], w, idx
+
+
+def _soft_min_terms(sims: np.ndarray, weights: np.ndarray, tau: float):
+    """Max similarity m and terms w_j exp((s_j - m) / tau) along the last axis.
+
+    Zero-weight entries drop out of both.  Callers first make sure, through
+    `_check_mass`, that every row keeps one with positive weight.  The terms
+    normalise to the softmax weights of the gradient.
+    """
+    masked = np.where(weights > 0, sims, -np.inf)  # exp(-inf) = 0
+    m = masked.max(axis=-1, keepdims=True)
+    return m[..., 0], weights * np.exp((masked - m) / tau)
+
+
+def _soft_min(sims: np.ndarray, weights: np.ndarray, tau: float) -> np.ndarray:
+    """-tau * log sum_j w_j exp(s_j / tau) along the last axis."""
+    m, terms = _soft_min_terms(sims, weights, tau)
+    return -(m + tau * np.log(terms.sum(axis=-1)))
+
+
+def _check_mass(snap: BankSnapshot, class_id: int, weights: np.ndarray) -> None:
+    """Raise unless every row of the selected `weights` of one class keeps mass."""
+    if snap.size(class_id) == 0:
         raise EmptyClass(f"class {class_id} has no entries")
-    sims = snap.features(class_id) @ z
-    weights = snap.weights(class_id)
-    k = min(params.k_neighbors, sims.size)
-    if k < sims.size:
-        idx = np.argpartition(-sims, k - 1)[:k]
-        sims, weights = sims[idx], weights[idx]
-    if not np.any(weights > 0):
+    if not (weights > 0).any(axis=-1).all():
         raise ZeroMass(f"all selected weights are zero for class {class_id}")
-    return sims, weights
 
 
-def _free_energy(sims: np.ndarray, weights: np.ndarray, tau: float) -> float:
-    live = weights > 0
-    s, w = sims[live], weights[live]
-    m = float(np.max(s))
-    return -(m + tau * float(np.log(np.sum(w * np.exp((s - m) / tau)))))
+def _select_class(snap: BankSnapshot, z: np.ndarray, class_id: int,
+                  params: EnergyParams):
+    """Top-K similarities, weights and columns of one class, as one row."""
+    return _top_k((snap.features(class_id) @ z)[None, :], snap.weights(class_id),
+                  params.k_neighbors)
 
 
 def class_free_energy(z: UnitVector, bank, class_id: int,
                       params: EnergyParams = EnergyParams()) -> float:
     """-tau * log sum_j w_j exp(<z, k_j>/tau) over the K nearest entries of one class."""
-    sims, weights = _select_neighbors(_snap(bank), z.coords, class_id, params)
-    return _free_energy(sims, weights, params.tau_energy)
+    snap = _snap(bank)
+    if class_id not in snap:
+        raise EmptyClass(f"class {class_id} has no entries")
+    sims, weights, _ = _select_class(snap, z.coords, class_id, params)
+    _check_mass(snap, class_id, weights)
+    return float(_soft_min(sims, weights, params.tau_energy)[0])
 
 
 def global_potential(z: UnitVector, bank,
                      params: EnergyParams = EnergyParams()) -> tuple[float, int]:
-    """Minimum class free energy and its argmin class (ties -> smallest id)."""
+    """Minimum class free energy and its argmin class (ties -> smallest id).
+
+    One pass over the snapshot's padded stack scores every class: one matvec,
+    one row-wise top-K and one masked log-sum-exp.
+    """
     snap = _snap(bank)
     if not snap.classes:
         raise EmptyBank("bank has no entries")
-    best: tuple[float, int] | None = None
-    for c in snap.classes:
-        e = class_free_energy(z, snap, c, params)
-        if best is None or e < best[0]:
-            best = (e, c)
-    return best
+    sims = (snap._stack_feats @ z.coords).reshape(snap._stack_bias.shape)
+    sims += snap._stack_bias
+    sims, weights, _ = _top_k(sims, snap._stack_weights, params.k_neighbors)
+    live = (weights > 0).any(axis=1)
+    if not live.all():
+        row = int(live.argmin())  # the first class without mass raises
+        _check_mass(snap, snap.classes[row], weights[row])
+    energies = _soft_min(sims, weights, params.tau_energy)
+    best = int(energies.argmin())
+    return float(energies[best]), snap.classes[best]
 
 
 def riemannian_grad_U(z: UnitVector, bank,
@@ -186,46 +255,30 @@ def riemannian_grad_U(z: UnitVector, bank,
     selected similarities.
     """
     snap = _snap(bank)
-    _, c = global_potential(z, snap, params)
-    feats = snap.features(c)
-    sims = feats @ z.coords
-    weights = snap.weights(c)
-    k = min(params.k_neighbors, sims.size)
-    if k < sims.size:
-        idx = np.argpartition(-sims, k - 1)[:k]
-        sims, weights, feats = sims[idx], weights[idx], feats[idx]
-    live = weights > 0  # zero-weight entries contribute nothing
-    sims, weights, feats = sims[live], weights[live], feats[live]
-    raw = weights * np.exp((sims - np.max(sims)) / params.tau_energy)
-    s = raw / np.sum(raw)
-    return project_tangent(-(s @ feats), z)
+    _, c = global_potential(z, snap, params)  # has checked every class for mass
+    sims, weights, idx = _select_class(snap, z.coords, c, params)
+    terms = _soft_min_terms(sims, weights, params.tau_energy)[1][0]
+    feats = snap.features(c) if idx is None else snap.features(c)[idx[0]]
+    return project_tangent(-((terms / terms.sum()) @ feats), z)
 
 
 def potential_batch(points: np.ndarray, bank,
                     params: EnergyParams = EnergyParams()) -> np.ndarray:
-    """Global potential for each row of `points`; same math as global_potential."""
+    """Global potential for each row of `points`; same math as global_potential.
+
+    Classes are scored one (n, m_c) slab at a time, which bounds the
+    temporaries by the largest class rather than by C * m_max.
+    """
     snap = _snap(bank)
     if not snap.classes:
         raise EmptyBank("bank has no entries")
     points = np.asarray(points, dtype=np.float64)
-    tau = params.tau_energy
-    energies = np.full((points.shape[0], len(snap.classes)), np.inf)
+    energies = np.empty((points.shape[0], len(snap.classes)))
     for j, c in enumerate(snap.classes):
-        sims = points @ snap.features(c).T          # (n, m_c)
-        weights = snap.weights(c)
-        k = min(params.k_neighbors, sims.shape[1])
-        if k < sims.shape[1]:
-            idx = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-            sel = np.take_along_axis(sims, idx, axis=1)
-            w = weights[idx]
-        else:
-            sel, w = sims, np.broadcast_to(weights, sims.shape)
-        masked = np.where(w > 0, sel, -np.inf)  # exp(-inf) = 0 drops dead weights
-        if not np.all(np.any(w > 0, axis=1)):
-            raise ZeroMass(f"all selected weights are zero for class {c}")
-        m = np.max(masked, axis=1, keepdims=True)
-        lse = m[:, 0] + tau * np.log(np.sum(w * np.exp((masked - m) / tau), axis=1))
-        energies[:, j] = -lse
+        sims, weights, _ = _top_k(points @ snap.features(c).T, snap.weights(c),
+                                  params.k_neighbors)
+        _check_mass(snap, c, weights)
+        energies[:, j] = _soft_min(sims, weights, params.tau_energy)
     return np.min(energies, axis=1)
 
 
@@ -243,13 +296,16 @@ def dump_bank(bank, fh) -> None:
                              "feature": [float(x) for x in f]}) + "\n")
 
 
-def load_bank(fh, capacity_per_class: int = DEFAULT_CAPACITY) -> FeatureBank:
-    bank = FeatureBank(capacity_per_class)
+def load_bank(fh) -> FeatureBank:
+    """Read a `dump_bank` file back into a bank that keeps every entry."""
+    entries = []
     for line in fh:
         line = line.strip()
         if not line:
             continue
         row = json.loads(line)
-        bank.add(BankEntry(UnitVector(np.asarray(row["feature"], dtype=np.float64)),
-                           float(row["weight"]), int(row["class"])))
+        entries.append(BankEntry(UnitVector(np.asarray(row["feature"], dtype=np.float64)),
+                                 float(row["weight"]), int(row["class"])))
+    bank = FeatureBank(capacity_per_class=max(len(entries), 1))
+    bank.extend(entries)
     return bank

@@ -79,6 +79,19 @@ class TestFeatureBank:
                 assert np.allclose(a.feature.coords, b.feature.coords)
                 assert a.weight == pytest.approx(b.weight)
 
+    def test_load_keeps_every_entry(self, tmp_path):
+        rng = np.random.default_rng(13)
+        bank = FeatureBank(capacity_per_class=300)
+        bank.extend(BankEntry(normalize(rng.standard_normal(4)),
+                              float(rng.uniform(0.1, 1.0)), 0) for _ in range(300))
+        path = tmp_path / "bank.jsonl"
+        with open(path, "w") as fh:
+            dump_bank(bank, fh)
+        with open(path) as fh:
+            loaded = load_bank(fh)
+        assert len(loaded) == 300
+        assert [e.weight for e in loaded.entries(0)] == [e.weight for e in bank.entries(0)]
+
 
 class TestClassFreeEnergy:
     def test_aligned_unit_weight(self):
@@ -199,6 +212,63 @@ class TestGlobalPotential:
         batch = potential_batch(pts, bank)
         singles = [global_potential(UnitVector(p), bank)[0] for p in pts]
         assert np.allclose(batch, singles, atol=1e-12)
+
+
+def per_class_potential(z, bank, params):
+    """Reference for global_potential: one class_free_energy call per class."""
+    best = None
+    for c in bank.classes():
+        val = class_free_energy(z, bank, c, params)
+        if best is None or val < best[0]:
+            best = (val, c)
+    return best
+
+
+def uneven_bank(rng, d, n_classes, k, massless=()):
+    """Uneven classes, class 1 smaller than k, and every 5th weight zero.
+
+    Classes in `massless` get zero weight throughout.
+    """
+    bank = FeatureBank(capacity_per_class=6 * k)
+    sizes = rng.integers(k + 1, 6 * k, size=n_classes)
+    sizes[1] = k // 2
+    for c, m in enumerate(sizes):
+        for j in range(m):
+            w = 0.0 if c in massless or j % 5 == 0 else float(rng.uniform(0.1, 1.0))
+            bank.add(BankEntry(normalize(rng.standard_normal(d)), w, c))
+    return bank
+
+
+class TestFusedPotential:
+    @pytest.mark.parametrize("d,n_classes", [(8, 3), (32, 10)])
+    def test_matches_per_class_loop(self, d, n_classes):
+        rng = np.random.default_rng(d)
+        params = EnergyParams(tau_energy=0.1, k_neighbors=16)
+        bank = uneven_bank(rng, d, n_classes, params.k_neighbors)
+        snap = bank.snapshot()
+        anchors = [snap.features(c)[1] for c in snap.classes]  # weighted bank points
+        points = [UnitVector(a) for a in anchors] + [
+            normalize(rng.standard_normal(d)) for _ in range(300)]
+        argmins = set()
+        for z in points:
+            val, cls = global_potential(z, bank, params)
+            ref_val, ref_cls = per_class_potential(z, bank, params)
+            assert cls == ref_cls
+            assert val == pytest.approx(ref_val, abs=1e-12)
+            argmins.add(cls)
+        assert len(argmins) > 1
+
+    @pytest.mark.parametrize("massless", [(0,), (2,), (1, 2)])
+    def test_zero_mass_names_the_same_class(self, massless):
+        rng = np.random.default_rng(77)
+        params = EnergyParams(k_neighbors=16)
+        bank = uneven_bank(rng, 8, 3, params.k_neighbors, massless=massless)
+        z = normalize(rng.standard_normal(8))
+        with pytest.raises(ZeroMass) as ref:
+            per_class_potential(z, bank, params)
+        with pytest.raises(ZeroMass, match=f"class {min(massless)}$") as fused:
+            global_potential(z, bank, params)
+        assert str(fused.value) == str(ref.value)
 
 
 class TestRiemannianGrad:
