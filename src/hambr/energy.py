@@ -17,6 +17,7 @@ import numpy as np
 from .sphere import TangentVector, UnitVector, project_tangent
 
 DEFAULT_CAPACITY = 256
+_BLOCK_SIMS = 1 << 16  # similarities potential_batch holds at once per class
 
 
 class EmptyClass(ValueError):
@@ -266,19 +267,29 @@ def potential_batch(points: np.ndarray, bank,
                     params: EnergyParams = EnergyParams()) -> np.ndarray:
     """Global potential for each row of `points`; same math as global_potential.
 
-    Classes are scored one (n, m_c) slab at a time, which bounds the
-    temporaries by the largest class rather than by C * m_max.
+    Each class scores `points` in row blocks of rows = max(2, _BLOCK_SIMS // m_c)
+    (the last block takes up to rows + 1), so every temporary (similarities,
+    their top-K indices and gathers) holds about _BLOCK_SIMS elements, 0.5 MB
+    of float64, whatever the number of points.  Only the (n, C) energies grow
+    with n.  No block has a single row unless `points` has one: numpy scores a
+    1-row block with a matrix-vector product, which rounds differently from
+    the matrix product of the other blocks.
     """
     snap = _snap(bank)
     if not snap.classes:
         raise EmptyBank("bank has no entries")
     points = np.asarray(points, dtype=np.float64)
-    energies = np.empty((points.shape[0], len(snap.classes)))
+    n = points.shape[0]
+    energies = np.empty((n, len(snap.classes)))
     for j, c in enumerate(snap.classes):
-        sims, weights, _ = _top_k(points @ snap.features(c).T, snap.weights(c),
-                                  params.k_neighbors)
-        _check_mass(snap, c, weights)
-        energies[:, j] = _soft_min(sims, weights, params.tau_energy)
+        feats, w = snap.features(c), snap.weights(c)
+        rows = max(2, _BLOCK_SIMS // max(feats.shape[0], 1))
+        starts = range(0, max(n - 1, 1), rows)  # one (empty) block when n == 0
+        for r in starts:
+            stop = n if r == starts[-1] else r + rows
+            sims, weights, _ = _top_k(points[r:stop] @ feats.T, w, params.k_neighbors)
+            _check_mass(snap, c, weights)
+            energies[r:stop, j] = _soft_min(sims, weights, params.tau_energy)
     return np.min(energies, axis=1)
 
 

@@ -165,6 +165,13 @@ def contrastive_grads(view1, view2, tau: float,
 
     Returns (mean loss, d(sum)/d(view1), d(sum)/d(view2)); callers that want
     gradients of the mean divide by the anchor count.
+
+    Every logit lives in one (n, 1 + n) buffer, or (n, 1 + 2n) with
+    `negatives="both"`: column 0 holds the positive logits, columns 1..n the
+    first-view negatives and columns n+1..2n the second-view negatives.  The
+    buffer becomes the softmax in place, and both gradient matmuls read views
+    of it, so the n^2 memory is that one buffer (8 n (1 + n) bytes for
+    "first"), not a copy per stage.
     """
     if negatives not in ("first", "both"):
         raise ValueError("negatives must be 'first' or 'both'")
@@ -178,28 +185,32 @@ def contrastive_grads(view1, view2, tau: float,
     if tau <= 0:
         raise DomainError("tau must be positive")
 
-    pos = np.einsum("ij,ij->i", v1, v2) / tau           # positive logits
-    a = (v1 @ v1.T) / tau                               # first-view negatives
-    np.fill_diagonal(a, -np.inf)                        # k != i
-    blocks = [pos[:, None], a]
-    if negatives == "both":
-        b = (v1 @ v2.T) / tau
-        np.fill_diagonal(b, -np.inf)                    # the positive is already counted
-        blocks.append(b)
-    logits = np.concatenate(blocks, axis=1)
+    both = negatives == "both"
+    p = np.empty((n, 1 + (2 if both else 1) * n))
+    p[:, 0] = np.einsum("ij,ij->i", v1, v2)            # positive logits
+    np.matmul(v1, v1.T, out=p[:, 1:n + 1])              # first-view negatives
+    if both:
+        np.matmul(v1, v2.T, out=p[:, n + 1:])           # second-view negatives
+    p /= tau
+    pos = p[:, 0].copy()
+    rows = np.arange(n)
+    p[rows, rows + 1] = -np.inf                         # k != i
+    if both:
+        p[rows, rows + n + 1] = -np.inf                 # the positive is already counted
 
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    denom = e.sum(axis=1)
-    p = e / denom[:, None]
-    terms = np.log(denom) + m[:, 0] - pos
+    m = p.max(axis=1)
+    p -= m[:, None]
+    np.exp(p, out=p)
+    denom = p.sum(axis=1)
+    p /= denom[:, None]
+    terms = np.log(denom) + m - pos
     loss = float(terms.mean())
 
     p_pos = p[:, 0]
     p_a = p[:, 1:n + 1]                                 # weights on first-view negatives
     g1 = ((p_pos - 1.0)[:, None] * v2 + p_a @ v1 + p_a.T @ v1) / tau
     g2 = (p_pos - 1.0)[:, None] * v1 / tau
-    if negatives == "both":
+    if both:
         p_b = p[:, n + 1:]
         g1 += p_b @ v2 / tau
         g2 += p_b.T @ v1 / tau

@@ -27,18 +27,25 @@ class InsufficientId(ValueError):
     """Too few ID scores for a stable 95th percentile."""
 
 
+class NonFiniteScore(ValueError):
+    """A score is NaN or infinite, so no rank or threshold is meaningful."""
+
+
+def _check_finite(scores: np.ndarray, name: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NonFiniteScore(f"{name} have {bad.size} non-finite value(s), "
+                             f"the first {scores[bad[0]]!r} at index {int(bad[0])}")
+
+
 def _ranks_with_ties(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing the mean of their positions."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], values.size]  # one past the last position of each tie group
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 
@@ -48,6 +55,8 @@ def auroc(id_scores, ood_scores) -> float:
     s_ood = np.asarray(ood_scores, dtype=np.float64).ravel()
     if s_id.size == 0 or s_ood.size == 0:
         raise EmptyInput("auroc needs non-empty ID and OOD scores")
+    _check_finite(s_id, "ID scores")
+    _check_finite(s_ood, "OOD scores")
     ranks = _ranks_with_ties(np.concatenate([s_id, s_ood]))
     u = ranks[s_id.size:].sum() - s_ood.size * (s_ood.size + 1) / 2.0
     return float(u / (s_id.size * s_ood.size))
@@ -61,6 +70,8 @@ def fpr_at_95_tpr(id_scores, ood_scores) -> float:
         raise InsufficientId(f"need >= {MIN_ID_SCORES} ID scores, got {s_id.size}")
     if s_ood.size == 0:
         raise EmptyInput("fpr_at_95_tpr needs OOD scores")
+    _check_finite(s_id, "ID scores")
+    _check_finite(s_ood, "OOD scores")
     threshold = np.percentile(s_id, 95.0)  # linear interpolation
     return float(np.mean(s_ood <= threshold))
 
@@ -113,8 +124,11 @@ def geometry_metrics(features, labels, prototypes) -> tuple[float, float]:
     missing = set(labels.tolist()) - set(dirs)
     if missing:
         raise ValueError(f"no prototype for labels {sorted(missing)}")
-    intra = float(np.mean([x[i] @ dirs[int(c)] for i, c in enumerate(labels)]))
     ids = sorted(dirs)
+    protos = np.array([dirs[c] for c in ids]).reshape(len(ids), x.shape[1])
+    # one dot per row, batched: the same sums as x[i] @ p row by row
+    cos = x[:, None, :] @ protos[np.searchsorted(ids, labels)][:, :, None]
+    intra = float(np.mean(cos[:, 0, 0]))
     if len(ids) < 2:
         return intra, float("nan")
     inter = min(

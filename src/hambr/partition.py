@@ -7,11 +7,12 @@ clean in each of the last t_filter epochs.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._jsonl import float_texts
 
 VARIANCE_FLOOR = 1e-6
 DEFAULT_CLEAN_THRESHOLD = 0.5
@@ -159,10 +160,17 @@ def consensus_set(window: ConsensusWindow) -> np.ndarray:
 
 
 def dump_partition(fh, losses, posteriors, flags, consensus_ids) -> None:
-    """One JSON object per sample: loss, posterior, flag, consensus membership."""
+    """One JSON object per sample: loss, posterior, flag, consensus membership.
+
+    Each row is the text json.dumps gives the sample's dict, built from
+    columns converted once, and all rows go out in one write.
+    """
     in_consensus = np.zeros(len(losses), dtype=bool)
     in_consensus[np.asarray(consensus_ids, dtype=np.int64)] = True
-    for i, (l, p, f) in enumerate(zip(losses, posteriors, flags)):
-        fh.write(json.dumps({"sample": int(i), "loss": float(l),
-                             "posterior": float(p), "flag": bool(f),
-                             "in_consensus": bool(in_consensus[i])}) + "\n")
+    rows = zip(float_texts(losses), float_texts(posteriors),
+               np.asarray(flags, dtype=bool).tolist(), in_consensus.tolist())
+    fh.write("".join(
+        f'{{"sample": {i}, "loss": {loss}, "posterior": {post}, '
+        f'"flag": {"true" if flag else "false"}, '
+        f'"in_consensus": {"true" if member else "false"}}}\n'
+        for i, (loss, post, flag, member) in enumerate(rows)))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._jsonl import float_texts
 from .sphere import UnitVector, normalize
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
@@ -224,11 +225,17 @@ def make_ood_set(spec: DatasetSpec, rng: np.random.Generator, *,
 
 
 def dump_dataset(points, fh) -> None:
-    """One JSON object per sample: {"feature": [...], "true": t, "observed": o}."""
-    for p in points:
-        fh.write(json.dumps({"feature": [float(x) for x in p.feature.coords],
-                             "true": int(p.true_label),
-                             "observed": int(p.observed_label)}) + "\n")
+    """One JSON object per sample: {"feature": [...], "true": t, "observed": o}.
+
+    Each row is the text json.dumps gives the sample's dict; all rows go out
+    in one write.
+    """
+    texts = float_texts([p.feature.coords for p in points])
+    d = len(texts) // max(len(points), 1)
+    fh.write("".join(
+        f'{{"feature": [{", ".join(texts[i * d:(i + 1) * d])}], '
+        f'"true": {int(p.true_label)}, "observed": {int(p.observed_label)}}}\n'
+        for i, p in enumerate(points)))
 
 
 def load_dataset(fh) -> list[LabeledPoint]:

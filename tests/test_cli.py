@@ -51,6 +51,15 @@ class TestEvalOod:
                          "--ood-scores", str(ood_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_score_is_an_error(self, tmp_path, capsys):
+        id_path, ood_path = tmp_path / "id.txt", tmp_path / "ood.txt"
+        write_scores(id_path, np.linspace(0.0, 1.0, 25))
+        write_scores(ood_path, [2.0, float("nan")])
+        assert cli_main(["eval-ood", "--id-scores", str(id_path),
+                         "--ood-scores", str(ood_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: OOD scores have 1 non-finite value")
+
 
 class TestGenData:
     def test_bare_dataset_config(self, tmp_path):

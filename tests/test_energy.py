@@ -5,6 +5,7 @@ import pytest
 
 from hambr.energy import (
     BankEntry,
+    BankSnapshot,
     EmptyBank,
     EmptyClass,
     EnergyParams,
@@ -16,6 +17,9 @@ from hambr.energy import (
     load_bank,
     potential_batch,
     riemannian_grad_U,
+    _check_mass,
+    _soft_min,
+    _top_k,
 )
 from hambr.sphere import UnitVector, geodesic_step, normalize, project_tangent
 
@@ -269,6 +273,103 @@ class TestFusedPotential:
         with pytest.raises(ZeroMass, match=f"class {min(massless)}$") as fused:
             global_potential(z, bank, params)
         assert str(fused.value) == str(ref.value)
+
+
+
+def unblocked_potential_batch(points, snap, params):
+    """Reference for potential_batch: each class scored in one (n, m_c) slab."""
+    energies = np.empty((points.shape[0], len(snap.classes)))
+    for j, c in enumerate(snap.classes):
+        sims, weights, _ = _top_k(points @ snap.features(c).T, snap.weights(c),
+                                  params.k_neighbors)
+        _check_mass(snap, c, weights)
+        energies[:, j] = _soft_min(sims, weights, params.tau_energy)
+    return np.min(energies, axis=1)
+
+
+def unit_rows(rng, n, d):
+    x = rng.standard_normal((n, d))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def raised(fn, *args):
+    with pytest.raises((EmptyClass, ZeroMass)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestBlockedPotentialBatch:
+    # block heights under the 2^16-similarity budget: 32 rows for a 2000-entry
+    # class, 218 for 300, and the floor of 2 for 70,000 (larger than the budget)
+    SMALL = (2000, 9, 300)
+    LARGE = (2000, 70_000, 9)
+
+    def snapshot(self, rng, d, sizes, massless=()):
+        groups = {}
+        for c, m in enumerate(sizes):
+            w = rng.uniform(0.1, 1.0, size=m)
+            w[::5] = 0.0
+            if c in massless:
+                w[:] = 0.0
+            groups[c] = (unit_rows(rng, m, d), w)
+        return BankSnapshot(groups)
+
+    # n = 33 and 1001 are no multiple of 32; the reference's (n, m_c) slabs
+    # stay under 20 MB
+    @pytest.mark.parametrize("d", [8, 32])
+    @pytest.mark.parametrize("sizes,n", [
+        pytest.param(sizes, n, id=f"{name}-{n}")
+        for name, sizes, ns in (("small", SMALL, (97, 1001)), ("large", LARGE, (1, 2, 3, 33)))
+        for n in ns])
+    def test_matches_unblocked_reference(self, d, sizes, n):
+        rng = np.random.default_rng(d * 10_000 + n)
+        snap = self.snapshot(rng, d, sizes)
+        points = unit_rows(rng, n, d)
+        params = EnergyParams()
+        got = potential_batch(points, snap, params)
+        ref = unblocked_potential_batch(points, snap, params)
+        if d == 8:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-15
+
+    def test_peak_memory_does_not_grow_with_points(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        snap = self.snapshot(rng, 8, (2000, 500))
+        peaks = []
+        for n in (4000, 8000):
+            points = unit_rows(rng, n, 8)
+            tracemalloc.start()
+            try:
+                potential_batch(points, snap)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one (4000, 2000) slab of similarities alone would be 64 MB
+        assert max(peaks) < 4 * 2 ** 20
+
+    def test_no_points_still_checks_every_class(self):
+        rng = np.random.default_rng(6)
+        d = 8
+        snap = BankSnapshot({0: (unit_rows(rng, 40, d), np.ones(40)),
+                             1: (np.empty((0, d)), np.empty(0))})
+        none = np.empty((0, d))
+        assert raised(potential_batch, none, snap) == (EmptyClass, "class 1 has no entries")
+        massless = self.snapshot(rng, d, (40, 9), massless=(1,))
+        expected = raised(unblocked_potential_batch, none, massless, EnergyParams())
+        assert raised(potential_batch, none, massless) == expected == (
+            ZeroMass, "all selected weights are zero for class 1")
+
+    @pytest.mark.parametrize("massless", [(0,), (2,), (1, 3)])
+    def test_zero_mass_names_the_reference_class(self, massless):
+        rng = np.random.default_rng(8)
+        snap = self.snapshot(rng, 8, (2000, 40, 9, 300), massless=massless)
+        points = unit_rows(rng, 100, 8)
+        expected = raised(unblocked_potential_batch, points, snap, EnergyParams())
+        assert raised(potential_batch, points, snap) == expected
+        assert expected[1].endswith(f"class {min(massless)}")
 
 
 class TestRiemannianGrad:

@@ -287,6 +287,67 @@ class TestContrastiveGrads:
             assert np.linalg.norm(fd - grad) / np.linalg.norm(grad) < 1e-6
 
 
+def reference_contrastive_grads(v1, v2, tau, negatives):
+    """The concatenate-then-softmax formulas contrastive_grads replaced."""
+    n = v1.shape[0]
+    pos = np.einsum("ij,ij->i", v1, v2) / tau
+    a = (v1 @ v1.T) / tau
+    np.fill_diagonal(a, -np.inf)
+    blocks = [pos[:, None], a]
+    if negatives == "both":
+        b = (v1 @ v2.T) / tau
+        np.fill_diagonal(b, -np.inf)
+        blocks.append(b)
+    logits = np.concatenate(blocks, axis=1)
+    m = logits.max(axis=1, keepdims=True)
+    ex = np.exp(logits - m)
+    denom = ex.sum(axis=1)
+    p = ex / denom[:, None]
+    loss = float((np.log(denom) + m[:, 0] - pos).mean())
+    p_pos, p_a = p[:, 0], p[:, 1:n + 1]
+    g1 = ((p_pos - 1.0)[:, None] * v2 + p_a @ v1 + p_a.T @ v1) / tau
+    g2 = (p_pos - 1.0)[:, None] * v1 / tau
+    if negatives == "both":
+        p_b = p[:, n + 1:]
+        g1 += p_b @ v2 / tau
+        g2 += p_b.T @ v1 / tau
+    return loss, g1, g2
+
+
+def unit_rows(rng, n, d):
+    x = rng.standard_normal((n, d))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+class TestContrastiveKernel:
+    @pytest.mark.parametrize("negatives", ["first", "both"])
+    @pytest.mark.parametrize("n,d", [(2, 3), (7, 8), (64, 8), (301, 32)])
+    def test_bitwise_equal_to_reference(self, negatives, n, d):
+        rng = np.random.default_rng(n)
+        v1, v2 = unit_rows(rng, n, d), unit_rows(rng, n, d)
+        loss, g1, g2 = contrastive_grads(v1, v2, 0.5, negatives)
+        ref_loss, ref_g1, ref_g2 = reference_contrastive_grads(v1, v2, 0.5, negatives)
+        assert loss == ref_loss
+        assert np.array_equal(g1, ref_g1)
+        assert np.array_equal(g2, ref_g2)
+
+    def test_peak_memory_is_one_logit_buffer(self):
+        # the logits, their exponentials and the softmax share one (n, 1 + n)
+        # buffer; the concatenating formulas held about four of them at once
+        import tracemalloc
+
+        n = 1000
+        rng = np.random.default_rng(3)
+        v1, v2 = unit_rows(rng, n, 8), unit_rows(rng, n, 8)
+        tracemalloc.start()
+        try:
+            contrastive_grads(v1, v2, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * (n + 1)
+
+
 class TestTotalLoss:
     def test_all_lambdas_zero(self):
         terms = LossTerms(x=1.3, u=2.0, reg=0.7, con=0.5, hambr=0.9)

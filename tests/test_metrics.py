@@ -12,6 +12,8 @@ from hambr.metrics import (
     EmptyInput,
     InsufficientId,
     MetricsRecord,
+    NonFiniteScore,
+    _ranks_with_ties,
     auroc,
     csv_header,
     fpr_at_95_tpr,
@@ -59,6 +61,42 @@ class TestAuroc:
         assert auroc(np.exp(a), np.exp(b)) == pytest.approx(base, abs=1e-12)
         assert auroc(3 * a + 7, 3 * b + 7) == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteScore):
+            auroc([0.1, 0.2], [bad])
+        with pytest.raises(NonFiniteScore):
+            auroc([bad, 0.1], [0.2])
+
+
+def reference_ranks(values):
+    """The tie-group loop _ranks_with_ties replaced."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestRanksWithTies:
+    @pytest.mark.parametrize("values", [
+        np.array([]),
+        np.array([2.5]),
+        np.full(7, 0.3),
+        np.array([0.0, -0.0, 0.0, 1.0, -0.0]),
+        np.random.default_rng(1).integers(0, 4, size=1000).astype(float),
+        np.random.default_rng(2).integers(-50, 50, size=5000) / 8.0,
+        np.random.default_rng(3).standard_normal(999),
+    ])
+    def test_matches_reference_loop(self, values):
+        assert np.array_equal(_ranks_with_ties(values), reference_ranks(values))
+
 
 class TestFpr95:
     def test_perfect_separation(self):
@@ -84,6 +122,12 @@ class TestFpr95:
         ids = rng.normal(0, 1, 60)
         ood = rng.normal(0.3, 1, 60)
         assert fpr_at_95_tpr(ids, ood + 0.7) <= fpr_at_95_tpr(ids, ood)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(NonFiniteScore):
+            fpr_at_95_tpr([math.nan] + [0.1] * 30, [0.05, 0.2])
+        with pytest.raises(NonFiniteScore):
+            fpr_at_95_tpr([0.1] * 30, [0.05, math.inf])
 
 
 class TestSelectionF1:
@@ -171,6 +215,20 @@ class TestGeometryMetrics:
         protos = self.prototypes([e(0)])
         intra, inter = geometry_metrics(np.array([e(0)]), np.array([0]), protos)
         assert math.isnan(inter)
+
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_intra_bitwise_equal_to_row_loop(self, d):
+        rng = np.random.default_rng(d)
+        n_classes, n = 5, 3000
+        protos = self.prototypes([normalize(rng.standard_normal(d)).coords
+                                  for _ in range(n_classes)])
+        feats = rng.standard_normal((n, d))
+        feats /= np.linalg.norm(feats, axis=1)[:, None]
+        labels = rng.integers(0, n_classes, size=n)
+        intra, _ = geometry_metrics(feats, labels, protos)
+        dirs = {c: protos.directions[c].coords for c in protos.classes()}
+        assert intra == float(np.mean([feats[i] @ dirs[int(c)]
+                                       for i, c in enumerate(labels)]))
 
 
 class TestMetricsRecord:

@@ -202,3 +202,23 @@ class TestSerialization:
         dump_dataset(points, buf)
         row = json.loads(buf.getvalue().splitlines()[0])
         assert set(row) == {"feature", "true", "observed"}
+
+    def test_bytes_match_per_row_json_dumps(self):
+        points = make_dataset(DatasetSpec(n_per_class=30, seed=6,
+                                          noise=NoiseSpec(rate=0.3)))
+        coords = np.zeros(8)
+        coords[:3] = -0.0, 1.0, 1e-300
+        points.append(LabeledPoint(UnitVector(coords), 1, 2))
+        buf = io.StringIO()
+        dump_dataset(points, buf)
+        expected = "".join(
+            json.dumps({"feature": [float(x) for x in p.feature.coords],
+                        "true": int(p.true_label),
+                        "observed": int(p.observed_label)}) + "\n"
+            for p in points)
+        assert buf.getvalue() == expected
+
+    def test_empty(self):
+        buf = io.StringIO()
+        dump_dataset([], buf)
+        assert buf.getvalue() == ""
