@@ -295,16 +295,11 @@ def potential_batch(points: np.ndarray, bank,
 
 def dump_bank(bank, fh) -> None:
     """One JSON object per entry: {"class": c, "weight": w, "feature": [...]}."""
-    if isinstance(bank, FeatureBank):
-        items = [(c, e.weight, e.feature.coords) for c in bank.classes()
-                 for e in bank.entries(c)]
-    else:
-        snap = _snap(bank)
-        items = [(c, float(w), f) for c in snap.classes
-                 for f, w in zip(snap.features(c), snap.weights(c))]
-    for c, w, f in items:
-        fh.write(json.dumps({"class": int(c), "weight": float(w),
-                             "feature": [float(x) for x in f]}) + "\n")
+    snap = _snap(bank)
+    for c in snap.classes:
+        for f, w in zip(snap.features(c), snap.weights(c)):
+            fh.write(json.dumps({"class": int(c), "weight": float(w),
+                                 "feature": [float(x) for x in f]}) + "\n")
 
 
 def load_bank(fh) -> FeatureBank:

@@ -1,8 +1,9 @@
-"""Loss terms for the semi-supervised objective, with analytic gradients.
+"""The semi-supervised objective: batched loss terms with analytic gradients.
 
-There is no autodiff anywhere in the package: the only gradients the training
-loop needs (prototype-softmax cross entropy, the hambr attract/repel term, the
-contrastive term) are short closed forms, stated here next to their losses.
+There is no autodiff anywhere in the package: every gradient the training
+loop needs is a short closed form, stated here next to its loss.  `objective`
+composes the terms with the `LossWeights`; the training loop calls it once
+per epoch.
 """
 
 from __future__ import annotations
@@ -55,108 +56,150 @@ class LossTerms:
     hambr: float = 0.0
 
 
-def total_loss(terms: LossTerms, weights: LossWeights) -> float:
-    return (terms.x + weights.lambda_u * terms.u + weights.lambda_reg * terms.reg
-            + weights.lambda_c * terms.con + weights.lambda_hambr * terms.hambr)
+def sample_losses(preds, labels, warmup: bool, q: float) -> np.ndarray:
+    """Per-sample losses the partition fits: GCE (1 - p^q) / q during warmup,
+    cross entropy -log p after, of the observed-label probability p."""
+    p = preds[np.arange(len(labels)), labels]
+    return (1.0 - p ** q) / q if warmup else -np.log(p)
 
 
-def gce_loss(p: float, q: float) -> float:
-    """Generalized cross entropy (1 - p^q) / q for the observed-label probability."""
-    if p <= 0.0:
-        raise DomainError(f"probability must be positive, got {p!r}")
-    if not 0.0 < q <= 1.0:
-        raise DomainError("q must be in (0, 1]")
-    return (1.0 - p ** q) / q
+# Every term below returns (mean loss over its rows, gradient).  Per-row terms
+# give the gradient of the *summed* row losses in each row's embedding; the
+# regularizer, a batch quantity, gives the exact gradient of its batch-mean KL.
+# The classifier terms see the embeddings x through
+# preds = softmax(x @ p_cls.T / temp), whose row derivative is
+# d preds_c / d x = preds_c (p_cls[c] - mean_dir) / temp with
+# mean_dir = preds @ p_cls.  `weight` scales a gradient (not the loss).
 
 
-def ce_loss(pred, target) -> float:
-    """Cross entropy -sum_c target_c log pred_c; target may be a soft label."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    support = target > 0
-    if np.any(pred[support] <= 0):
-        raise DomainError("zero predicted probability on a supported label")
-    return float(-np.sum(target[support] * np.log(pred[support])))
+def gce_term(preds, mean_dir, p_cls, labels, q: float, temp: float):
+    """Generalized cross entropy (1 - p^q) / q of the observed labels."""
+    pq = preds[np.arange(len(labels)), labels] ** q
+    return (float(np.mean((1.0 - pq) / q)),
+            (pq / temp)[:, None] * (mean_dir - p_cls[labels]))
 
 
-def consistency_mse(guess, pred) -> float:
-    """Squared L2 distance between a pseudo-label and a predicted distribution."""
-    guess = np.asarray(guess, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    return float(np.sum((guess - pred) ** 2))
+def ce_term(preds, p_cls, targets, temp: float):
+    """Cross entropy -sum_c t_c log preds_c against soft targets summing to 1."""
+    return (float(np.mean(-np.sum(targets * np.log(preds), axis=1))),
+            ((preds - targets) @ p_cls) / temp)
 
 
-def sharpen(q, temperature: float):
-    """Temperature sharpening: q_c^(1/T), renormalized."""
-    q = np.asarray(q, dtype=np.float64)
-    if temperature <= 0:
-        raise DomainError("temperature must be positive")
-    powered = q ** (1.0 / temperature)
-    total = powered.sum()
-    if total <= 0:
-        raise DomainError("cannot sharpen an all-zero distribution")
-    return powered / total
+def consistency_term(preds, mean_dir, p_cls, targets, temp: float,
+                     weight: float = 1.0):
+    """Squared L2 distance |targets - preds|^2 to fixed pseudo-labels."""
+    a = (preds - targets) * preds
+    return (float(np.mean(np.sum((targets - preds) ** 2, axis=1))),
+            weight * (2.0 / temp) * (a @ p_cls - a.sum(axis=1, keepdims=True) * mean_dir))
 
 
-def reg_loss(preds) -> float:
-    """KL(uniform || mean batch prediction); discourages prediction collapse."""
-    preds = np.asarray(preds, dtype=np.float64)
-    if preds.ndim != 2 or preds.shape[0] < 1:
-        raise DomainError("preds must be a non-empty (n, C) array")
-    mean = np.clip(preds.mean(axis=0), PROB_CLAMP, None)
-    c = preds.shape[1]
-    prior = 1.0 / c
-    return float(np.sum(prior * (np.log(prior) - np.log(mean))))
+def reg_term(preds, mean_dir, p_cls, temp: float, weight: float = 1.0):
+    """KL(uniform || mean prediction), which discourages prediction collapse.
+
+    The mean prediction is clamped below at PROB_CLAMP before the logs.
+    """
+    n, c = preds.shape
+    pbar = np.clip(preds.mean(axis=0), PROB_CLAMP, None)
+    b = preds * ((1.0 / c) / pbar)[None, :]
+    return (float(np.sum((1.0 / c) * (np.log(1.0 / c) - np.log(pbar)))),
+            weight * (-1.0 / (n * temp))
+            * (b @ p_cls - b.sum(axis=1, keepdims=True) * mean_dir))
 
 
-def _coords(x) -> np.ndarray:
-    return x.coords if isinstance(x, UnitVector) else np.asarray(x, dtype=np.float64)
+def contrastive_term(x, noise1, noise2, tau: float, weight: float = 1.0):
+    """InfoNCE (`contrastive_grads`) between the views normalize(x + noise_k).
+
+    The noise is held fixed: each view's derivative in x is
+    (I - v v^T) / |x + noise|.
+    """
+    v1, norm1 = _view(x, noise1)
+    v2, norm2 = _view(x, noise2)
+    loss, g1, g2 = contrastive_grads(v1, v2, tau)
+    gx = (g1 - np.einsum("ij,ij->i", g1, v1)[:, None] * v1) / norm1[:, None]
+    gx += (g2 - np.einsum("ij,ij->i", g2, v2)[:, None] * v2) / norm2[:, None]
+    return loss, weight * gx
 
 
-def _hambr_softmax(x, prototype, outliers, tau):
-    """Softmax over {prototype} + outliers similarities; p[0] is the prototype's."""
-    x, proto = _coords(x), _coords(prototype)
-    out = np.asarray(outliers, dtype=np.float64)
-    logits = np.concatenate(([float(x @ proto)], out @ x)) / tau
-    m = logits.max()
+def _view(x, noise):
+    moved = x + noise
+    norms = np.linalg.norm(moved, axis=1)
+    return moved / norms[:, None], norms
+
+
+def _tangent_noise(x, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """sigma times a standard Gaussian draw projected onto each row's tangent space."""
+    raw = rng.standard_normal(x.shape)
+    return sigma * (raw - np.einsum("ij,ij->i", raw, x)[:, None] * x)
+
+
+def hambr_term(x, mu, outliers, tau: float, weight: float = 1.0):
+    """-log of each row's prototype share of similarity mass against the outliers.
+
+    Row i contrasts x_i . mu_i with x_i . v_j over the outliers v_j, at
+    temperature tau; the gradient is (1/tau)(-(1 - p_mu) mu + sum_j p_j v_j).
+    With no outliers the loss and the gradient are zero.
+    """
+    logits = np.concatenate([np.einsum("ij,ij->i", x, mu)[:, None],
+                             x @ outliers.T], axis=1) / tau
+    m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
-    return e / e.sum(), logits
+    share = e / e.sum(axis=1, keepdims=True)
+    return (float(np.mean(np.log(e.sum(axis=1)) + m[:, 0] - logits[:, 0])),
+            weight * (-(1.0 - share[:, 0])[:, None] * mu + share[:, 1:] @ outliers) / tau)
 
 
-def hambr_loss(x, prototype, outliers, tau: float) -> float:
-    """-log of the prototype's share of similarity mass against the outliers.
+def objective(x, preds, p_cls, labels, weights: LossWeights, temp: float, *,
+              warmup: bool, posteriors, labeled, prototypes, outliers,
+              aug_sigma: float, rng: np.random.Generator) -> tuple[LossTerms, np.ndarray]:
+    """The training objective's terms and its gradient in the embeddings x.
 
-    Zero outliers means nothing to contrast against: the loss is 0.
+    `preds` are the clamped classifier probabilities of x against `p_cls`.
+    Warmup trains on GCE of the observed `labels` alone.  After warmup the
+    `labeled` rows get cross entropy against co-corrected targets
+    (posterior * one-hot + (1 - posterior) * preds) and the attract/repel term
+    toward `prototypes[labels]` against `outliers`; the unlabeled rows get
+    sharpened-pseudo-label consistency and, given two or more of them, a
+    contrastive term over two views jittered by `aug_sigma` times tangent
+    Gaussian noise drawn from `rng`; the regularizer covers every row.
+    Targets, pseudo-labels and noise are constants of the gradient.
     """
-    out = np.asarray(outliers, dtype=np.float64)
-    if out.size == 0:
-        return 0.0
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    p, _ = _hambr_softmax(x, prototype, out, tau)
-    return float(-np.log(p[0]))
+    w = weights
+    mean_dir = preds @ p_cls
+    grads = np.zeros_like(x)
+    if warmup:
+        loss_x, g = gce_term(preds, mean_dir, p_cls, labels, w.gce_q, temp)
+        grads += g
+        return LossTerms(x=loss_x), grads
 
-
-def hambr_grad(x, prototype, outliers, tau: float) -> np.ndarray:
-    """Euclidean gradient of hambr_loss in x: (1/tau)(-(1-p_c) mu + sum_j p_j v_j)."""
-    x = _coords(x)
-    out = np.asarray(outliers, dtype=np.float64)
-    if out.size == 0:
-        return np.zeros_like(x)
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    p, _ = _hambr_softmax(x, prototype, out, tau)
-    return (-(1.0 - p[0]) * _coords(prototype) + p[1:] @ out) / tau
-
-
-def contrastive_loss(view1, view2, tau: float, negatives: str = "first") -> float:
-    """Mean InfoNCE term over anchors; negatives are the other anchors' views.
-
-    `negatives="first"` uses only the other first views in the denominator;
-    `"both"` adds the other second views as well.
-    """
-    loss, _, _ = contrastive_grads(view1, view2, tau, negatives)
-    return loss
+    lab = labeled
+    unl = ~labeled
+    loss_x = loss_u = loss_reg = loss_con = loss_hambr = 0.0
+    if lab.any():
+        eye = np.eye(preds.shape[1])
+        y_corr = (posteriors[lab, None] * eye[labels[lab]]
+                  + (1.0 - posteriors[lab, None]) * preds[lab])
+        loss_x, g = ce_term(preds[lab], p_cls, y_corr, temp)
+        grads[lab] += g
+    if unl.any() and w.lambda_u > 0:
+        powered = preds[unl] ** (1.0 / w.sharpen_T)
+        pseudo = powered / powered.sum(axis=1, keepdims=True)
+        loss_u, g = consistency_term(preds[unl], mean_dir[unl], p_cls, pseudo,
+                                     temp, w.lambda_u)
+        grads[unl] += g
+    if w.lambda_reg > 0:
+        loss_reg, g = reg_term(preds, mean_dir, p_cls, temp, w.lambda_reg)
+        grads += g
+    if w.lambda_c > 0 and int(unl.sum()) >= 2:
+        noise1 = _tangent_noise(x[unl], aug_sigma, rng)
+        noise2 = _tangent_noise(x[unl], aug_sigma, rng)
+        loss_con, g = contrastive_term(x[unl], noise1, noise2, w.tau_con, w.lambda_c)
+        grads[unl] += g
+    if w.lambda_hambr > 0 and lab.any() and len(outliers):
+        loss_hambr, g = hambr_term(x[lab], prototypes[labels[lab]], outliers,
+                                   w.tau_loss, w.lambda_hambr)
+        grads[lab] += g
+    return LossTerms(x=loss_x, u=loss_u, reg=loss_reg, con=loss_con,
+                     hambr=loss_hambr), grads
 
 
 def contrastive_grads(view1, view2, tau: float,

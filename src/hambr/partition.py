@@ -19,6 +19,10 @@ DEFAULT_CLEAN_THRESHOLD = 0.5
 DEFAULT_T_FILTER = 3
 
 
+class NonFiniteLoss(ValueError):
+    """A per-sample loss is NaN or infinite; no mixture can be fit to it."""
+
+
 @dataclass(frozen=True)
 class GmmModel:
     means: np.ndarray       # shape (2,)
@@ -32,6 +36,8 @@ class GmmModel:
         weights = np.asarray(self.weights, dtype=np.float64)
         if means.shape != (2,) or variances.shape != (2,) or weights.shape != (2,):
             raise ValueError("GmmModel is strictly two-component")
+        if not np.isfinite(np.concatenate([means, variances, weights])).all():
+            raise ValueError("GmmModel parameters must be finite")
         if np.any(variances < VARIANCE_FLOOR * (1 - 1e-12)):
             raise ValueError("variances below floor")
         if np.any(weights < 0) or np.any(weights > 1) or abs(weights.sum() - 1) > 1e-8:
@@ -73,6 +79,9 @@ def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6,
     x = np.asarray(losses, dtype=np.float64).ravel()
     if x.size < 2:
         raise ValueError(f"need at least 2 losses, got {x.size}")
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise NonFiniteLoss(f"{bad} of {x.size} losses are NaN or infinite")
     if np.all(x == x[0]):
         return GmmModel(np.array([x[0], x[0]]),
                         np.array([VARIANCE_FLOOR, VARIANCE_FLOOR]),

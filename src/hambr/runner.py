@@ -18,17 +18,18 @@ import numpy as np
 
 from .energy import (
     BankEntry,
+    BankSnapshot,
     EnergyParams,
     FeatureBank,
     dump_bank,
     potential_batch,
 )
 from .losses import (
-    LossTerms,
     LossWeights,
     PrototypeSet,
     compute_prototypes,
-    contrastive_grads,
+    objective,
+    sample_losses,
     PROB_CLAMP,
 )
 from .metrics import (
@@ -242,23 +243,11 @@ def _full_prototype_set(matrix: np.ndarray, support: dict[int, int]) -> Prototyp
     return PrototypeSet(dirs, {c: support.get(c, 0) for c in dirs})
 
 
-def _tangent_noise_views(x: np.ndarray, sigma: float,
-                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One augmented view per row: renormalize(x + sigma * tangent noise)."""
-    raw = rng.standard_normal(x.shape)
-    tang = raw - np.einsum("ij,ij->i", raw, x)[:, None] * x
-    moved = x + sigma * tang
-    norms = np.linalg.norm(moved, axis=1)
-    return moved / norms[:, None], norms
-
-
-def _fallback_bank(x: np.ndarray, labels: np.ndarray, posteriors: np.ndarray) -> FeatureBank:
+def _fallback_bank(x: np.ndarray, labels: np.ndarray, posteriors: np.ndarray) -> BankSnapshot:
     """Scoring stopgap while the live bank is empty: every sample, floored weights."""
-    bank = FeatureBank(capacity_per_class=x.shape[0])
-    for i in range(x.shape[0]):
-        bank.add(BankEntry(UnitVector(x[i]), float(max(posteriors[i], 1e-6)),
-                           int(labels[i])))
-    return bank
+    weights = np.maximum(posteriors, 1e-6)
+    return BankSnapshot({int(c): (x[labels == c], weights[labels == c])
+                         for c in np.unique(labels)})
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -278,7 +267,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     noise_mask = y_obs != y_true
     n, _ = x.shape
     n_classes = cfg.dataset.n_classes
-    eye = np.eye(n_classes)
     w = cfg.weights
     temp = cfg.classifier_temperature
 
@@ -311,17 +299,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             p_cls = _fill_prototypes(state.prototypes, obs_means)
         preds = _softmax_rows(x @ p_cls.T / temp)
         preds = np.clip(preds, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        p_obs = preds[np.arange(n), y_obs]
 
         # (2) per-sample losses for the partition
-        if warmup:
-            sample_losses = (1.0 - p_obs ** w.gce_q) / w.gce_q
-        else:
-            sample_losses = -np.log(p_obs)
+        losses = sample_losses(preds, y_obs, warmup, w.gce_q)
 
         # (3) mixture fit, flags, consensus
-        model = fit_gmm_1d(sample_losses)
-        posteriors = clean_posterior(model, sample_losses)
+        model = fit_gmm_1d(losses)
+        posteriors = clean_posterior(model, losses)
         flags = posteriors > cfg.clean_threshold
         consensus_update(state.window, flags)
         consensus = consensus_set(state.window)
@@ -333,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             labeled_mask = flags.copy()
 
         buf = io.StringIO()
-        dump_partition(buf, sample_losses, posteriors, flags, consensus)
+        dump_partition(buf, losses, posteriors, flags, consensus)
         partition_lines.append(buf.getvalue())
 
         # (4) bank rebuilt from the consensus set only
@@ -360,68 +344,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                        if len(oset) else np.empty((0, x.shape[1])))
 
         # (7)+(8) analytic gradient step
-        mean_dir = preds @ p_cls
-        grads = np.zeros_like(x)
-        if warmup:
-            pq = p_obs ** w.gce_q
-            grads += (pq / temp)[:, None] * (mean_dir - p_cls[y_obs])
-            terms = LossTerms(x=float(np.mean((1.0 - pq) / w.gce_q)))
-        else:
-            lab = labeled_mask
-            unl = ~labeled_mask
-            loss_x = loss_u = loss_con = loss_hambr = 0.0
-
-            if lab.any():
-                # co-corrected soft targets, constant w.r.t. the embeddings
-                y_corr = (posteriors[lab, None] * eye[y_obs[lab]]
-                          + (1.0 - posteriors[lab, None]) * preds[lab])
-                grads[lab] += ((preds[lab] - y_corr) @ p_cls) / temp
-                loss_x = float(np.mean(-np.sum(y_corr * np.log(preds[lab]), axis=1)))
-
-            if unl.any() and w.lambda_u > 0:
-                powered = preds[unl] ** (1.0 / w.sharpen_T)
-                pseudo = powered / powered.sum(axis=1, keepdims=True)
-                a = (preds[unl] - pseudo) * preds[unl]
-                grads[unl] += w.lambda_u * (2.0 / temp) * (
-                    a @ p_cls - a.sum(axis=1, keepdims=True) * mean_dir[unl])
-                loss_u = float(np.mean(np.sum((pseudo - preds[unl]) ** 2, axis=1)))
-
-            if w.lambda_reg > 0:
-                pbar = np.clip(preds.mean(axis=0), PROB_CLAMP, None)
-                ratio = (1.0 / n_classes) / pbar
-                b = preds * ratio[None, :]
-                grads += w.lambda_reg * (-1.0 / (n * temp)) * (
-                    b @ p_cls - b.sum(axis=1, keepdims=True) * mean_dir)
-                loss_reg = float(np.sum((1.0 / n_classes)
-                                        * (np.log(1.0 / n_classes) - np.log(pbar))))
-            else:
-                loss_reg = 0.0
-
-            if w.lambda_c > 0 and int(unl.sum()) >= 2:
-                v1, norm1 = _tangent_noise_views(x[unl], cfg.aug_sigma, aug_rng)
-                v2, norm2 = _tangent_noise_views(x[unl], cfg.aug_sigma, aug_rng)
-                loss_con, g1, g2 = contrastive_grads(v1, v2, w.tau_con)
-                gx = (g1 - np.einsum("ij,ij->i", g1, v1)[:, None] * v1) / norm1[:, None]
-                gx += (g2 - np.einsum("ij,ij->i", g2, v2)[:, None] * v2) / norm2[:, None]
-                grads[unl] += w.lambda_c * gx
-
-            if w.lambda_hambr > 0 and lab.any() and len(oset):
-                mu = p_fresh[y_obs[lab]]
-                logits = np.concatenate(
-                    [np.einsum("ij,ij->i", x[lab], mu)[:, None],
-                     x[lab] @ outlier_arr.T], axis=1) / w.tau_loss
-                m = logits.max(axis=1, keepdims=True)
-                e = np.exp(logits - m)
-                share = e / e.sum(axis=1, keepdims=True)
-                loss_hambr = float(np.mean(np.log(e.sum(axis=1)) + m[:, 0]
-                                           - logits[:, 0]))
-                grads[lab] += w.lambda_hambr * (
-                    -(1.0 - share[:, 0])[:, None] * mu
-                    + share[:, 1:] @ outlier_arr) / w.tau_loss
-
-            terms = LossTerms(x=loss_x, u=loss_u, reg=loss_reg,
-                              con=loss_con, hambr=loss_hambr)
-
+        terms, grads = objective(x, preds, p_cls, y_obs, w, temp, warmup=warmup,
+                                 posteriors=posteriors, labeled=labeled_mask,
+                                 prototypes=p_fresh, outliers=outlier_arr,
+                                 aug_sigma=cfg.aug_sigma, rng=aug_rng)
         tangential = grads - np.einsum("ij,ij->i", grads, x)[:, None] * x
         moved = x - cfg.learn_rate * tangential
         state.embeddings = moved / np.linalg.norm(moved, axis=1)[:, None]

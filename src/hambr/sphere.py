@@ -42,7 +42,7 @@ class UnitVector:
         if v.size < 2:
             raise ValueError("dimension must be >= 2")
         n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > NORM_TOL:
+        if not abs(n - 1.0) <= NORM_TOL:  # also rejects NaN and inf coordinates
             raise ValueError(f"not unit norm: |v| = {n!r}")
         v.flags.writeable = False
         object.__setattr__(self, "coords", v)
@@ -64,7 +64,7 @@ class TangentVector:
         if v.size != self.base.dim:
             raise ValueError("tangent and base dimensions differ")
         d = float(np.dot(v, self.base.coords))
-        if abs(d) > NORM_TOL:
+        if not abs(d) <= NORM_TOL:  # a NaN or inf coordinate makes d NaN or inf
             raise ValueError(f"not tangent at base: <v, z> = {d!r}")
         v.flags.writeable = False
         object.__setattr__(self, "coords", v)

@@ -83,6 +83,19 @@ class TestFeatureBank:
                 assert np.allclose(a.feature.coords, b.feature.coords)
                 assert a.weight == pytest.approx(b.weight)
 
+    def test_dump_bank_writes_the_same_bytes_as_its_snapshot(self):
+        import io
+
+        rng = np.random.default_rng(21)
+        bank = random_bank(rng, 8, 400, n_classes=3)
+        for entry in bank.entries(1)[:5]:
+            bank.add(BankEntry(entry.feature, 0.0, 1))
+        via_bank, via_snap = io.StringIO(), io.StringIO()
+        dump_bank(bank, via_bank)
+        dump_bank(bank.snapshot(), via_snap)
+        assert via_bank.getvalue() == via_snap.getvalue()
+        assert via_bank.getvalue().count("\n") == len(bank)
+
     def test_load_keeps_every_entry(self, tmp_path):
         rng = np.random.default_rng(13)
         bank = FeatureBank(capacity_per_class=300)

@@ -6,6 +6,7 @@ import pytest
 from hambr.partition import (
     ConsensusWindow,
     GmmModel,
+    NonFiniteLoss,
     VARIANCE_FLOOR,
     clean_posterior,
     consensus_set,
@@ -44,7 +45,25 @@ class TestGmmModel:
                      np.array([0.7, 0.7]), 0)
 
 
+    @pytest.mark.parametrize("field", ["means", "variances", "weights"])
+    def test_rejects_non_finite_parameters(self, field):
+        params = dict(means=np.array([0.0, 1.0]), variances=np.array([0.1, 0.1]),
+                      weights=np.array([0.5, 0.5]))
+        for bad in (np.nan, np.inf):
+            broken = dict(params)
+            broken[field] = np.array([params[field][0], bad])
+            with pytest.raises(ValueError, match="finite"):
+                GmmModel(clean_component=0, **broken)
+
+
 class TestFitGmm:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_is_named_error(self, bad):
+        losses = well_separated_losses()
+        losses[7] = bad
+        with pytest.raises(NonFiniteLoss, match="1 of 100"):
+            fit_gmm_1d(losses)
+
     def test_recovers_well_separated_means(self):
         model = fit_gmm_1d(well_separated_losses())
         lo, hi = sorted(model.means)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hambr.energy import BankEntry, FeatureBank, potential_batch
 from hambr.runner import (
     ConfigError,
     ExperimentConfig,
@@ -13,7 +14,9 @@ from hambr.runner import (
     config_to_dict,
     load_config,
     run_experiment,
+    _fallback_bank,
 )
+from hambr.sphere import UnitVector
 from hambr.sampler import SamplerConfig, VirtualOutlierSet
 from hambr.synthgen import DatasetSpec
 
@@ -155,3 +158,23 @@ class TestRunExperiment:
                 want = flags[e - cfg.t_filter + 1:e + 1].all(axis=0)
             got = np.array([row["in_consensus"] for row in block])
             assert np.array_equal(got, want), f"epoch {e}"
+
+
+def test_fallback_bank_scores_like_a_per_sample_feature_bank():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((300, 8))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    labels = rng.integers(0, 3, 300)
+    labels[labels == 2] = 3                     # class 2 absent
+    posteriors = rng.uniform(0.0, 1.0, 300)
+    posteriors[:20] = 0.0                       # floored at 1e-6
+    bank = FeatureBank(capacity_per_class=300)
+    for i in range(300):
+        bank.add(BankEntry(UnitVector(x[i]), float(max(posteriors[i], 1e-6)),
+                           int(labels[i])))
+    snap = _fallback_bank(x, labels, posteriors)
+    assert snap.classes == bank.classes() == [0, 1, 3]
+    queries = rng.standard_normal((300, 8))
+    queries /= np.linalg.norm(queries, axis=1)[:, None]
+    assert potential_batch(queries, snap).tobytes() == \
+        potential_batch(queries, bank).tobytes()

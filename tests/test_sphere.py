@@ -37,6 +37,13 @@ class TestUnitVector:
         with pytest.raises(ValueError):
             UnitVector(np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            UnitVector(np.array([bad, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            UnitVector(np.array([0.6, 0.8, bad]))
+
     def test_coords_are_read_only(self):
         z = e(0)
         with pytest.raises(ValueError):
@@ -51,6 +58,13 @@ class TestTangentVector:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             TangentVector(np.array([0.0, 1.0]), e(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # at e0 a bad coordinate off the base axis makes <v, z> = bad * 0 = NaN
+        for coords in ([bad, 1.0, 0.0], [0.0, bad, 0.0], [0.0, 1.0, bad]):
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                TangentVector(np.array(coords), e(0))
 
     def test_norm(self):
         v = TangentVector(np.array([0.0, 3.0, 4.0]), e(0))
