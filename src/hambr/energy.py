@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import TangentVector, UnitVector, project_tangent
+from .sphere import NORM_TOL, TangentVector, UnitVector, project_tangent
 
 DEFAULT_CAPACITY = 256
 _BLOCK_SIMS = 1 << 16  # similarities potential_batch holds at once per class
@@ -87,6 +87,54 @@ class BankSnapshot:
         for a in (self._stack_feats, weights, bias):
             a.flags.writeable = False
 
+    @classmethod
+    def from_arrays(cls, features, weights, labels,
+                    capacity_per_class: int | None = None) -> "BankSnapshot":
+        """Bank holding row i of `features` with `weights[i]` in class `labels[i]`.
+
+        Every row must pass what `UnitVector` and `BankEntry` check one entry
+        at a time: features (n, d) with d >= 2, each row finite and unit-norm
+        to NORM_TOL, each weight finite and in [0, 1], each label >= 0, and
+        one weight and label per row; ValueError otherwise.  With a cap, each
+        class keeps its last `capacity_per_class` rows in input order, the
+        entries a FeatureBank of that capacity keeps after adding the rows one
+        by one.
+        """
+        feats = np.asarray(features, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
+        labels = np.asarray(labels)
+        if feats.ndim != 2 or feats.shape[1] < 2:
+            raise ValueError(f"features must be (n, d) with d >= 2, got {feats.shape}")
+        if weights.shape != labels.shape or weights.shape != feats.shape[:1]:
+            raise ValueError(f"{feats.shape[0]} features need as many weights and "
+                             f"labels, got {weights.shape} and {labels.shape}")
+        norms = np.linalg.norm(feats, axis=1)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN and inf fail
+        if bad.size:
+            raise ValueError(f"row {bad[0]} is not unit norm: |v| = {norms[bad[0]]!r}")
+        bad = np.flatnonzero(~((weights >= 0.0) & (weights <= 1.0)))
+        if bad.size:
+            raise ValueError(f"weight must be in [0, 1], got {weights[bad[0]]!r} "
+                             f"at row {bad[0]}")
+        if labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0):
+            raise ValueError("labels must be non-negative integers")
+        if capacity_per_class is not None and capacity_per_class < 1:
+            raise ValueError("capacity_per_class must be >= 1")
+        groups = {}
+        for c in np.unique(labels):
+            rows = np.flatnonzero(labels == c)
+            if capacity_per_class is not None:
+                rows = rows[-capacity_per_class:]
+            feats_c, weights_c = feats[rows], weights[rows]
+            feats_c.flags.writeable = False
+            weights_c.flags.writeable = False
+            groups[int(c)] = (feats_c, weights_c)
+        return cls(groups)
+
+    def snapshot(self) -> "BankSnapshot":
+        """A snapshot is its own snapshot, so banks and snapshots answer alike."""
+        return self
+
     def features(self, class_id: int) -> np.ndarray:
         return self._groups[class_id][0]
 
@@ -149,18 +197,14 @@ class FeatureBank:
         return self._snapshot
 
 
-def _snap(bank) -> BankSnapshot:
-    return bank if isinstance(bank, BankSnapshot) else bank.snapshot()
-
-
 @dataclass(frozen=True)
 class EnergyParams:
     tau_energy: float = 0.1
     k_neighbors: int = 16  # capped at class size when the class is smaller
 
     def __post_init__(self):
-        if self.tau_energy <= 0:
-            raise ValueError("tau_energy must be positive")
+        if not 0 < self.tau_energy < np.inf:  # NaN fails every comparison
+            raise ValueError("tau_energy must be positive and finite")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
 
@@ -217,7 +261,7 @@ def _select_class(snap: BankSnapshot, z: np.ndarray, class_id: int,
 def class_free_energy(z: UnitVector, bank, class_id: int,
                       params: EnergyParams = EnergyParams()) -> float:
     """-tau * log sum_j w_j exp(<z, k_j>/tau) over the K nearest entries of one class."""
-    snap = _snap(bank)
+    snap = bank.snapshot()
     if class_id not in snap:
         raise EmptyClass(f"class {class_id} has no entries")
     sims, weights, _ = _select_class(snap, z.coords, class_id, params)
@@ -232,7 +276,7 @@ def global_potential(z: UnitVector, bank,
     One pass over the snapshot's padded stack scores every class: one matvec,
     one row-wise top-K and one masked log-sum-exp.
     """
-    snap = _snap(bank)
+    snap = bank.snapshot()
     if not snap.classes:
         raise EmptyBank("bank has no entries")
     sims = (snap._stack_feats @ z.coords).reshape(snap._stack_bias.shape)
@@ -255,7 +299,7 @@ def riemannian_grad_U(z: UnitVector, bank,
     Euclidean gradient is -sum_j s_j k_j with s_j the weighted softmax of the
     selected similarities.
     """
-    snap = _snap(bank)
+    snap = bank.snapshot()
     _, c = global_potential(z, snap, params)  # has checked every class for mass
     sims, weights, idx = _select_class(snap, z.coords, c, params)
     terms = _soft_min_terms(sims, weights, params.tau_energy)[1][0]
@@ -275,7 +319,7 @@ def potential_batch(points: np.ndarray, bank,
     1-row block with a matrix-vector product, which rounds differently from
     the matrix product of the other blocks.
     """
-    snap = _snap(bank)
+    snap = bank.snapshot()
     if not snap.classes:
         raise EmptyBank("bank has no entries")
     points = np.asarray(points, dtype=np.float64)
@@ -295,7 +339,7 @@ def potential_batch(points: np.ndarray, bank,
 
 def dump_bank(bank, fh) -> None:
     """One JSON object per entry: {"class": c, "weight": w, "feature": [...]}."""
-    snap = _snap(bank)
+    snap = bank.snapshot()
     for c in snap.classes:
         for f, w in zip(snap.features(c), snap.weights(c)):
             fh.write(json.dumps({"class": int(c), "weight": float(w),

@@ -38,11 +38,11 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_u", "lambda_reg", "lambda_c", "lambda_hambr"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be non-negative and finite")
         for name in ("tau_loss", "tau_con", "sharpen_T"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.gce_q <= 1.0:
             raise ValueError("gce_q must be in (0, 1]")
 
@@ -284,9 +284,7 @@ def compute_prototypes(bank) -> PrototypeSet:
     Zero-weight entries contribute nothing; a class whose weighted sum has no
     usable direction carries no prototype.
     """
-    from .energy import _snap  # local import keeps module deps one-directional
-
-    snap = _snap(bank)
+    snap = bank.snapshot()
     directions: dict[int, UnitVector] = {}
     support: dict[int, int] = {}
     for c in snap.classes:

@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .energy import (
-    BankEntry,
+    DEFAULT_CAPACITY,
     BankSnapshot,
     EnergyParams,
-    FeatureBank,
     dump_bank,
     potential_batch,
 )
@@ -85,12 +84,12 @@ class ExperimentConfig:
             raise ConfigError("epochs must be >= 1")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ConfigError("need 0 <= warmup_epochs < epochs")
-        if self.learn_rate <= 0:
-            raise ConfigError("learn_rate must be positive")
-        if self.classifier_temperature <= 0:
-            raise ConfigError("classifier_temperature must be positive")
-        if self.aug_sigma < 0:
-            raise ConfigError("aug_sigma must be non-negative")
+        if not 0 < self.learn_rate < np.inf:  # NaN fails every comparison
+            raise ConfigError("learn_rate must be positive and finite")
+        if not 0 < self.classifier_temperature < np.inf:
+            raise ConfigError("classifier_temperature must be positive and finite")
+        if not 0 <= self.aug_sigma < np.inf:
+            raise ConfigError("aug_sigma must be non-negative and finite")
 
 
 @dataclass
@@ -98,11 +97,10 @@ class TrainState:
     """Mutable carrier for everything the epoch loop updates."""
 
     embeddings: np.ndarray
-    bank: FeatureBank
+    bank: BankSnapshot
     window: ConsensusWindow
     prototypes: PrototypeSet | None
     epoch: int
-    seed_seq: np.random.SeedSequence
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -245,9 +243,7 @@ def _full_prototype_set(matrix: np.ndarray, support: dict[int, int]) -> Prototyp
 
 def _fallback_bank(x: np.ndarray, labels: np.ndarray, posteriors: np.ndarray) -> BankSnapshot:
     """Scoring stopgap while the live bank is empty: every sample, floored weights."""
-    weights = np.maximum(posteriors, 1e-6)
-    return BankSnapshot({int(c): (x[labels == c], weights[labels == c])
-                         for c in np.unique(labels)})
+    return BankSnapshot.from_arrays(x, np.maximum(posteriors, 1e-6), labels)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -275,9 +271,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     epoch_children = epochs_parent.spawn(cfg.epochs)
     ood_feats, _ = make_ood_set(cfg.dataset, np.random.default_rng(ood_child))
 
-    state = TrainState(embeddings=x, bank=FeatureBank(),
+    state = TrainState(embeddings=x, bank=BankSnapshot({}),
                        window=ConsensusWindow(cfg.t_filter, n),
-                       prototypes=None, epoch=0, seed_seq=root)
+                       prototypes=None, epoch=0)
 
     records: list[MetricsRecord] = []
     partition_lines: list[str] = []
@@ -320,12 +316,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         dump_partition(buf, losses, posteriors, flags, consensus)
         partition_lines.append(buf.getvalue())
 
-        # (4) bank rebuilt from the consensus set only
-        bank = FeatureBank()
+        # (4) bank rebuilt from the consensus set only: the last
+        # DEFAULT_CAPACITY consensus ids of each class, in id order
         if window_ready:
-            for i in consensus:
-                bank.add(BankEntry(UnitVector(x[i]), float(posteriors[i]),
-                                   int(y_obs[i])))
+            bank = BankSnapshot.from_arrays(x[consensus], posteriors[consensus],
+                                            y_obs[consensus], DEFAULT_CAPACITY)
+        else:
+            bank = BankSnapshot({})
         state.bank = bank
 
         # (5) fresh prototypes from the bank

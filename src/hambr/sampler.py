@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyParams, EmptyBank, _snap, global_potential, riemannian_grad_U
+from .energy import EnergyParams, EmptyBank, global_potential, riemannian_grad_U
 from .sphere import (
     ANTIPODAL_TOL,
     TangentVector,
@@ -47,15 +47,15 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.friction < 0:
-            raise ValueError("friction must be non-negative")
+        if not 0 < self.step_size < np.inf:  # NaN fails every comparison
+            raise ValueError("step_size must be positive and finite")
+        if not 0 <= self.friction < np.inf:
+            raise ValueError("friction must be non-negative and finite")
         for name in ("n_rounds", "steps_per_round", "n_chains"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.dyn_temperature <= 0:
-            raise ValueError("dyn_temperature must be positive")
+        if not 0 < self.dyn_temperature < np.inf:
+            raise ValueError("dyn_temperature must be positive and finite")
         if self.integrator_variant not in VARIANTS:
             raise ValueError(f"integrator_variant must be one of {VARIANTS}")
 
@@ -72,7 +72,6 @@ class ChainState:
 class VirtualOutlierSet:
     outliers: list[UnitVector]
     chain_ids: list[int] = field(default_factory=list)
-    prototype_pairs: list[tuple[int, int]] = field(default_factory=list)
     potentials: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -85,7 +84,7 @@ class VirtualOutlierSet:
 
 
 def _init_pair(prototypes: list[UnitVector], cfg: SamplerConfig,
-               rng: np.random.Generator) -> tuple[ChainState, tuple[int, int]]:
+               rng: np.random.Generator) -> ChainState:
     n = len(prototypes)
     for _ in range(RESAMPLE_ATTEMPTS):
         i, j = rng.choice(n, size=2, replace=False)
@@ -100,7 +99,7 @@ def _init_pair(prototypes: list[UnitVector], cfg: SamplerConfig,
         nudged = normalize(a.coords + FALLBACK_PERTURBATION * u.coords)
         pos = normalize(nudged.coords + b.coords)
     momentum = sample_tangent_gaussian(pos, rng)
-    return ChainState(pos, momentum), (int(min(i, j)), int(max(i, j)))
+    return ChainState(pos, momentum)
 
 
 def init_chains(prototypes: list[UnitVector], cfg: SamplerConfig,
@@ -108,7 +107,7 @@ def init_chains(prototypes: list[UnitVector], cfg: SamplerConfig,
     """One chain per cfg.n_chains, started at the midpoint of a random prototype pair."""
     if len(prototypes) < 2:
         raise InsufficientPrototypes(f"need >= 2 prototypes, got {len(prototypes)}")
-    return [_init_pair(prototypes, cfg, rng)[0] for _ in range(cfg.n_chains)]
+    return [_init_pair(prototypes, cfg, rng) for _ in range(cfg.n_chains)]
 
 
 def dshd_step(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
@@ -176,7 +175,7 @@ def synthesize_outliers(bank, prototypes: list[UnitVector],
     Each chain owns a SeedSequence child keyed by (cfg.seed, chain index), so
     results do not depend on scheduling order.  No accept/reject step.
     """
-    snap = _snap(bank)
+    snap = bank.snapshot()
     if len(snap) == 0:
         raise EmptyBank("cannot synthesize against an empty bank")
     if len(prototypes) < 2:
@@ -185,15 +184,14 @@ def synthesize_outliers(bank, prototypes: list[UnitVector],
     rng_init = np.random.default_rng(children[0])
     starts = [_init_pair(prototypes, cfg, rng_init) for _ in range(cfg.n_chains)]
 
-    outliers, chain_ids, pairs, potentials = [], [], [], []
-    for idx, (state, pair) in enumerate(starts):
+    outliers, chain_ids, potentials = [], [], []
+    for idx, state in enumerate(starts):
         rng = np.random.default_rng(children[idx + 1])
         state = run_chain(state, snap, params, cfg, rng)
         outliers.append(state.position)
         chain_ids.append(idx)
-        pairs.append(pair)
         potentials.append(global_potential(state.position, snap, params)[0])
-    return VirtualOutlierSet(outliers, chain_ids, pairs, potentials)
+    return VirtualOutlierSet(outliers, chain_ids, potentials)
 
 
 def dump_outliers(oset: VirtualOutlierSet, fh) -> None:

@@ -62,8 +62,8 @@ class DatasetSpec:
             kappa = kappa * self.n_classes
         if len(kappa) != self.n_classes:
             raise ValueError("kappa must be scalar or one value per class")
-        if any(k < 0 for k in kappa):
-            raise ValueError("kappa must be non-negative")
+        if not all(0 <= k < np.inf for k in kappa):  # NaN fails every comparison
+            raise ValueError("kappa must be non-negative and finite")
         object.__setattr__(self, "kappa", kappa)
         if self.means is not None:
             means = tuple(normalize(m.coords if isinstance(m, UnitVector) else m)

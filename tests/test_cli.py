@@ -33,6 +33,17 @@ class TestUsage:
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_nan_config_value_fails_before_the_first_epoch(self, tmp_path, capsys):
+        # JSON's NaN literal parses; the config must reject it, not train on it
+        out = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text('{"epochs": 3, "warmup_epochs": 1, '
+                        '"weights": {"lambda_reg": NaN}, "output_dir": "%s"}' % out)
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lambda_reg" in err
+        assert not out.exists()
+
 
 class TestEvalOod:
     def test_perfect_separation(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Free-energy surface tests: class energies, global potential, gradient."""
 
+import io
+
 import numpy as np
 import pytest
 
 from hambr.energy import (
+    DEFAULT_CAPACITY,
     BankEntry,
     BankSnapshot,
     EmptyBank,
@@ -84,8 +87,6 @@ class TestFeatureBank:
                 assert a.weight == pytest.approx(b.weight)
 
     def test_dump_bank_writes_the_same_bytes_as_its_snapshot(self):
-        import io
-
         rng = np.random.default_rng(21)
         bank = random_bank(rng, 8, 400, n_classes=3)
         for entry in bank.entries(1)[:5]:
@@ -428,3 +429,110 @@ class TestRiemannianGrad:
             fd = (u1 - u0) / h
             assert analytic == pytest.approx(fd, rel=1e-4)
             checked += 1
+
+
+class TestBankFromArrays:
+    # class sizes around the FIFO cap; class 3 has no rows at all
+    SIZES = {0: 300, 1: DEFAULT_CAPACITY, 2: DEFAULT_CAPACITY + 1, 4: 40}
+
+    def rows(self, seed=8, d=8):
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat(list(self.SIZES), list(self.SIZES.values())))
+        x = unit_rows(rng, labels.size, d)
+        weights = rng.uniform(0.0, 1.0, labels.size)
+        weights[rng.random(labels.size) < 0.2] = 0.0
+        return x, weights, labels
+
+    def per_sample_bank(self, x, weights, labels, capacity=DEFAULT_CAPACITY):
+        bank = FeatureBank(capacity_per_class=capacity)
+        for i in range(labels.size):
+            bank.add(BankEntry(UnitVector(x[i]), float(weights[i]), int(labels[i])))
+        return bank
+
+    def test_capped_bank_equals_the_per_sample_fifo_bank(self):
+        x, weights, labels = self.rows()
+        want = self.per_sample_bank(x, weights, labels).snapshot()
+        got = BankSnapshot.from_arrays(x, weights, labels, DEFAULT_CAPACITY)
+        assert got.classes == want.classes == [0, 1, 2, 4]
+        assert 3 not in got
+        for c in got.classes:
+            assert got.size(c) == min(self.SIZES[c], DEFAULT_CAPACITY)
+            assert got.features(c).tobytes() == want.features(c).tobytes()
+            assert got.weights(c).tobytes() == want.weights(c).tobytes()
+            kept = np.flatnonzero(labels == c)[-DEFAULT_CAPACITY:]
+            assert np.array_equal(got.weights(c), weights[kept])
+        assert (got.weights(0) == 0.0).any()
+        via_got, via_want = io.StringIO(), io.StringIO()
+        dump_bank(got, via_got)
+        dump_bank(want, via_want)
+        assert via_got.getvalue() == via_want.getvalue()
+        queries = unit_rows(np.random.default_rng(9), 500, x.shape[1])
+        assert potential_batch(queries, got).tobytes() == \
+            potential_batch(queries, want).tobytes()
+
+    def test_consensus_subset_in_id_order(self):
+        # the runner's call: rows of the consensus ids, ascending
+        x, weights, labels = self.rows(seed=10)
+        ids = np.flatnonzero(np.random.default_rng(11).random(labels.size) < 0.9)
+        want = self.per_sample_bank(x[ids], weights[ids], labels[ids]).snapshot()
+        got = BankSnapshot.from_arrays(x[ids], weights[ids], labels[ids],
+                                       DEFAULT_CAPACITY)
+        assert got.classes == want.classes
+        for c in got.classes:
+            assert got.features(c).tobytes() == want.features(c).tobytes()
+            assert got.weights(c).tobytes() == want.weights(c).tobytes()
+
+    def test_no_cap_keeps_every_row(self):
+        x, weights, labels = self.rows()
+        got = BankSnapshot.from_arrays(x, weights, labels)
+        assert len(got) == labels.size
+        for c, m in self.SIZES.items():
+            assert got.size(c) == m
+            assert np.array_equal(got.features(c), x[labels == c])
+
+    def test_is_its_own_snapshot_and_read_only(self):
+        x, weights, labels = self.rows()
+        snap = BankSnapshot.from_arrays(x, weights, labels, 16)
+        assert snap.snapshot() is snap
+        assert not snap.features(0).flags.writeable
+        assert not snap.weights(0).flags.writeable
+        empty = BankSnapshot.from_arrays(np.empty((0, 8)), np.empty(0),
+                                         np.empty(0, dtype=np.int64))
+        assert len(empty) == 0 and empty.classes == []
+
+    @pytest.mark.parametrize("bad", ["non_unit_row", "nan_row", "inf_row",
+                                     "weight_1.5", "nan_weight", "negative_weight",
+                                     "label_-1", "float_labels", "short_weights",
+                                     "short_labels", "vector_features", "d_1",
+                                     "cap_0"])
+    def test_rejects_what_the_entry_types_reject(self, bad):
+        x, weights, labels = self.rows()
+        cap = DEFAULT_CAPACITY
+        if bad == "non_unit_row":
+            x[7] *= 1.0 + 1e-6
+        elif bad == "nan_row":
+            x[7, 3] = np.nan
+        elif bad == "inf_row":
+            x[7, 3] = np.inf
+        elif bad == "weight_1.5":
+            weights[7] = 1.5
+        elif bad == "nan_weight":
+            weights[7] = np.nan
+        elif bad == "negative_weight":
+            weights[7] = -0.1
+        elif bad == "label_-1":
+            labels[7] = -1
+        elif bad == "float_labels":
+            labels = labels.astype(np.float64)
+        elif bad == "short_weights":
+            weights = weights[:-1]
+        elif bad == "short_labels":
+            labels = labels[:-1]
+        elif bad == "vector_features":
+            x, weights, labels = x[0], weights[:1], labels[:1]
+        elif bad == "d_1":
+            x = np.ones((labels.size, 1))
+        elif bad == "cap_0":
+            cap = 0
+        with pytest.raises(ValueError):
+            BankSnapshot.from_arrays(x, weights, labels, cap)

@@ -6,7 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hambr.energy import BankEntry, FeatureBank, potential_batch
+from hambr.energy import (
+    DEFAULT_CAPACITY,
+    BankEntry,
+    BankSnapshot,
+    FeatureBank,
+    potential_batch,
+)
 from hambr.runner import (
     ConfigError,
     ExperimentConfig,
@@ -77,6 +83,20 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError):
             small_config(tmp_path, epochs=3, warmup_epochs=3)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("section, name", [
+        ("sampler", "step_size"), ("sampler", "friction"),
+        ("sampler", "dyn_temperature"), ("energy", "tau_energy"),
+        ("weights", "lambda_u"), ("weights", "lambda_reg"), ("weights", "lambda_c"),
+        ("weights", "lambda_hambr"), ("weights", "tau_loss"), ("weights", "tau_con"),
+        ("weights", "sharpen_T"), ("weights", "gce_q"), (None, "learn_rate"),
+        (None, "classifier_temperature"), (None, "aug_sigma"), ("dataset", "kappa"),
+    ])
+    def test_non_finite_value_rejected(self, section, name, value):
+        doc = {name: value} if section is None else {section: {name: value}}
+        with pytest.raises(ConfigError, match=name):
+            config_from_dict(doc)
+
 
 class TestRunExperiment:
     def test_artifacts_and_schema(self, tmp_path):
@@ -108,6 +128,35 @@ class TestRunExperiment:
         result = run_experiment(small_config(tmp_path / "run"))
         emb = result["state"].embeddings
         assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-9)
+
+    def test_final_bank_is_a_snapshot_of_the_consensus(self, tmp_path):
+        result = run_experiment(small_config(tmp_path / "run"))
+        bank = result["state"].bank
+        assert isinstance(bank, BankSnapshot)
+        assert bank.snapshot() is bank
+        assert len(bank) > 0
+        lines = (tmp_path / "run" / "bank.jsonl").read_text().splitlines()
+        assert len(lines) == len(bank)
+
+    def test_bank_keeps_the_last_capacity_consensus_ids_per_class(self, tmp_path):
+        # 500 clean-ish samples per class put more than DEFAULT_CAPACITY of
+        # each class into the final consensus
+        cfg = small_config(tmp_path / "run", seed=3, epochs=3, warmup_epochs=1,
+                           dataset=DatasetSpec(n_per_class=500, seed=3))
+        bank = run_experiment(cfg)["state"].bank
+        n = cfg.dataset.n_classes * cfg.dataset.n_per_class
+        out = tmp_path / "run"
+        final = [json.loads(l) for l in
+                 (out / "partition.jsonl").read_text().splitlines()[-n:]]
+        consensus = np.array([row["in_consensus"] for row in final])
+        posteriors = np.array([row["posterior"] for row in final])
+        y_obs = np.array([json.loads(l)["observed"] for l in
+                          (out / "dataset.jsonl").read_text().splitlines()])
+        assert bank.classes == [0, 1, 2]
+        for c in bank.classes:
+            ids = np.flatnonzero(consensus & (y_obs == c))
+            assert ids.size > DEFAULT_CAPACITY
+            assert np.array_equal(bank.weights(c), posteriors[ids[-DEFAULT_CAPACITY:]])
 
     def test_single_post_warmup_epoch(self, tmp_path):
         cfg = small_config(tmp_path / "run", epochs=4, warmup_epochs=3)

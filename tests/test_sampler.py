@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from dynamics_checks import (
-    equipartition_mean_sq,
-    gibbs_histogram_tv,
-    two_pole_bank,
-)
+from dynamics_checks import two_pole_bank
 
 from hambr.energy import BankEntry, EmptyBank, EnergyParams, FeatureBank, potential_batch
 from hambr.sampler import (
@@ -299,18 +295,3 @@ class TestBoundaryTargeting:
         assert np.all(angles >= centers[0]) and np.all(angles <= centers[1])
         assert np.all(np.asarray(oset.potentials) >= p90)
 
-
-class TestLongRunDistribution:
-    def test_gibbs_stationarity_on_the_circle(self):
-        # 2e5 samples after 1e4 burn-in against the quadrature target;
-        # oracle recomputation in tests/oracles/gibbs_density.py
-        assert gibbs_histogram_tv() < 0.05
-
-    @pytest.mark.parametrize("dim", [3, 8])
-    def test_equipartition_of_free_momentum(self, dim):
-        # long-run mean |v|^2 -> (d-1)*T; scalar oracle in
-        # tests/oracles/equipartition_ou.py
-        temperature = 1.3
-        mean_sq = equipartition_mean_sq(dim, temperature)
-        target = (dim - 1) * temperature
-        assert abs(mean_sq - target) <= 0.05 * target
