@@ -16,7 +16,7 @@ from . import __version__
 from .energy import load_bank
 from .losses import compute_prototypes
 from .metrics import auroc, fpr_at_95_tpr
-from .runner import ConfigError, load_config, run_experiment
+from .runner import config_from_dict, load_config, run_experiment
 from .sampler import dump_outliers, synthesize_outliers
 from .synthgen import dump_dataset, make_dataset
 
@@ -59,20 +59,10 @@ def _read_scores(path: str) -> np.ndarray:
 
 def _load_any_config(path: str):
     """Full experiment config, or a bare dataset section for gen-data."""
-    from .runner import ExperimentConfig, config_from_dict
-    from .synthgen import DatasetSpec, NoiseSpec
-
     doc = json.loads(Path(path).read_text())
-    if isinstance(doc, dict) and "dataset" in doc:
-        return config_from_dict(doc)
-    doc = dict(doc)
-    if doc.get("noise") is not None:
-        doc["noise"] = NoiseSpec(**doc["noise"])
-    try:
-        spec = DatasetSpec(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad dataset config: {exc}") from exc
-    return ExperimentConfig(dataset=spec, seed=spec.seed)
+    if isinstance(doc, dict) and "dataset" not in doc:
+        doc = {"dataset": doc}
+    return config_from_dict(doc)
 
 
 def cli_main(argv=None) -> int:
@@ -93,9 +83,7 @@ def cli_main(argv=None) -> int:
             with open(args.bank) as fh:
                 bank = load_bank(fh)
             protos = compute_prototypes(bank)
-            oset = synthesize_outliers(
-                bank, [protos.directions[c] for c in protos.classes()],
-                cfg.energy, cfg.sampler)
+            oset = synthesize_outliers(bank, protos.directions, cfg.energy, cfg.sampler)
             with open(args.out, "w") as fh:
                 dump_outliers(oset, fh)
         elif args.command == "gen-data":

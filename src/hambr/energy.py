@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import NORM_TOL, TangentVector, UnitVector, project_tangent
+from .sphere import TangentVector, UnitVector, check_unit_rows, project_tangent
 
 DEFAULT_CAPACITY = 256
 _BLOCK_SIMS = 1 << 16  # similarities potential_batch holds at once per class
@@ -108,10 +108,7 @@ class BankSnapshot:
         if weights.shape != labels.shape or weights.shape != feats.shape[:1]:
             raise ValueError(f"{feats.shape[0]} features need as many weights and "
                              f"labels, got {weights.shape} and {labels.shape}")
-        norms = np.linalg.norm(feats, axis=1)
-        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN and inf fail
-        if bad.size:
-            raise ValueError(f"row {bad[0]} is not unit norm: |v| = {norms[bad[0]]!r}")
+        check_unit_rows(feats, "row")
         bad = np.flatnonzero(~((weights >= 0.0) & (weights <= 1.0)))
         if bad.size:
             raise ValueError(f"weight must be in [0, 1], got {weights[bad[0]]!r} "
@@ -184,16 +181,10 @@ class FeatureBank:
 
     def snapshot(self) -> BankSnapshot:
         if self._snapshot is None:
-            groups = {}
-            for c, g in self._groups.items():
-                if not g:
-                    continue
-                feats = np.array([e.feature.coords for e in g])
-                weights = np.array([e.weight for e in g])
-                feats.flags.writeable = False
-                weights.flags.writeable = False
-                groups[c] = (feats, weights)
-            self._snapshot = BankSnapshot(groups)
+            entries = [e for g in self._groups.values() for e in g]
+            self._snapshot = BankSnapshot.from_arrays(
+                [e.feature.coords for e in entries], [e.weight for e in entries],
+                [e.class_id for e in entries]) if entries else BankSnapshot({})
         return self._snapshot
 
 
@@ -346,16 +337,22 @@ def dump_bank(bank, fh) -> None:
                                  "feature": [float(x) for x in f]}) + "\n")
 
 
-def load_bank(fh) -> FeatureBank:
-    """Read a `dump_bank` file back into a bank that keeps every entry."""
-    entries = []
+def load_bank(fh) -> BankSnapshot:
+    """Read a `dump_bank` file back into a snapshot that keeps every entry.
+
+    The rows are checked as `BankSnapshot.from_arrays` checks them; a file
+    without rows gives the empty bank.
+    """
+    feats, weights, labels = [], [], []
     for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
-        entries.append(BankEntry(UnitVector(np.asarray(row["feature"], dtype=np.float64)),
-                                 float(row["weight"]), int(row["class"])))
-    bank = FeatureBank(capacity_per_class=max(len(entries), 1))
-    bank.extend(entries)
-    return bank
+        if line.strip():
+            row = json.loads(line)
+            feats.append(np.asarray(row["feature"], dtype=np.float64))
+            weights.append(row["weight"])
+            labels.append(row["class"])
+    if not feats:
+        return BankSnapshot({})
+    # the parsed floats are dropped line by line and the row arrays once
+    # stacked, so the checks and the grouping never run beside either
+    feats = np.array(feats)
+    return BankSnapshot.from_arrays(feats, weights, labels)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import UnitVector
-
 PROB_CLAMP = 1e-9  # predicted probabilities are clamped to [1e-9, 1 - 1e-9] before logs
 
 
@@ -202,22 +200,19 @@ def objective(x, preds, p_cls, labels, weights: LossWeights, temp: float, *,
                      hambr=loss_hambr), grads
 
 
-def contrastive_grads(view1, view2, tau: float,
-                      negatives: str = "first") -> tuple[float, np.ndarray, np.ndarray]:
+def contrastive_grads(view1, view2, tau: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Contrastive loss plus gradients of the summed anchor terms.
 
     Returns (mean loss, d(sum)/d(view1), d(sum)/d(view2)); callers that want
-    gradients of the mean divide by the anchor count.
+    gradients of the mean divide by the anchor count.  Each anchor view1[i]
+    is contrasted with its positive view2[i] and with the other first views.
 
-    Every logit lives in one (n, 1 + n) buffer, or (n, 1 + 2n) with
-    `negatives="both"`: column 0 holds the positive logits, columns 1..n the
-    first-view negatives and columns n+1..2n the second-view negatives.  The
+    Every logit lives in one (n, 1 + n) buffer: column 0 holds the positive
+    logits and column k + 1 the logit of view1[i] against view1[k].  The
     buffer becomes the softmax in place, and both gradient matmuls read views
-    of it, so the n^2 memory is that one buffer (8 n (1 + n) bytes for
-    "first"), not a copy per stage.
+    of it, so the n^2 memory is that one buffer (8 n (1 + n) bytes), not a
+    copy per stage.
     """
-    if negatives not in ("first", "both"):
-        raise ValueError("negatives must be 'first' or 'both'")
     v1 = np.asarray(view1, dtype=np.float64)
     v2 = np.asarray(view2, dtype=np.float64)
     if v1.ndim != 2 or v1.shape != v2.shape:
@@ -228,18 +223,13 @@ def contrastive_grads(view1, view2, tau: float,
     if tau <= 0:
         raise DomainError("tau must be positive")
 
-    both = negatives == "both"
-    p = np.empty((n, 1 + (2 if both else 1) * n))
+    p = np.empty((n, 1 + n))
     p[:, 0] = np.einsum("ij,ij->i", v1, v2)            # positive logits
-    np.matmul(v1, v1.T, out=p[:, 1:n + 1])              # first-view negatives
-    if both:
-        np.matmul(v1, v2.T, out=p[:, n + 1:])           # second-view negatives
+    np.matmul(v1, v1.T, out=p[:, 1:])                   # anchor against first views
     p /= tau
     pos = p[:, 0].copy()
     rows = np.arange(n)
     p[rows, rows + 1] = -np.inf                         # k != i
-    if both:
-        p[rows, rows + n + 1] = -np.inf                 # the positive is already counted
 
     m = p.max(axis=1)
     p -= m[:, None]
@@ -250,32 +240,26 @@ def contrastive_grads(view1, view2, tau: float,
     loss = float(terms.mean())
 
     p_pos = p[:, 0]
-    p_a = p[:, 1:n + 1]                                 # weights on first-view negatives
+    p_a = p[:, 1:]                                      # weights on the first views
     g1 = ((p_pos - 1.0)[:, None] * v2 + p_a @ v1 + p_a.T @ v1) / tau
     g2 = (p_pos - 1.0)[:, None] * v1 / tau
-    if both:
-        p_b = p[:, n + 1:]
-        g1 += p_b @ v2 / tau
-        g2 += p_b.T @ v1 / tau
     return loss, g1, g2
 
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    """Per-class unit prototypes with the number of contributing entries."""
+    """Unit prototypes of the bank's usable classes, as arrays.
 
-    directions: dict[int, UnitVector]
-    support: dict[int, int]
+    Row i of `directions` (k, d) is the prototype of class `classes[i]`
+    (classes ascending) and `support[i]` counts its positive-weight entries.
+    """
 
-    def classes(self) -> list[int]:
-        return sorted(self.directions)
-
-    def matrix(self, classes=None) -> np.ndarray:
-        ids = self.classes() if classes is None else list(classes)
-        return np.array([self.directions[c].coords for c in ids])
+    classes: np.ndarray
+    directions: np.ndarray
+    support: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.directions)
+        return len(self.classes)
 
 
 def compute_prototypes(bank) -> PrototypeSet:
@@ -285,14 +269,17 @@ def compute_prototypes(bank) -> PrototypeSet:
     usable direction carries no prototype.
     """
     snap = bank.snapshot()
-    directions: dict[int, UnitVector] = {}
-    support: dict[int, int] = {}
+    d = snap.features(snap.classes[0]).shape[1] if snap.classes else 0
+    classes, directions, support = [], [], []
     for c in snap.classes:
         w = snap.weights(c)
         s = w @ snap.features(c)
         norm = np.linalg.norm(s)
         if norm <= 1e-12:
             continue
-        directions[c] = UnitVector(s / norm)
-        support[c] = int(np.count_nonzero(w > 0))
-    return PrototypeSet(directions, support)
+        classes.append(c)
+        directions.append(s / norm)
+        support.append(int(np.count_nonzero(w > 0)))
+    return PrototypeSet(np.array(classes, dtype=np.int64),
+                        np.array(directions).reshape(len(classes), d),
+                        np.array(support, dtype=np.int64))

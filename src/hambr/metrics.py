@@ -115,25 +115,26 @@ def singular_spectrum(features, centered: bool = True) -> np.ndarray:
 def geometry_metrics(features, labels, prototypes) -> tuple[float, float]:
     """(intra-class compactness, inter-class margin).
 
-    intra: mean cosine of each feature to its label's prototype.  inter:
-    minimum pairwise angle between prototypes (nan with fewer than two).
+    Row c of `prototypes` (C, d) is class c's prototype.  intra: mean cosine
+    of each feature to its label's prototype.  inter: minimum pairwise angle
+    between prototypes (nan with fewer than two).
     """
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    dirs = {c: prototypes.directions[c].coords for c in prototypes.classes()}
-    missing = set(labels.tolist()) - set(dirs)
-    if missing:
-        raise ValueError(f"no prototype for labels {sorted(missing)}")
-    ids = sorted(dirs)
-    protos = np.array([dirs[c] for c in ids]).reshape(len(ids), x.shape[1])
+    protos = np.asarray(prototypes, dtype=np.float64)
+    if protos.ndim != 2 or protos.shape[1] != x.shape[1]:
+        raise ValueError(f"prototypes must be (C, {x.shape[1]}), got {protos.shape}")
+    missing = np.unique(labels[(labels < 0) | (labels >= len(protos))])
+    if missing.size:
+        raise ValueError(f"no prototype for labels {missing.tolist()}")
     # one dot per row, batched: the same sums as x[i] @ p row by row
-    cos = x[:, None, :] @ protos[np.searchsorted(ids, labels)][:, :, None]
+    cos = x[:, None, :] @ protos[labels][:, :, None]
     intra = float(np.mean(cos[:, 0, 0]))
-    if len(ids) < 2:
+    if len(protos) < 2:
         return intra, float("nan")
     inter = min(
-        math.acos(min(1.0, max(-1.0, float(dirs[a] @ dirs[b]))))
-        for i, a in enumerate(ids) for b in ids[i + 1:]
+        math.acos(min(1.0, max(-1.0, float(protos[a] @ protos[b]))))
+        for a in range(len(protos)) for b in range(a + 1, len(protos))
     )
     return intra, float(inter)
 

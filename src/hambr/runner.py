@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,6 @@ from .partition import (
     fit_gmm_1d,
 )
 from .sampler import SamplerConfig, VirtualOutlierSet, dump_outliers, synthesize_outliers
-from .sphere import UnitVector
 from .synthgen import DatasetSpec, NoiseSpec, dump_dataset, make_dataset, make_ood_set
 
 
@@ -141,11 +140,25 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _check_integer(name: str, value) -> None:
+    """JSON integers only (no bool, no float), and seeds must be >= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if name.rsplit(".", 1)[-1] == "seed" and value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value!r}")
+
+
 def _build_section(name: str, cls, doc: dict, defaults: dict | None = None):
+    """`cls` from `doc` over `defaults`; every field whose default is an int
+    must hold an integer."""
     if not isinstance(doc, dict):
         raise ConfigError(f"section {name!r} must be an object")
     merged = dict(defaults or {})
     merged.update(doc)
+    for f in fields(cls):
+        if type(f.default) is int and f.name in merged:
+            _check_integer(f.name if name == "experiment" else f"{name}.{f.name}",
+                           merged[f.name])
     try:
         return cls(**merged)
     except ConfigError:
@@ -171,8 +184,10 @@ def config_from_dict(doc: dict, seed_override: int | None = None,
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    doc_seed = doc.pop("seed", 0)
-    seed = int(doc_seed) if seed_override is None else int(seed_override)
+    seed = doc.pop("seed", 0)
+    if seed_override is not None:
+        seed = seed_override
+    _check_integer("seed", seed)
 
     ds_doc = dict(doc.pop("dataset", {}))
     if seed_override is not None or "seed" not in ds_doc:
@@ -230,15 +245,8 @@ def _fill_prototypes(proto_set: PrototypeSet | None, fallback: np.ndarray) -> np
     """Bank prototypes where available, fallback rows elsewhere."""
     out = fallback.copy()
     if proto_set is not None:
-        for c in proto_set.classes():
-            if c < out.shape[0]:
-                out[c] = proto_set.directions[c].coords
+        out[proto_set.classes] = proto_set.directions
     return out
-
-
-def _full_prototype_set(matrix: np.ndarray, support: dict[int, int]) -> PrototypeSet:
-    dirs = {c: UnitVector(matrix[c]) for c in range(matrix.shape[0])}
-    return PrototypeSet(dirs, {c: support.get(c, 0) for c in dirs})
 
 
 def _fallback_bank(x: np.ndarray, labels: np.ndarray, posteriors: np.ndarray) -> BankSnapshot:
@@ -277,7 +285,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     records: list[MetricsRecord] = []
     partition_lines: list[str] = []
-    final_outliers = VirtualOutlierSet([])
 
     for epoch in range(cfg.epochs):
         state.epoch = epoch
@@ -333,17 +340,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         # (6) virtual outliers between prototype pairs
         if proto_set is not None and len(proto_set) >= 2:
             samp_cfg = replace(cfg.sampler, seed=sampler_seed)
-            protos = [proto_set.directions[c] for c in proto_set.classes()]
-            oset = synthesize_outliers(bank, protos, cfg.energy, samp_cfg)
+            oset = synthesize_outliers(bank, proto_set.directions, cfg.energy, samp_cfg)
         else:
-            oset = VirtualOutlierSet([])
-        outlier_arr = (np.array([z.coords for z in oset.outliers])
-                       if len(oset) else np.empty((0, x.shape[1])))
+            oset = VirtualOutlierSet(np.empty((0, x.shape[1])), np.empty(0))
 
         # (7)+(8) analytic gradient step
         terms, grads = objective(x, preds, p_cls, y_obs, w, temp, warmup=warmup,
                                  posteriors=posteriors, labeled=labeled_mask,
-                                 prototypes=p_fresh, outliers=outlier_arr,
+                                 prototypes=p_fresh, outliers=oset.outliers,
                                  aug_sigma=cfg.aug_sigma, rng=aug_rng)
         tangential = grads - np.einsum("ij,ij->i", grads, x)[:, None] * x
         moved = x - cfg.learn_rate * tangential
@@ -353,9 +357,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         # (9) metrics on the post-step state
         selected = consensus if window_ready else np.flatnonzero(flags)
         sel_p, sel_r, sel_f = selection_f1(selected, noise_mask)
-        metric_protos = _full_prototype_set(
-            p_fresh, proto_set.support if proto_set is not None else {})
-        intra, inter = geometry_metrics(x, y_true, metric_protos)
+        intra, inter = geometry_metrics(x, y_true, p_fresh)
         score_bank = bank if len(bank) else _fallback_bank(x, y_obs, posteriors)
         u_id = potential_batch(x, score_bank, cfg.energy)
         u_ood = potential_batch(ood_feats, score_bank, cfg.energy)
@@ -367,7 +369,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             auroc=auroc(u_id, u_ood), fpr95=fpr_at_95_tpr(u_id, u_ood),
             log_singular_values=tuple(singular_spectrum(x)))
         records.append(rec)
-        final_outliers = oset
 
     with open(out_dir / "config.json", "w") as fh:
         json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
@@ -386,6 +387,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     with open(out_dir / "bank.jsonl", "w") as fh:
         dump_bank(state.bank, fh)
     with open(out_dir / "outliers.jsonl", "w") as fh:
-        dump_outliers(final_outliers, fh)
+        dump_outliers(oset, fh)  # the final epoch's
 
     return {"output_dir": str(out_dir), "records": records, "state": state}

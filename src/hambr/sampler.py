@@ -9,7 +9,7 @@ a half-step force correction at the new point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .sphere import (
     ANTIPODAL_TOL,
     TangentVector,
     UnitVector,
+    check_unit_rows,
     geodesic_step,
     normalize,
     project_tangent,
@@ -64,50 +65,36 @@ class SamplerConfig:
 class ChainState:
     position: UnitVector
     momentum: TangentVector
-    round_index: int = 0
-    step_index: int = 0
 
 
 @dataclass(frozen=True)
 class VirtualOutlierSet:
-    outliers: list[UnitVector]
-    chain_ids: list[int] = field(default_factory=list)
-    potentials: list[float] = field(default_factory=list)
+    """Row i of `outliers` (n, d) is chain i's final position, at `potentials[i]`."""
+
+    outliers: np.ndarray
+    potentials: np.ndarray
 
     def __len__(self) -> int:
         return len(self.outliers)
 
-    def as_array(self) -> np.ndarray:
-        if not self.outliers:
-            return np.empty((0, 0))
-        return np.array([z.coords for z in self.outliers])
 
-
-def _init_pair(prototypes: list[UnitVector], cfg: SamplerConfig,
-               rng: np.random.Generator) -> ChainState:
+def _init_pair(prototypes: np.ndarray, rng: np.random.Generator) -> ChainState:
+    """A chain at the midpoint of a random pair of rows of `prototypes` (k, d)."""
     n = len(prototypes)
     for _ in range(RESAMPLE_ATTEMPTS):
         i, j = rng.choice(n, size=2, replace=False)
         a, b = prototypes[i], prototypes[j]
-        if float(np.dot(a.coords, b.coords)) >= -1.0 + ANTIPODAL_TOL:
-            pos = normalize(a.coords + b.coords)
+        if float(np.dot(a, b)) >= -1.0 + ANTIPODAL_TOL:
+            pos = normalize(a + b)
             break
     else:
         # every draw was (near-)antipodal: nudge one endpoint tangentially so
         # the midpoint direction is well defined
-        u = normalize(sample_tangent_gaussian(a, rng).coords)
-        nudged = normalize(a.coords + FALLBACK_PERTURBATION * u.coords)
-        pos = normalize(nudged.coords + b.coords)
+        u = normalize(sample_tangent_gaussian(UnitVector(a), rng).coords)
+        nudged = normalize(a + FALLBACK_PERTURBATION * u.coords)
+        pos = normalize(nudged.coords + b)
     momentum = sample_tangent_gaussian(pos, rng)
     return ChainState(pos, momentum)
-
-
-def init_chains(prototypes: list[UnitVector], cfg: SamplerConfig,
-                rng: np.random.Generator) -> list[ChainState]:
-    """One chain per cfg.n_chains, started at the midpoint of a random prototype pair."""
-    if len(prototypes) < 2:
-        raise InsufficientPrototypes(f"need >= 2 prototypes, got {len(prototypes)}")
-    return [_init_pair(prototypes, cfg, rng) for _ in range(cfg.n_chains)]
 
 
 def dshd_step(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
@@ -144,11 +131,7 @@ def dshd_step(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
     if bank is not None:
         v_new = v_new - 0.5 * eps * riemannian_grad_U(z_new, bank, params).coords
 
-    step = state.step_index + 1
-    rnd = state.round_index
-    if step >= cfg.steps_per_round:
-        rnd, step = rnd + 1, 0
-    return ChainState(z_new, TangentVector(v_new, z_new), rnd, step)
+    return ChainState(z_new, TangentVector(v_new, z_new))
 
 
 def run_chain(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
@@ -168,35 +151,41 @@ def run_chain(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
     return state
 
 
-def synthesize_outliers(bank, prototypes: list[UnitVector],
-                        params: EnergyParams, cfg: SamplerConfig) -> VirtualOutlierSet:
+def synthesize_outliers(bank, prototypes, params: EnergyParams,
+                        cfg: SamplerConfig) -> VirtualOutlierSet:
     """Run cfg.n_chains independent chains and collect their final positions.
 
-    Each chain owns a SeedSequence child keyed by (cfg.seed, chain index), so
-    results do not depend on scheduling order.  No accept/reject step.
+    Each chain starts at the midpoint of a random pair of rows of
+    `prototypes`, a (k, d) array of unit rows with k >= 2.  Each chain owns a
+    SeedSequence child keyed by (cfg.seed, chain index), so results do not
+    depend on scheduling order.  No accept/reject step.
     """
     snap = bank.snapshot()
     if len(snap) == 0:
         raise EmptyBank("cannot synthesize against an empty bank")
-    if len(prototypes) < 2:
-        raise InsufficientPrototypes(f"need >= 2 prototypes, got {len(prototypes)}")
+    protos = np.asarray(prototypes, dtype=np.float64)
+    if protos.ndim != 2:
+        raise ValueError(f"prototypes must be a (k, d) array, got shape {protos.shape}")
+    if len(protos) < 2:
+        raise InsufficientPrototypes(f"need >= 2 prototypes, got {len(protos)}")
+    check_unit_rows(protos, "prototype")
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains + 1)
     rng_init = np.random.default_rng(children[0])
-    starts = [_init_pair(prototypes, cfg, rng_init) for _ in range(cfg.n_chains)]
+    starts = [_init_pair(protos, rng_init) for _ in range(cfg.n_chains)]
 
-    outliers, chain_ids, potentials = [], [], []
+    outliers = np.empty((cfg.n_chains, protos.shape[1]))
+    potentials = np.empty(cfg.n_chains)
     for idx, state in enumerate(starts):
         rng = np.random.default_rng(children[idx + 1])
         state = run_chain(state, snap, params, cfg, rng)
-        outliers.append(state.position)
-        chain_ids.append(idx)
-        potentials.append(global_potential(state.position, snap, params)[0])
-    return VirtualOutlierSet(outliers, chain_ids, potentials)
+        outliers[idx] = state.position.coords
+        potentials[idx] = global_potential(state.position, snap, params)[0]
+    return VirtualOutlierSet(outliers, potentials)
 
 
 def dump_outliers(oset: VirtualOutlierSet, fh) -> None:
     """One JSON object per outlier: {"chain": i, "outlier": [...], "potential": u}."""
-    for i, z, u in zip(oset.chain_ids, oset.outliers, oset.potentials):
-        fh.write(json.dumps({"chain": int(i),
-                             "outlier": [float(x) for x in z.coords],
+    for i, (z, u) in enumerate(zip(oset.outliers, oset.potentials)):
+        fh.write(json.dumps({"chain": i,
+                             "outlier": [float(x) for x in z],
                              "potential": float(u)}) + "\n")

@@ -74,6 +74,15 @@ class TangentVector:
         return float(np.linalg.norm(self.coords))
 
 
+def check_unit_rows(x: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first row of the (n, d) array `x` whose norm
+    is not 1 to NORM_TOL; rows with NaN or inf coordinates fail."""
+    norms = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+    if bad.size:
+        raise ValueError(f"{what} {bad[0]} is not unit norm: |v| = {norms[bad[0]]!r}")
+
+
 def normalize(x) -> UnitVector:
     """Scale x to unit norm. Raises DegenerateVector if |x| <= 1e-12."""
     v = _as_float_vector(x)

@@ -190,7 +190,7 @@ def test_criterion_5_boundary_targeting():
         mu = UnitVector(np.array([np.cos(t), np.sin(t)]))
         for row in sample_vmf(mu, 50.0, 100, rng):
             bank.add(BankEntry(normalize(row), 1.0, c))
-    protos = [UnitVector(np.array([np.cos(t), np.sin(t)])) for t in centers]
+    protos = np.array([[np.cos(t), np.sin(t)] for t in centers])
     params = EnergyParams()
     cfg = SamplerConfig(step_size=0.01, friction=100.0, n_rounds=5,
                         steps_per_round=3, n_chains=32,
@@ -201,11 +201,11 @@ def test_criterion_5_boundary_targeting():
     grid_theta = np.linspace(centers[0], centers[1], 360)
     grid = np.stack([np.cos(grid_theta), np.sin(grid_theta)], axis=1)
     p90 = np.percentile(potential_batch(grid, bank, params), 90.0)
-    pts = oset.as_array()
+    pts = oset.outliers
     angles = np.arctan2(pts[:, 1], pts[:, 0])
     elapsed = time.perf_counter() - start
     on_arc = bool(np.all(angles >= centers[0]) and np.all(angles <= centers[1]))
-    in_decile = bool(np.all(np.asarray(oset.potentials) >= p90))
+    in_decile = bool(np.all(oset.potentials >= p90))
     ok = len(oset) == cfg.n_chains and on_arc and in_decile and elapsed < 10.0
     assert _verdict(5, "boundary targeting", ok), (on_arc, in_decile, elapsed)
 

@@ -44,6 +44,21 @@ class TestUsage:
         assert err.startswith("error:") and "lambda_reg" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, name", [
+        ({"seed": 1.5}, "seed"),
+        ({"t_filter": 2.0}, "t_filter"),
+        ({"sampler": {"n_chains": 2.5}}, "sampler.n_chains"),
+        ({"sampler": {"seed": -1}}, "sampler.seed"),
+    ])
+    def test_non_integer_config_value_fails_before_the_first_epoch(self, tmp_path,
+                                                                   capsys, doc, name):
+        out = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**doc, "output_dir": str(out)}))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert not out.exists()
+
 
 class TestEvalOod:
     def test_perfect_separation(self, tmp_path, capsys):
@@ -91,6 +106,14 @@ class TestGenData:
         assert len(rows) == 30
         assert set(rows[0]) == {"feature", "true", "observed"}
 
+    def test_bare_dataset_config_needs_integers(self, tmp_path, capsys):
+        cfg = tmp_path / "data.json"
+        cfg.write_text(json.dumps({"n_per_class": 15.5}))
+        out = tmp_path / "dataset.jsonl"
+        assert cli_main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: dataset.n_per_class must be")
+        assert not out.exists()
+
 
 class TestSynthesize:
     def test_outlier_rows_match_chain_count(self, tmp_path):
@@ -114,6 +137,24 @@ class TestSynthesize:
         assert set(rows[0]) == {"chain", "outlier", "potential"}
         for row in rows:
             assert np.isclose(np.linalg.norm(row["outlier"]), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"class": 0, "weight": 1.0, "feature": [1.0, 1.0]}\n', "error: row 0 is not unit norm"),
+        ('{"class": 0, "weight": 1.5, "feature": [1.0, 0.0]}\n', "error: weight must be in [0, 1]"),
+        ('{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]}\n'
+         '{"class": 1, "weight": 1.0, "feature": [0.0, 1.0, 0.0]}\n', "error: "),
+        ("", "error: cannot synthesize against an empty bank"),
+    ], ids=["non-unit-row", "weight-1.5", "ragged-features", "empty-file"])
+    def test_bad_bank_file_is_an_error(self, tmp_path, capsys, text, message):
+        bank_path = tmp_path / "bank.jsonl"
+        bank_path.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampler": {"n_chains": 2}}))
+        out = tmp_path / "outliers.jsonl"
+        assert cli_main(["synthesize", "--bank", str(bank_path),
+                         "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
 
 class TestRunCommand:

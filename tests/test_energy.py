@@ -1,6 +1,7 @@
 """Free-energy surface tests: class energies, global potential, gradient."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -78,13 +79,12 @@ class TestFeatureBank:
             dump_bank(bank, fh)
         with open(path) as fh:
             loaded = load_bank(fh)
+        assert isinstance(loaded, BankSnapshot)
         assert len(loaded) == len(bank)
+        assert loaded.classes == bank.classes()
         for c in bank.classes():
-            orig = bank.entries(c)
-            back = loaded.entries(c)
-            for a, b in zip(orig, back):
-                assert np.allclose(a.feature.coords, b.feature.coords)
-                assert a.weight == pytest.approx(b.weight)
+            assert loaded.features(c).tobytes() == bank.snapshot().features(c).tobytes()
+            assert loaded.weights(c).tobytes() == bank.snapshot().weights(c).tobytes()
 
     def test_dump_bank_writes_the_same_bytes_as_its_snapshot(self):
         rng = np.random.default_rng(21)
@@ -108,7 +108,46 @@ class TestFeatureBank:
         with open(path) as fh:
             loaded = load_bank(fh)
         assert len(loaded) == 300
-        assert [e.weight for e in loaded.entries(0)] == [e.weight for e in bank.entries(0)]
+        assert loaded.weights(0).tolist() == [e.weight for e in bank.entries(0)]
+
+    def test_load_dump_round_trip_is_bit_exact(self):
+        # a 300-entry class, a 1-entry class and 20% zero weights, through
+        # JSON text: every feature and weight comes back bit for bit
+        rng = np.random.default_rng(17)
+        labels = np.concatenate([np.zeros(300, dtype=np.int64), [4], rng.integers(1, 3, 57)])
+        feats = rng.standard_normal((labels.size, 7))
+        feats /= np.linalg.norm(feats, axis=1)[:, None]
+        weights = rng.uniform(0.0, 1.0, labels.size)
+        weights[rng.random(labels.size) < 0.2] = 0.0
+        snap = BankSnapshot.from_arrays(feats, weights, labels)
+        buf = io.StringIO()
+        dump_bank(snap, buf)
+        buf.seek(0)
+        loaded = load_bank(buf)
+        assert loaded.classes == snap.classes == [0, 1, 2, 4]
+        assert loaded.size(0) == 300 and np.count_nonzero(loaded.weights(0) == 0) > 0
+        for c in snap.classes:
+            assert loaded.features(c).tobytes() == snap.features(c).tobytes()
+            assert loaded.weights(c).tobytes() == snap.weights(c).tobytes()
+
+    def test_load_empty_file_is_the_empty_bank(self):
+        loaded = load_bank(io.StringIO("\n\n"))
+        assert isinstance(loaded, BankSnapshot) and len(loaded) == 0
+        with pytest.raises(EmptyBank):
+            global_potential(e(0), loaded)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([{"class": 0, "weight": 1.0, "feature": [1.0, 1.0]}], "not unit norm"),
+        ([{"class": 0, "weight": 1.5, "feature": [1.0, 0.0]}], r"weight must be in \[0, 1\]"),
+        ([{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]},
+          {"class": 0, "weight": 1.0, "feature": [1.0, 0.0, 0.0]}], None),  # ragged
+        ([{"class": 0.5, "weight": 1.0, "feature": [1.0, 0.0]}], "non-negative integers"),
+        ([{"class": -1, "weight": 1.0, "feature": [1.0, 0.0]}], "non-negative integers"),
+    ], ids=["non-unit-row", "weight-1.5", "ragged-features", "float-class", "negative-class"])
+    def test_load_rejects_bad_rows(self, rows, match):
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+        with pytest.raises(ValueError, match=match):
+            load_bank(io.StringIO(text))
 
 
 class TestClassFreeEnergy:

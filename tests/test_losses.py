@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hambr.energy import BankEntry, FeatureBank
+from hambr.energy import BankEntry, BankSnapshot, FeatureBank
 from hambr import losses
 from hambr.losses import (
     InsufficientBatch,
@@ -278,8 +278,8 @@ class TestRegLoss:
         assert reg_value(preds[:, perm]) == pytest.approx(reg_value(preds), rel=1e-12)
 
 
-def contrastive_loss(view1, view2, tau, negatives="first"):
-    return contrastive_grads(view1, view2, tau, negatives)[0]
+def contrastive_loss(view1, view2, tau):
+    return contrastive_grads(view1, view2, tau)[0]
 
 
 class TestContrastiveLoss:
@@ -301,33 +301,23 @@ class TestContrastiveLoss:
         base = contrastive_loss(v1, v2, 0.5)
         assert contrastive_loss(v1 @ q, v2 @ q, 0.5) == pytest.approx(base, rel=1e-10)
 
-    def test_both_mode_adds_negatives(self):
-        rng = np.random.default_rng(29)
-        v1 = np.array([normalize(rng.standard_normal(4)).coords for _ in range(5)])
-        v2 = np.array([normalize(rng.standard_normal(4)).coords for _ in range(5)])
-        assert contrastive_loss(v1, v2, 0.5, "both") >= contrastive_loss(v1, v2, 0.5)
-
     def test_single_pair_rejected(self):
         with pytest.raises(InsufficientBatch):
             contrastive_loss(np.array([e(0)]), np.array([e(0)]), 1.0)
 
-    def test_bad_negatives_mode(self):
-        views = np.array([e(0), e(1)])
-        with pytest.raises(ValueError):
-            contrastive_loss(views, views, 1.0, "neither")
-
 
 class TestContrastiveGrads:
-    @pytest.mark.parametrize("negatives", ["first", "both"])
+    # "first": each anchor's negatives are the other first views
+    @pytest.mark.parametrize("negatives", ["first"])
     def test_matches_finite_differences(self, negatives):
         rng = np.random.default_rng(31)
         n, d, tau, h = 4, 5, 0.7, 1e-6
         v1 = np.array([normalize(rng.standard_normal(d)).coords for _ in range(n)])
         v2 = np.array([normalize(rng.standard_normal(d)).coords for _ in range(n)])
-        loss, g1, g2 = contrastive_grads(v1, v2, tau, negatives)
+        loss, g1, g2 = contrastive_grads(v1, v2, tau)
 
         def loss_sum(a, b):
-            return n * contrastive_loss(a, b, tau, negatives)
+            return n * contrastive_loss(a, b, tau)
 
         for grad, views, other, order in ((g1, v1, v2, "first"),
                                           (g2, v2, v1, "second")):
@@ -344,18 +334,13 @@ class TestContrastiveGrads:
             assert np.linalg.norm(fd - grad) / np.linalg.norm(grad) < 1e-6
 
 
-def reference_contrastive_grads(v1, v2, tau, negatives):
+def reference_contrastive_grads(v1, v2, tau):
     """The concatenate-then-softmax formulas contrastive_grads replaced."""
     n = v1.shape[0]
     pos = np.einsum("ij,ij->i", v1, v2) / tau
     a = (v1 @ v1.T) / tau
     np.fill_diagonal(a, -np.inf)
-    blocks = [pos[:, None], a]
-    if negatives == "both":
-        b = (v1 @ v2.T) / tau
-        np.fill_diagonal(b, -np.inf)
-        blocks.append(b)
-    logits = np.concatenate(blocks, axis=1)
+    logits = np.concatenate([pos[:, None], a], axis=1)
     m = logits.max(axis=1, keepdims=True)
     ex = np.exp(logits - m)
     denom = ex.sum(axis=1)
@@ -364,10 +349,6 @@ def reference_contrastive_grads(v1, v2, tau, negatives):
     p_pos, p_a = p[:, 0], p[:, 1:n + 1]
     g1 = ((p_pos - 1.0)[:, None] * v2 + p_a @ v1 + p_a.T @ v1) / tau
     g2 = (p_pos - 1.0)[:, None] * v1 / tau
-    if negatives == "both":
-        p_b = p[:, n + 1:]
-        g1 += p_b @ v2 / tau
-        g2 += p_b.T @ v1 / tau
     return loss, g1, g2
 
 
@@ -377,13 +358,13 @@ def unit_rows(rng, n, d):
 
 
 class TestContrastiveKernel:
-    @pytest.mark.parametrize("negatives", ["first", "both"])
+    @pytest.mark.parametrize("negatives", ["first"])  # the other first views
     @pytest.mark.parametrize("n,d", [(2, 3), (7, 8), (64, 8), (301, 32)])
     def test_bitwise_equal_to_reference(self, negatives, n, d):
         rng = np.random.default_rng(n)
         v1, v2 = unit_rows(rng, n, d), unit_rows(rng, n, d)
-        loss, g1, g2 = contrastive_grads(v1, v2, 0.5, negatives)
-        ref_loss, ref_g1, ref_g2 = reference_contrastive_grads(v1, v2, 0.5, negatives)
+        loss, g1, g2 = contrastive_grads(v1, v2, 0.5)
+        ref_loss, ref_g1, ref_g2 = reference_contrastive_grads(v1, v2, 0.5)
         assert loss == ref_loss
         assert np.array_equal(g1, ref_g1)
         assert np.array_equal(g2, ref_g2)
@@ -412,30 +393,49 @@ class TestComputePrototypes:
         bank.add(BankEntry(UnitVector(e(1)), 1.0, 0))
         protos = compute_prototypes(bank)
         want = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        assert np.allclose(protos.directions[0].coords, want)
-        assert protos.support[0] == 2
+        assert protos.classes.tolist() == [0]
+        assert np.allclose(protos.directions[0], want)
+        assert protos.support.tolist() == [2]
 
     def test_single_entry_is_itself(self):
         bank = FeatureBank()
         bank.add(BankEntry(UnitVector(e(2)), 0.8, 1))
         protos = compute_prototypes(bank)
-        assert np.allclose(protos.directions[1].coords, e(2))
+        assert protos.classes.tolist() == [1]
+        assert np.array_equal(protos.directions, [e(2)])
 
     def test_zero_weight_entry_excluded(self):
         bank = FeatureBank()
         bank.add(BankEntry(UnitVector(e(0)), 1.0, 0))
         bank.add(BankEntry(UnitVector(e(1)), 0.0, 0))
         protos = compute_prototypes(bank)
-        assert np.allclose(protos.directions[0].coords, e(0))
-        assert protos.support[0] == 1
+        assert np.allclose(protos.directions[0], e(0))
+        assert protos.support.tolist() == [1]
 
     def test_only_populated_classes_present(self):
         bank = FeatureBank()
         bank.add(BankEntry(UnitVector(e(1)), 0.5, 3))
         protos = compute_prototypes(bank)
-        assert protos.classes() == [3]
+        assert protos.classes.tolist() == [3]
         assert len(protos) == 1
-        assert protos.matrix().shape == (1, 3)
+        assert protos.directions.shape == (1, 3)
+
+    def test_rows_are_the_per_class_weighted_sums_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        feats = unit_rows(rng, 90, 6)
+        weights = rng.uniform(0.0, 1.0, 90)
+        labels = rng.choice([0, 2, 5, 7], size=90)
+        weights[labels == 7] = 0.0               # no mass: no prototype
+        protos = compute_prototypes(BankSnapshot.from_arrays(feats, weights, labels))
+        assert protos.classes.tolist() == [0, 2, 5]
+        for i, c in enumerate(protos.classes):
+            s = weights[labels == c] @ feats[labels == c]
+            assert protos.directions[i].tobytes() == (s / np.linalg.norm(s)).tobytes()
+            assert protos.support[i] == np.count_nonzero(weights[labels == c] > 0)
+
+    def test_empty_bank_has_no_prototypes(self):
+        protos = compute_prototypes(BankSnapshot({}))
+        assert len(protos) == 0 and protos.directions.shape[0] == 0
 
 
 NON_DEFAULT = LossWeights(lambda_u=0.3, lambda_reg=0.7, lambda_hambr=0.3, tau_loss=0.07)

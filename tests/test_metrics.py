@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from hambr.losses import PrototypeSet
 from hambr.metrics import (
     CSV_COLUMNS,
     EmptyInput,
@@ -21,7 +20,7 @@ from hambr.metrics import (
     selection_f1,
     singular_spectrum,
 )
-from hambr.sphere import UnitVector, normalize
+from hambr.sphere import normalize
 
 
 def e(i, d=3):
@@ -188,8 +187,8 @@ class TestSingularSpectrum:
 
 class TestGeometryMetrics:
     def prototypes(self, vecs):
-        return PrototypeSet({c: UnitVector(v) for c, v in enumerate(vecs)},
-                            {c: 1 for c in range(len(vecs))})
+        """Row c is class c's prototype."""
+        return np.array(vecs, dtype=np.float64)
 
     def test_features_on_prototypes(self):
         protos = self.prototypes([e(0), e(1)])
@@ -226,9 +225,20 @@ class TestGeometryMetrics:
         feats /= np.linalg.norm(feats, axis=1)[:, None]
         labels = rng.integers(0, n_classes, size=n)
         intra, _ = geometry_metrics(feats, labels, protos)
-        dirs = {c: protos.directions[c].coords for c in protos.classes()}
-        assert intra == float(np.mean([feats[i] @ dirs[int(c)]
+        assert intra == float(np.mean([feats[i] @ protos[c]
                                        for i, c in enumerate(labels)]))
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 0]])
+    def test_label_without_a_prototype_row(self, labels):
+        protos = self.prototypes([e(0), e(1)])
+        with pytest.raises(ValueError, match="no prototype for labels"):
+            geometry_metrics(np.array([e(0), e(1)]), np.array(labels), protos)
+
+    def test_prototypes_must_be_a_matrix_of_the_feature_dimension(self):
+        with pytest.raises(ValueError, match="prototypes must be"):
+            geometry_metrics(np.array([e(0)]), np.array([0]), e(0))
+        with pytest.raises(ValueError, match="prototypes must be"):
+            geometry_metrics(np.array([e(0)]), np.array([0]), np.eye(2))
 
 
 class TestMetricsRecord:

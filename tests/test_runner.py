@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: config plumbing, determinism, artifacts."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,38 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError, match=name):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("doc, name", [
+        ({"t_filter": float("nan")}, "t_filter"),
+        ({"epochs": 3.0}, "epochs"),
+        ({"warmup_epochs": "1"}, "warmup_epochs"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"sampler": {"n_chains": 2.5}}, "sampler.n_chains"),
+        ({"sampler": {"n_rounds": True}}, "sampler.n_rounds"),
+        ({"sampler": {"steps_per_round": None}}, "sampler.steps_per_round"),
+        ({"sampler": {"seed": -1}}, "sampler.seed"),
+        ({"energy": {"k_neighbors": 2.5}}, "energy.k_neighbors"),
+        ({"dataset": {"n_per_class": 20.5}}, "dataset.n_per_class"),
+        ({"dataset": {"dim": 8.0}}, "dataset.dim"),
+        ({"dataset": {"n_classes": float("nan")}}, "dataset.n_classes"),
+        ({"dataset": {"seed": -3}}, "dataset.seed"),
+    ])
+    def test_integer_field_rejects_non_integers(self, doc, name):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be"):
+            config_from_dict(doc)
+
+    def test_negative_seed_override_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be >= 0"):
+            config_from_dict({}, seed_override=-1)
+
+    def test_integer_fields_accept_json_integers(self):
+        cfg = config_from_dict(json.loads(
+            '{"seed": 0, "t_filter": 2, "sampler": {"n_chains": 3, "seed": 0},'
+            ' "energy": {"k_neighbors": 1}, "dataset": {"n_per_class": 5}}'))
+        assert (cfg.t_filter, cfg.sampler.n_chains, cfg.energy.k_neighbors,
+                cfg.dataset.n_per_class, cfg.seed) == (2, 3, 1, 5, 0)
+
 
 class TestRunExperiment:
     def test_artifacts_and_schema(self, tmp_path):
@@ -183,7 +216,8 @@ class TestRunExperiment:
         # full weights, but outlier synthesis forced to return nothing:
         # the attract/repel term must contribute exactly zero gradient
         monkeypatch.setattr("hambr.runner.synthesize_outliers",
-                            lambda *a, **k: VirtualOutlierSet([]))
+                            lambda bank, protos, *a: VirtualOutlierSet(
+                                np.empty((0, protos.shape[1])), np.empty(0)))
         cfg_on = small_config(tmp_path / "on", seed=17)
         run_experiment(cfg_on)
 

@@ -1,5 +1,8 @@
 """Sampler tests: chain init, the split-step integrator, outlier synthesis."""
 
+import io
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -15,8 +18,9 @@ from hambr.sampler import (
     InsufficientPrototypes,
     SamplerConfig,
     VirtualOutlierSet,
+    _init_pair,
     dshd_step,
-    init_chains,
+    dump_outliers,
     run_chain,
     synthesize_outliers,
 )
@@ -30,12 +34,32 @@ def e(i, d=3):
     return UnitVector(v)
 
 
+def rows(*vectors):
+    """The (k, d) prototype array of the given unit vectors."""
+    return np.array([v.coords for v in vectors])
+
+
+def init_chains(prototypes, n_chains, rng):
+    """n_chains chain starts drawn one after another, as synthesize_outliers does."""
+    return [_init_pair(prototypes, rng) for _ in range(n_chains)]
+
+
 def angle_bank(angles, class_ids=None):
     """S^1 bank with unit-weight entries at the given angles."""
     bank = FeatureBank()
     for j, t in enumerate(angles):
         c = 0 if class_ids is None else class_ids[j]
         bank.add(BankEntry(UnitVector(np.array([np.cos(t), np.sin(t)])), 1.0, c))
+    return bank
+
+
+def small_bank():
+    """Two vMF clusters of 20 entries around e(0) and e(1) in d=3."""
+    rng = np.random.default_rng(8)
+    bank = FeatureBank()
+    for c, center in enumerate((e(0), e(1))):
+        for row in sample_vmf(center, 30.0, 20, rng):
+            bank.add(BankEntry(normalize(row), 1.0, c))
     return bank
 
 
@@ -60,32 +84,30 @@ class TestSamplerConfig:
 
 class TestInitChains:
     def test_midpoint_of_two_prototypes(self):
-        chains = init_chains([e(0), e(1)], SamplerConfig(n_chains=1),
-                             np.random.default_rng(0))
+        chain = _init_pair(rows(e(0), e(1)), np.random.default_rng(0))
         want = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        assert np.allclose(chains[0].position.coords, want)
+        assert np.allclose(chain.position.coords, want)
 
     def test_antipodal_pair_falls_back_to_orthogonal_perturbation(self):
-        protos = [e(0), UnitVector(-e(0).coords)]
-        chains = init_chains(protos, SamplerConfig(n_chains=4),
-                             np.random.default_rng(3))
-        for chain in chains:
+        protos = rows(e(0), UnitVector(-e(0).coords))
+        for chain in init_chains(protos, 4, np.random.default_rng(3)):
             # fallback midpoint is the tangent nudge direction, so it sits
             # about delta/2 off orthogonal to the first prototype
             assert abs(float(chain.position.coords @ e(0).coords)) < 2e-3
 
     def test_seeded_pair_choices_are_deterministic(self):
-        protos = [e(0), e(1), e(2)]
-        cfg = SamplerConfig(n_chains=4)
-        a = init_chains(protos, cfg, np.random.default_rng(11))
-        b = init_chains(protos, cfg, np.random.default_rng(11))
+        protos = rows(e(0), e(1), e(2))
+        a = init_chains(protos, 4, np.random.default_rng(11))
+        b = init_chains(protos, 4, np.random.default_rng(11))
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.position.coords, cb.position.coords)
             assert np.array_equal(ca.momentum.coords, cb.momentum.coords)
 
     def test_fewer_than_two_prototypes(self):
-        with pytest.raises(InsufficientPrototypes):
-            init_chains([e(0)], SamplerConfig(), np.random.default_rng(0))
+        bank = small_bank()
+        for protos in (rows(e(0)), np.empty((0, 3))):
+            with pytest.raises(InsufficientPrototypes):
+                synthesize_outliers(bank, protos, EnergyParams(), SamplerConfig())
 
 
 class TestDshdStep:
@@ -152,15 +174,6 @@ class TestDshdStep:
             assert abs(float(state.momentum.coords
                              @ state.position.coords)) <= 1e-8
 
-    def test_round_and_step_indices_advance(self):
-        cfg = SamplerConfig(steps_per_round=2)
-        state = random_chain_state(np.random.default_rng(5), 3)
-        rng = np.random.default_rng(9)
-        s1 = dshd_step(state, None, EnergyParams(), cfg, rng=rng)
-        assert (s1.round_index, s1.step_index) == (0, 1)
-        s2 = dshd_step(s1, None, EnergyParams(), cfg, rng=rng)
-        assert (s2.round_index, s2.step_index) == (1, 0)
-
     @pytest.mark.parametrize("g", [1e-3, 3e-4, 1e-4])
     def test_variant_agreement_at_small_friction_step(self, g):
         # identical noise realisations; near-zero temperature so the variants'
@@ -215,57 +228,77 @@ class TestRunChain:
 
 
 class TestSynthesizeOutliers:
-    def small_bank(self):
-        rng = np.random.default_rng(8)
-        bank = FeatureBank()
-        for c, center in enumerate((e(0), e(1))):
-            for row in sample_vmf(center, 30.0, 20, rng):
-                bank.add(BankEntry(normalize(row), 1.0, c))
-        return bank
-
     def test_cardinality(self):
-        bank = self.small_bank()
-        oset = synthesize_outliers(bank, [e(0), e(1)], EnergyParams(),
+        bank = small_bank()
+        oset = synthesize_outliers(bank, rows(e(0), e(1)), EnergyParams(),
                                    SamplerConfig(n_chains=8))
         assert len(oset) == 8
-        assert oset.as_array().shape == (8, 3)
-        assert len(oset.potentials) == 8
+        assert oset.outliers.shape == (8, 3)
+        assert oset.potentials.shape == (8,)
 
     def test_deterministic_in_seed(self):
-        bank = self.small_bank()
+        bank = small_bank()
         cfg = SamplerConfig(n_chains=5, seed=123)
-        a = synthesize_outliers(bank, [e(0), e(1)], EnergyParams(), cfg)
-        b = synthesize_outliers(bank, [e(0), e(1)], EnergyParams(), cfg)
-        assert np.array_equal(a.as_array(), b.as_array())
+        a = synthesize_outliers(bank, rows(e(0), e(1)), EnergyParams(), cfg)
+        b = synthesize_outliers(bank, rows(e(0), e(1)), EnergyParams(), cfg)
+        assert np.array_equal(a.outliers, b.outliers)
+        assert np.array_equal(a.potentials, b.potentials)
 
     def test_single_step_composition_base_case(self):
         # R=1, L=1 must reproduce chain init + one dshd_step, bit for bit
-        bank = self.small_bank()
+        bank = small_bank()
         snap = bank.snapshot()
         params = EnergyParams()
         cfg = SamplerConfig(n_rounds=1, steps_per_round=1, n_chains=1, seed=77)
-        protos = [e(0), e(1)]
+        protos = rows(e(0), e(1))
 
         oset = synthesize_outliers(bank, protos, params, cfg)
 
         children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains + 1)
-        start = init_chains(protos, cfg, np.random.default_rng(children[0]))[0]
+        start = _init_pair(protos, np.random.default_rng(children[0]))
         xi = np.random.default_rng(children[1]).standard_normal(3)
         want = dshd_step(start, snap, params, cfg, noise=xi)
-        assert np.array_equal(oset.as_array()[0], want.position.coords)
+        assert np.array_equal(oset.outliers[0], want.position.coords)
 
     def test_empty_bank_raises(self):
         with pytest.raises(EmptyBank):
-            synthesize_outliers(FeatureBank(), [e(0), e(1)], EnergyParams(),
+            synthesize_outliers(FeatureBank(), rows(e(0), e(1)), EnergyParams(),
                                 SamplerConfig())
 
     def test_single_prototype_raises(self):
         with pytest.raises(InsufficientPrototypes):
-            synthesize_outliers(self.small_bank(), [e(0)], EnergyParams(),
+            synthesize_outliers(small_bank(), rows(e(0)), EnergyParams(),
                                 SamplerConfig())
 
     def test_empty_set_array_shape(self):
-        assert VirtualOutlierSet([]).as_array().shape == (0, 0)
+        # the runner's set for an epoch without outliers: (0, d), dumps nothing
+        empty = VirtualOutlierSet(np.empty((0, 3)), np.empty(0))
+        assert len(empty) == 0 and empty.outliers.shape == (0, 3)
+        buf = io.StringIO()
+        dump_outliers(empty, buf)
+        assert buf.getvalue() == ""
+
+    def test_dump_numbers_the_rows(self):
+        oset = synthesize_outliers(small_bank(), rows(e(0), e(1)), EnergyParams(),
+                                   SamplerConfig(n_chains=3, seed=5))
+        buf = io.StringIO()
+        dump_outliers(oset, buf)
+        lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert [line["chain"] for line in lines] == [0, 1, 2]
+        assert np.array_equal([line["outlier"] for line in lines], oset.outliers)
+        assert [line["potential"] for line in lines] == oset.potentials.tolist()
+
+    @pytest.mark.parametrize("protos, match", [
+        (np.array([1.0, 0.0, 0.0]), "(k, d)"),
+        (np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), "prototype 1 is not unit norm"),
+        (np.array([[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0]]), "prototype 1 is not unit norm"),
+        (np.array([[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]]), "prototype 0 is not unit norm"),
+        (np.array([[1.0 + 1e-6, 0.0, 0.0], [0.0, 1.0, 0.0]]), "prototype 0 is not unit norm"),
+    ], ids=["1-d", "norm-2", "nan", "inf", "off-by-1e-6"])
+    def test_bad_prototypes_raise(self, protos, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            synthesize_outliers(small_bank(), protos, EnergyParams(),
+                                SamplerConfig(n_chains=2))
 
 
 class TestBoundaryTargeting:
@@ -280,7 +313,7 @@ class TestBoundaryTargeting:
             mu = UnitVector(np.array([np.cos(t), np.sin(t)]))
             for row in sample_vmf(mu, 50.0, 100, rng):
                 bank.add(BankEntry(normalize(row), 1.0, c))
-        protos = [UnitVector(np.array([np.cos(t), np.sin(t)])) for t in centers]
+        protos = np.array([[np.cos(t), np.sin(t)] for t in centers])
         params = EnergyParams()
         cfg = SamplerConfig(step_size=0.01, friction=100.0, n_rounds=5,
                             steps_per_round=3, n_chains=32,
@@ -291,7 +324,7 @@ class TestBoundaryTargeting:
         grid_theta = np.linspace(centers[0], centers[1], 360)
         grid = np.stack([np.cos(grid_theta), np.sin(grid_theta)], axis=1)
         p90 = np.percentile(potential_batch(grid, bank, params), 90.0)
-        angles = np.arctan2(oset.as_array()[:, 1], oset.as_array()[:, 0])
+        angles = np.arctan2(oset.outliers[:, 1], oset.outliers[:, 0])
         assert np.all(angles >= centers[0]) and np.all(angles <= centers[1])
-        assert np.all(np.asarray(oset.potentials) >= p90)
+        assert np.all(oset.potentials >= p90)
 
