@@ -1,4 +1,4 @@
-"""JSON text for columns of floats, without one json.dumps call per value."""
+"""JSON text for columns and rows of floats, without one json.dumps call per value."""
 
 from __future__ import annotations
 
@@ -19,3 +19,10 @@ def float_texts(values) -> list[str]:
     for i in np.flatnonzero(~np.isfinite(flat)).tolist():
         texts[i] = json.dumps(vals[i])
     return texts
+
+
+def list_texts(rows) -> list[str]:
+    """json.dumps's text for every row of the (n, d) array `rows`, as a list."""
+    rows = np.asarray(rows, dtype=np.float64)
+    texts, d = float_texts(rows), rows.shape[-1]
+    return ["[" + ", ".join(texts[i * d:(i + 1) * d]) + "]" for i in range(len(rows))]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsonl import float_texts, list_texts
 from .sphere import TangentVector, UnitVector, check_unit_rows, project_tangent
 
 DEFAULT_CAPACITY = 256
@@ -329,27 +330,54 @@ def potential_batch(points: np.ndarray, bank,
 
 
 def dump_bank(bank, fh) -> None:
-    """One JSON object per entry: {"class": c, "weight": w, "feature": [...]}."""
+    """One row per entry, json.dumps's text of {"class": c, "weight": w, "feature": [...]}."""
     snap = bank.snapshot()
-    for c in snap.classes:
-        for f, w in zip(snap.features(c), snap.weights(c)):
-            fh.write(json.dumps({"class": int(c), "weight": float(w),
-                                 "feature": [float(x) for x in f]}) + "\n")
+    for c in snap.classes:  # a write per class: one class's text is held at once
+        fh.write("".join(
+            f'{{"class": {c}, "weight": {w}, "feature": {f}}}\n'
+            for w, f in zip(float_texts(snap.weights(c)), list_texts(snap.features(c)))))
+
+
+def _bank_row(line: str, d: int | None):
+    """(feature, weight, class) of one `dump_bank` line, whose feature must have
+    `d` values unless d is None; ValueError saying what is wrong otherwise."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc.msg} at column {exc.colno}") from None
+    if not isinstance(row, dict):
+        raise ValueError("row is not a JSON object")
+    missing = [key for key in ("class", "weight", "feature") if key not in row]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}")
+    label, weight, feature = row["class"], row["weight"], np.asarray(row["feature"])
+    if isinstance(label, bool) or not isinstance(label, int) or label < 0:
+        raise ValueError(f"class labels must be non-negative integers, got {label!r}")
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+        raise ValueError(f"weight must be a number, got {weight!r}")
+    if feature.ndim != 1 or feature.dtype.kind not in "iuf":
+        raise ValueError("feature must be a list of numbers")
+    if d is not None and feature.size != d:
+        raise ValueError(f"feature has {feature.size} values, the first row's has {d}")
+    return feature.astype(np.float64, copy=False), weight, label
 
 
 def load_bank(fh) -> BankSnapshot:
     """Read a `dump_bank` file back into a snapshot that keeps every entry.
 
-    The rows are checked as `BankSnapshot.from_arrays` checks them; a file
-    without rows gives the empty bank.
+    A malformed line raises ValueError naming its 1-based number, and the rows
+    are checked as `BankSnapshot.from_arrays` checks them.  No rows: empty bank.
     """
     feats, weights, labels = [], [], []
-    for line in fh:
+    for number, line in enumerate(fh, 1):
         if line.strip():
-            row = json.loads(line)
-            feats.append(np.asarray(row["feature"], dtype=np.float64))
-            weights.append(row["weight"])
-            labels.append(row["class"])
+            try:
+                feature, weight, label = _bank_row(line, feats[0].size if feats else None)
+            except ValueError as exc:
+                raise ValueError(f"bank line {number}: {exc}") from None
+            feats.append(feature)
+            weights.append(weight)
+            labels.append(label)
     if not feats:
         return BankSnapshot({})
     # the parsed floats are dropped line by line and the row arrays once

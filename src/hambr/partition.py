@@ -7,7 +7,6 @@ clean in each of the last t_filter epochs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,19 +132,18 @@ def clean_posterior(model: GmmModel, loss) -> np.ndarray | float:
 
 @dataclass
 class ConsensusWindow:
-    """Ring buffer of the last t_filter per-epoch clean-flag vectors."""
+    """Per-sample run length: how many of the latest epochs in a row flagged it clean."""
 
     t_filter: int
     n_samples: int
-    epochs_recorded: int = 0
-    _flags: deque = field(default_factory=deque, repr=False)
+    run_lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.t_filter < 1:
             raise ValueError("t_filter must be >= 1")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        self._flags = deque(maxlen=self.t_filter)
+        self.run_lengths = np.zeros(self.n_samples, dtype=np.int64)
 
 
 def consensus_update(window: ConsensusWindow, flags) -> None:
@@ -153,19 +151,15 @@ def consensus_update(window: ConsensusWindow, flags) -> None:
     f = np.asarray(flags, dtype=bool)
     if f.shape != (window.n_samples,):
         raise ValueError(f"expected {window.n_samples} flags, got shape {f.shape}")
-    window._flags.append(f.copy())
-    window.epochs_recorded += 1
+    window.run_lengths = np.where(f, window.run_lengths + 1, 0)
 
 
 def consensus_set(window: ConsensusWindow) -> np.ndarray:
     """Ids flagged clean in every one of the last t_filter epochs.
 
-    Empty until t_filter epochs have been recorded.
+    Empty until t_filter epochs have been recorded, since no run is longer.
     """
-    if window.epochs_recorded < window.t_filter:
-        return np.empty(0, dtype=np.int64)
-    agreed = np.logical_and.reduce(list(window._flags))
-    return np.flatnonzero(agreed)
+    return np.flatnonzero(window.run_lengths >= window.t_filter)
 
 
 def dump_partition(fh, losses, posteriors, flags, consensus_ids) -> None:

@@ -9,9 +9,12 @@ sequences, so a config fixes the run byte for byte.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
-from dataclasses import dataclass, field, fields, replace
+import numbers
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +54,8 @@ from .partition import (
     fit_gmm_1d,
 )
 from .sampler import SamplerConfig, VirtualOutlierSet, dump_outliers, synthesize_outliers
-from .synthgen import DatasetSpec, NoiseSpec, dump_dataset, make_dataset, make_ood_set
+from .sphere import UnitVector
+from .synthgen import DatasetSpec, dump_dataset, make_dataset, make_ood_set
 
 
 class ConfigError(ValueError):
@@ -102,69 +106,79 @@ class TrainState:
     epoch: int
 
 
+def _to_json(value):
+    if isinstance(value, UnitVector):
+        return value.coords.tolist()
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    ds = cfg.dataset
-    return {
-        "dataset": {
-            "dim": ds.dim, "n_classes": ds.n_classes, "n_per_class": ds.n_per_class,
-            "kappa": list(ds.kappa),
-            "means": None if ds.means is None
-            else [[float(x) for x in m.coords] for m in ds.means],
-            "noise": None if ds.noise is None
-            else {"mode": ds.noise.mode, "rate": ds.noise.rate},
-            "seed": ds.seed,
-        },
-        "sampler": {
-            "step_size": cfg.sampler.step_size, "friction": cfg.sampler.friction,
-            "n_rounds": cfg.sampler.n_rounds,
-            "steps_per_round": cfg.sampler.steps_per_round,
-            "n_chains": cfg.sampler.n_chains,
-            "dyn_temperature": cfg.sampler.dyn_temperature,
-            "integrator_variant": cfg.sampler.integrator_variant,
-            "noise_per_step": cfg.sampler.noise_per_step,
-            "seed": cfg.sampler.seed,
-        },
-        "energy": {"tau_energy": cfg.energy.tau_energy,
-                   "k_neighbors": cfg.energy.k_neighbors},
-        "weights": {
-            "lambda_u": cfg.weights.lambda_u, "lambda_reg": cfg.weights.lambda_reg,
-            "lambda_c": cfg.weights.lambda_c, "lambda_hambr": cfg.weights.lambda_hambr,
-            "tau_loss": cfg.weights.tau_loss, "tau_con": cfg.weights.tau_con,
-            "sharpen_T": cfg.weights.sharpen_T, "gce_q": cfg.weights.gce_q,
-        },
-        "clean_threshold": cfg.clean_threshold, "t_filter": cfg.t_filter,
-        "epochs": cfg.epochs, "warmup_epochs": cfg.warmup_epochs,
-        "learn_rate": cfg.learn_rate,
-        "classifier_temperature": cfg.classifier_temperature,
-        "aug_sigma": cfg.aug_sigma, "output_dir": cfg.output_dir, "seed": cfg.seed,
-    }
+    """The config as a JSON document: every dataclass an object of its fields,
+    every tuple and unit vector a list."""
+    return _to_json(cfg)
 
 
-def _check_integer(name: str, value) -> None:
-    """JSON integers only (no bool, no float), and seeds must be >= 0."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if name.rsplit(".", 1)[-1] == "seed" and value < 0:
-        raise ConfigError(f"{name} must be >= 0, got {value!r}")
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _build_section(name: str, cls, doc: dict, defaults: dict | None = None):
-    """`cls` from `doc` over `defaults`; every field whose default is an int
-    must hold an integer."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    merged = dict(defaults or {})
-    merged.update(doc)
-    for f in fields(cls):
-        if type(f.default) is int and f.name in merged:
-            _check_integer(f.name if name == "experiment" else f"{name}.{f.name}",
-                           merged[f.name])
+def _is_numbers(value) -> bool:
+    return _is_number(value) or (isinstance(value, list) and all(map(_is_numbers, value)))
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per section class
+
+# what a value of each field type must be in JSON: (test, description)
+_JSON_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: _is_number(v) and isinstance(v, numbers.Integral), "an integer"),
+    float: (_is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (_is_numbers, "a number or a list of numbers"),  # kappa, means
+}
+
+
+def _parse(path: str, hint, value, seed: int, seed_wins: bool):
+    """`value` checked against the field type `hint`, or ConfigError naming `path`.
+
+    A section (a dataclass) comes from an object keyed by its field names.
+    Omitted fields keep their defaults, but a section with a seed takes the
+    experiment `seed` when it omits its own, or always when `seed_wins`.
+    """
+    options = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in options:
+        return None
+    kind = options[0]
+    if not is_dataclass(kind):
+        check, what = _JSON_TYPES[kind]
+        if not check(value):
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+        if path.endswith("seed") and value < 0:
+            raise ConfigError(f"{path} must be >= 0, got {value!r}")
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object, got {value!r}")
+    hints, names = _type_hints(kind), [f.name for f in fields(kind)]
+    unknown = set(value) - set(names)
+    if unknown:
+        raise ConfigError(f"unknown {path or 'config'} keys: {sorted(unknown)}")
+    if "seed" in names and (seed_wins or "seed" not in value):
+        value = {**value, "seed": seed}
+    kwargs = {}
+    for name in names:
+        if name in value or "seed" in getattr(hints[name], "__dataclass_fields__", ()):
+            kwargs[name] = _parse(f"{path}.{name}" if path else name, hints[name],
+                                  value.get(name, {}), seed, seed_wins)
     try:
-        return cls(**merged)
+        return kind(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name!r} section: {exc}") from exc
+        raise ConfigError(f"bad {path or 'experiment'!r} section: {exc}") from exc
 
 
 def config_from_dict(doc: dict, seed_override: int | None = None,
@@ -176,38 +190,10 @@ def config_from_dict(doc: dict, seed_override: int | None = None,
     """
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    doc = dict(doc)
-    known = {"dataset", "sampler", "energy", "weights", "clean_threshold",
-             "t_filter", "epochs", "warmup_epochs", "learn_rate",
-             "classifier_temperature", "aug_sigma", "output_dir", "seed"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    seed = doc.pop("seed", 0)
-    if seed_override is not None:
-        seed = seed_override
-    _check_integer("seed", seed)
-
-    ds_doc = dict(doc.pop("dataset", {}))
-    if seed_override is not None or "seed" not in ds_doc:
-        ds_doc["seed"] = seed
-    if "noise" in ds_doc and ds_doc["noise"] is not None:
-        ds_doc["noise"] = _build_section("dataset.noise", NoiseSpec, ds_doc["noise"])
-    dataset = _build_section("dataset", DatasetSpec, ds_doc)
-
-    sp_doc = dict(doc.pop("sampler", {}))
-    if seed_override is not None or "seed" not in sp_doc:
-        sp_doc["seed"] = seed
-    sampler = _build_section("sampler", SamplerConfig, sp_doc)
-
-    energy = _build_section("energy", EnergyParams, dict(doc.pop("energy", {})))
-    weights = _build_section("weights", LossWeights, dict(doc.pop("weights", {})))
-    if out_override is not None:
-        doc["output_dir"] = out_override
-    return _build_section("experiment", ExperimentConfig, doc,
-                          {"dataset": dataset, "sampler": sampler, "energy": energy,
-                           "weights": weights, "seed": seed})
+    overrides = {"seed": seed_override, "output_dir": out_override}
+    doc = {**doc, **{key: value for key, value in overrides.items() if value is not None}}
+    seed = _parse("seed", int, doc.setdefault("seed", 0), 0, False)
+    return _parse("", ExperimentConfig, doc, seed, seed_override is not None)
 
 
 def load_config(path, seed_override: int | None = None,
@@ -312,12 +298,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         flags = posteriors > cfg.clean_threshold
         consensus_update(state.window, flags)
         consensus = consensus_set(state.window)
-        window_ready = state.window.epochs_recorded >= cfg.t_filter
-        labeled_mask = np.zeros(n, dtype=bool)
-        if window_ready:
-            labeled_mask[consensus] = True
-        else:
-            labeled_mask = flags.copy()
+        window_ready = epoch + 1 >= cfg.t_filter  # t_filter epochs recorded
+        # the consensus set once the window is full, this epoch's flags before
+        labeled_mask = np.isin(np.arange(n), consensus) if window_ready else flags
 
         buf = io.StringIO()
         dump_partition(buf, losses, posteriors, flags, consensus)
@@ -355,8 +338,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         x = state.embeddings
 
         # (9) metrics on the post-step state
-        selected = consensus if window_ready else np.flatnonzero(flags)
-        sel_p, sel_r, sel_f = selection_f1(selected, noise_mask)
+        sel_p, sel_r, sel_f = selection_f1(np.flatnonzero(labeled_mask), noise_mask)
         intra, inter = geometry_metrics(x, y_true, p_fresh)
         score_bank = bank if len(bank) else _fallback_bank(x, y_obs, posteriors)
         u_id = potential_batch(x, score_bank, cfg.energy)
@@ -370,20 +352,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             log_singular_values=tuple(singular_spectrum(x)))
         records.append(rec)
 
-    with open(out_dir / "config.json", "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "config.json").write_text(
+        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
     with open(out_dir / "dataset.jsonl", "w") as fh:
         dump_dataset(points, fh)
-    with open(out_dir / "partition.jsonl", "w") as fh:
-        fh.write("".join(partition_lines))
-    with open(out_dir / "metrics.csv", "w") as fh:
-        fh.write(csv_header() + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
-    with open(out_dir / "metrics.jsonl", "w") as fh:
-        for rec in records:
-            fh.write(rec.json_line() + "\n")
+    (out_dir / "partition.jsonl").write_text("".join(partition_lines))
+    (out_dir / "metrics.csv").write_text(
+        "".join(line + "\n" for line in [csv_header()] + [r.csv_row() for r in records]))
+    (out_dir / "metrics.jsonl").write_text("".join(r.json_line() + "\n" for r in records))
     with open(out_dir / "bank.jsonl", "w") as fh:
         dump_bank(state.bank, fh)
     with open(out_dir / "outliers.jsonl", "w") as fh:

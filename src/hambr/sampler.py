@@ -8,11 +8,11 @@ a half-step force correction at the new point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsonl import float_texts, list_texts
 from .energy import EnergyParams, EmptyBank, global_potential, riemannian_grad_U
 from .sphere import (
     ANTIPODAL_TOL,
@@ -184,8 +184,7 @@ def synthesize_outliers(bank, prototypes, params: EnergyParams,
 
 
 def dump_outliers(oset: VirtualOutlierSet, fh) -> None:
-    """One JSON object per outlier: {"chain": i, "outlier": [...], "potential": u}."""
-    for i, (z, u) in enumerate(zip(oset.outliers, oset.potentials)):
-        fh.write(json.dumps({"chain": i,
-                             "outlier": [float(x) for x in z],
-                             "potential": float(u)}) + "\n")
+    """One row per chain, json.dumps's text of {"chain": i, "outlier": [...], "potential": u}."""
+    fh.write("".join(
+        f'{{"chain": {i}, "outlier": {z}, "potential": {u}}}\n' for i, (z, u)
+        in enumerate(zip(list_texts(oset.outliers), float_texts(oset.potentials)))))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonl import float_texts
+from ._jsonl import list_texts
 from .sphere import UnitVector, normalize
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
@@ -44,7 +44,7 @@ class DatasetSpec:
     n_per_class: int = 200
     kappa: tuple = (20.0,)          # scalar broadcasts to every class
     means: tuple | None = None      # None -> mutually orthogonal basis directions
-    noise: NoiseSpec = field(default_factory=lambda: NoiseSpec("symmetric", 0.4))
+    noise: NoiseSpec | None = field(default_factory=lambda: NoiseSpec("symmetric", 0.4))
     seed: int = 0
 
     def __post_init__(self):
@@ -225,17 +225,11 @@ def make_ood_set(spec: DatasetSpec, rng: np.random.Generator, *,
 
 
 def dump_dataset(points, fh) -> None:
-    """One JSON object per sample: {"feature": [...], "true": t, "observed": o}.
-
-    Each row is the text json.dumps gives the sample's dict; all rows go out
-    in one write.
-    """
-    texts = float_texts([p.feature.coords for p in points])
-    d = len(texts) // max(len(points), 1)
+    """One row per sample, json.dumps's text of {"feature": [...], "true": t, "observed": o}."""
     fh.write("".join(
-        f'{{"feature": [{", ".join(texts[i * d:(i + 1) * d])}], '
-        f'"true": {int(p.true_label)}, "observed": {int(p.observed_label)}}}\n'
-        for i, p in enumerate(points)))
+        f'{{"feature": {f}, "true": {int(p.true_label)}, '
+        f'"observed": {int(p.observed_label)}}}\n'
+        for f, p in zip(list_texts([point.feature.coords for point in points]), points)))
 
 
 def load_dataset(fh) -> list[LabeledPoint]:

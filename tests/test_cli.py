@@ -60,6 +60,26 @@ class TestUsage:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("doc, name", [
+        ({"sampler": {"noise_per_step": "false"}}, "sampler.noise_per_step"),
+        ({"learn_rate": True}, "learn_rate"),
+        ({"dataset": []}, "dataset"),
+        ({"sampler": [["n_chains", 4]]}, "sampler"),
+        ({"dataset": {"kappa": [1.0, True, 2]}}, "dataset.kappa"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"dataset": None}, "dataset"),
+        ({"energy": "ab"}, "energy"),
+    ])
+    def test_wrong_json_type_fails_before_any_output(self, tmp_path, capsys,
+                                                     monkeypatch, doc, name):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"output_dir": "run", **doc}))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 class TestEvalOod:
     def test_perfect_separation(self, tmp_path, capsys):
         id_path, ood_path = tmp_path / "id.txt", tmp_path / "ood.txt"
@@ -154,6 +174,29 @@ class TestSynthesize:
         assert cli_main(["synthesize", "--bank", str(bank_path),
                          "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("row, message", [
+        ('{"class": 1, "weight": 1.0}', "missing key 'feature'"),
+        ('{"class": 1, "weight": 1.0, "feature": [0.0, 1.0, 0.0]}',
+         "feature has 3 values, the first row's has 2"),
+        ('{"class": true, "weight": 1.0, "feature": [0.0, 1.0]}',
+         "class labels must be non-negative integers, got True"),
+        ('{"class": 1, "weight": true, "feature": [0.0, 1.0]}',
+         "weight must be a number, got True"),
+        ('{"class": 1, "weight": 1.0, "feature": [0.0, 1.0]', "not valid JSON"),
+    ], ids=["missing-feature", "ragged", "bool-class", "bool-weight", "bad-json"])
+    def test_bad_bank_line_is_named(self, tmp_path, capsys, row, message):
+        bank_path = tmp_path / "bank.jsonl"
+        bank_path.write_text('{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]}\n'
+                             + row + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampler": {"n_chains": 2}}))
+        out = tmp_path / "outliers.jsonl"
+        assert cli_main(["synthesize", "--bank", str(bank_path),
+                         "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bank line 2: {message}")
         assert not out.exists()
 
 

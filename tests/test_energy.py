@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,43 @@ class TestFeatureBank:
         text = "".join(json.dumps(row) + "\n" for row in rows)
         with pytest.raises(ValueError, match=match):
             load_bank(io.StringIO(text))
+
+
+    @pytest.mark.parametrize("line, message", [
+        ("{nope", "not valid JSON"),
+        ("[0.0, 1.0]", "row is not a JSON object"),
+        ('{"weight": 1.0, "feature": [0.0, 1.0]}', "missing key 'class'"),
+        ('{"class": 1, "feature": [0.0, 1.0]}', "missing key 'weight'"),
+        ('{"class": 1, "weight": 1.0}', "missing key 'feature'"),
+        ('{"class": 1, "weight": 1.0, "feature": [0.0, 1.0, 0.0]}',
+         "feature has 3 values, the first row's has 2"),
+        ('{"class": 1, "weight": 1.0, "feature": [0.0, "1"]}',
+         "feature must be a list of numbers"),
+        ('{"class": true, "weight": 1.0, "feature": [0.0, 1.0]}',
+         "class labels must be non-negative integers, got True"),
+        ('{"class": 1.0, "weight": 1.0, "feature": [0.0, 1.0]}',
+         "class labels must be non-negative integers, got 1.0"),
+        ('{"class": -1, "weight": 1.0, "feature": [0.0, 1.0]}',
+         "class labels must be non-negative integers, got -1"),
+        ('{"class": 1, "weight": true, "feature": [0.0, 1.0]}',
+         "weight must be a number, got True"),
+        ('{"class": 1, "weight": "1.0", "feature": [0.0, 1.0]}',
+         "weight must be a number, got '1.0'"),
+    ])
+    def test_load_names_the_bad_line(self, line, message):
+        # line 1 is good, line 2 blank, so the bad row is line 3
+        text = '{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]}\n\n' + line + "\n"
+        with pytest.raises(ValueError, match="^" + re.escape(f"bank line 3: {message}")):
+            load_bank(io.StringIO(text))
+
+    def test_dump_rows_are_json_dumps_text(self):
+        snap = BankSnapshot.from_arrays(np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]]),
+                                        [0.1, 1.0, 0.0], [2, 0, 2])
+        buf = io.StringIO()
+        dump_bank(snap, buf)
+        want = [json.dumps({"class": c, "weight": float(w), "feature": f.tolist()})
+                for c in snap.classes for f, w in zip(snap.features(c), snap.weights(c))]
+        assert buf.getvalue() == "".join(row + "\n" for row in want)
 
 
 class TestClassFreeEnergy:

@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from hambr.runner import (
 )
 from hambr.sphere import UnitVector
 from hambr.sampler import SamplerConfig, VirtualOutlierSet
-from hambr.synthgen import DatasetSpec
+from hambr.synthgen import DatasetSpec, NoiseSpec
 
 
 def small_config(out_dir, seed=11, **overrides):
@@ -37,6 +37,59 @@ def small_config(out_dir, seed=11, **overrides):
         output_dir=str(out_dir), seed=seed)
     fields.update(overrides)
     return ExperimentConfig(**fields)
+
+
+def leaf_paths(obj, prefix=()):
+    """(dotted path, default) of every field under `obj` that is no section."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        path = prefix + (f.name,)
+        if is_dataclass(value):
+            yield from leaf_paths(value, path)
+        else:
+            yield ".".join(path), value
+
+
+# valid non-default JSON values the generic rule in other_value cannot pick
+SPECIAL_VALUES = {
+    "dataset.kappa": [5.0, 10.0, 15.0],
+    "dataset.means": [[0.0, 1.0] + [0.0] * 6, [0.0, 0.0, 1.0] + [0.0] * 5,
+                      [1.0] + [0.0] * 7],
+    "dataset.noise.mode": "asymmetric",
+    "sampler.integrator_variant": "euler",
+}
+
+
+def other_value(path, default):
+    if path in SPECIAL_VALUES:
+        return SPECIAL_VALUES[path]
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float):
+        return default / 2
+    if isinstance(default, str):
+        return default + "-other"
+    raise AssertionError(f"no non-default value for {path}; add one to SPECIAL_VALUES")
+
+
+def nested(path, value):
+    """{"a": {"b": value}} for the path "a.b"."""
+    for name in reversed(path.split(".")):
+        value = {name: value}
+    return value
+
+
+def at(doc, path):
+    for name in path.split("."):
+        doc = doc[name]
+    return doc
+
+
+NON_DEFAULTS = [(path, other_value(path, default))
+                for path, default in leaf_paths(ExperimentConfig())]
+NON_DEFAULTS.append(("dataset.noise", None))
 
 
 class TestConfigPlumbing:
@@ -129,6 +182,58 @@ class TestConfigPlumbing:
             ' "energy": {"k_neighbors": 1}, "dataset": {"n_per_class": 5}}'))
         assert (cfg.t_filter, cfg.sampler.n_chains, cfg.energy.k_neighbors,
                 cfg.dataset.n_per_class, cfg.seed) == (2, 3, 1, 5, 0)
+
+
+    @pytest.mark.parametrize("path, value", NON_DEFAULTS,
+                             ids=[path for path, _ in NON_DEFAULTS])
+    def test_every_field_round_trips(self, path, value):
+        # driven by fields(): a field the loader or the dumper misses fails here
+        cfg = config_from_dict(nested(path, value))
+        doc = config_to_dict(cfg)
+        assert at(doc, path) == value
+        again = config_from_dict(json.loads(json.dumps(doc)))
+        assert config_to_dict(again) == doc
+
+    @pytest.mark.parametrize("doc, message", [
+        # experiment level
+        ({"epochs": True}, "epochs must be an integer"),
+        ({"learn_rate": True}, "learn_rate must be a number"),
+        ({"learn_rate": "0.1"}, "learn_rate must be a number"),
+        ({"output_dir": 5}, "output_dir must be a string"),
+        ({"dataset": None}, "dataset must be an object"),
+        ({"dataset": []}, "dataset must be an object"),
+        ({"energy": "ab"}, "energy must be an object"),
+        ({"sampler": [["n_chains", 4]]}, "sampler must be an object"),
+        ({"epoch": 3}, "unknown config keys: ['epoch']"),
+        # section level
+        ({"sampler": {"noise_per_step": "false"}},
+         "sampler.noise_per_step must be true or false"),
+        ({"sampler": {"noise_per_step": 0}}, "sampler.noise_per_step must be true or false"),
+        ({"energy": {"k_neighbors": True}}, "energy.k_neighbors must be an integer"),
+        ({"weights": {"gce_q": True}}, "weights.gce_q must be a number"),
+        ({"sampler": {"integrator_variant": 1}},
+         "sampler.integrator_variant must be a string"),
+        ({"dataset": {"kappa": [1.0, True, 2]}},
+         "dataset.kappa must be a number or a list of numbers"),
+        ({"dataset": {"kappa": "20"}}, "dataset.kappa must be a number or a list of numbers"),
+        ({"dataset": {"means": [[1.0, "0"]]}}, "dataset.means must be"),
+        ({"dataset": {"noise": []}}, "dataset.noise must be an object"),
+        ({"weights": {"lambda": 1.0}}, "unknown weights keys: ['lambda']"),
+        # dataset.noise level
+        ({"dataset": {"noise": {"mode": 1}}}, "dataset.noise.mode must be a string"),
+        ({"dataset": {"noise": {"rate": True}}}, "dataset.noise.rate must be a number"),
+        ({"dataset": {"noise": {"rate": None}}}, "dataset.noise.rate must be a number"),
+        ({"dataset": {"noise": {"kind": "x"}}}, "unknown dataset.noise keys: ['kind']"),
+    ])
+    def test_value_of_the_wrong_json_type_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            config_from_dict(doc)
+
+    def test_noise_null_omitted_or_partial(self):
+        assert config_from_dict({"dataset": {"noise": None}}).dataset.noise is None
+        assert config_from_dict({}).dataset.noise == NoiseSpec("symmetric", 0.4)
+        partial = config_from_dict({"dataset": {"noise": {"mode": "asymmetric"}}})
+        assert partial.dataset.noise == NoiseSpec("asymmetric", NoiseSpec().rate)
 
 
 class TestRunExperiment:

@@ -278,6 +278,15 @@ class TestSynthesizeOutliers:
         dump_outliers(empty, buf)
         assert buf.getvalue() == ""
 
+    def test_dump_rows_are_json_dumps_text(self):
+        oset = VirtualOutlierSet(np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
+                                 np.array([0.1, np.nan]))
+        buf = io.StringIO()
+        dump_outliers(oset, buf)
+        want = [json.dumps({"chain": i, "outlier": z.tolist(), "potential": float(u)})
+                for i, (z, u) in enumerate(zip(oset.outliers, oset.potentials))]
+        assert buf.getvalue() == "".join(row + "\n" for row in want)
+
     def test_dump_numbers_the_rows(self):
         oset = synthesize_outliers(small_bank(), rows(e(0), e(1)), EnergyParams(),
                                    SamplerConfig(n_chains=3, seed=5))
