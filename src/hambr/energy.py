@@ -9,13 +9,14 @@ sampler is supposed to deposit virtual outliers.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._jsonl import float_texts, list_texts
-from .sphere import TangentVector, UnitVector, check_unit_rows, project_tangent
+from .sphere import NORM_TOL, TangentVector, UnitVector, check_unit_rows, project_tangent
 
 DEFAULT_CAPACITY = 256
 _BLOCK_SIMS = 1 << 16  # similarities potential_batch holds at once per class
@@ -112,7 +113,7 @@ class BankSnapshot:
         check_unit_rows(feats, "row")
         bad = np.flatnonzero(~((weights >= 0.0) & (weights <= 1.0)))
         if bad.size:
-            raise ValueError(f"weight must be in [0, 1], got {weights[bad[0]]!r} "
+            raise ValueError(f"weight must be in [0, 1], got {float(weights[bad[0]])} "
                              f"at row {bad[0]}")
         if labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0):
             raise ValueError("labels must be non-negative integers")
@@ -166,16 +167,6 @@ class FeatureBank:
             self._groups[entry.class_id] = group
         group.append(entry)  # deque drops the oldest entry once full
         self._snapshot = None
-
-    def extend(self, entries) -> None:
-        for entry in entries:
-            self.add(entry)
-
-    def classes(self) -> list[int]:
-        return sorted(c for c, g in self._groups.items() if g)
-
-    def entries(self, class_id: int) -> list[BankEntry]:
-        return list(self._groups.get(class_id, ()))
 
     def __len__(self) -> int:
         return sum(len(g) for g in self._groups.values())
@@ -350,23 +341,33 @@ def _bank_row(line: str, d: int | None):
     missing = [key for key in ("class", "weight", "feature") if key not in row]
     if missing:
         raise ValueError(f"missing key {missing[0]!r}")
-    label, weight, feature = row["class"], row["weight"], np.asarray(row["feature"])
+    label, weight, values = row["class"], row["weight"], row["feature"]
     if isinstance(label, bool) or not isinstance(label, int) or label < 0:
         raise ValueError(f"class labels must be non-negative integers, got {label!r}")
     if isinstance(weight, bool) or not isinstance(weight, (int, float)):
         raise ValueError(f"weight must be a number, got {weight!r}")
-    if feature.ndim != 1 or feature.dtype.kind not in "iuf":
+    if not 0.0 <= weight <= 1.0:  # NaN fails every comparison
+        raise ValueError(f"weight must be in [0, 1], got {weight!r}")
+    feature = np.asarray(values)
+    # numpy reads true and false in a list of numbers as 1.0 and 0.0
+    if feature.ndim != 1 or feature.dtype.kind not in "iuf" or bool in map(type, values):
         raise ValueError("feature must be a list of numbers")
+    if feature.size < 2:
+        raise ValueError(f"feature has {feature.size} values, at least 2 are needed")
     if d is not None and feature.size != d:
         raise ValueError(f"feature has {feature.size} values, the first row's has {d}")
+    norm = math.hypot(*values)
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN and inf coordinates fail too
+        raise ValueError(f"feature is not unit norm: |v| = {norm!r}")
     return feature.astype(np.float64, copy=False), weight, label
 
 
 def load_bank(fh) -> BankSnapshot:
     """Read a `dump_bank` file back into a snapshot that keeps every entry.
 
-    A malformed line raises ValueError naming its 1-based number, and the rows
-    are checked as `BankSnapshot.from_arrays` checks them.  No rows: empty bank.
+    Each line is checked as it is read, as `BankSnapshot.from_arrays` checks
+    a row, and the first bad one raises ValueError naming its 1-based number.
+    No rows: empty bank.
     """
     feats, weights, labels = [], [], []
     for number, line in enumerate(fh, 1):

@@ -35,7 +35,7 @@ def _check_finite(scores: np.ndarray, name: str) -> None:
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise NonFiniteScore(f"{name} have {bad.size} non-finite value(s), "
-                             f"the first {scores[bad[0]]!r} at index {int(bad[0])}")
+                             f"the first {float(scores[bad[0]])} at index {int(bad[0])}")
 
 
 def _ranks_with_ties(values: np.ndarray) -> np.ndarray:
@@ -90,8 +90,8 @@ def selection_f1(selected_ids, noise_mask) -> tuple[float, float, float]:
     return float(precision), float(recall), float(f1)
 
 
-def singular_spectrum(features, centered: bool = True) -> np.ndarray:
-    """Descending log singular values of the feature matrix.
+def singular_spectrum(features) -> np.ndarray:
+    """Descending log singular values of the column-centred feature matrix.
 
     Computed from the d x d Gram matrix eigendecomposition.  Values below the
     numerical-rank cutoff are reported as exactly -inf.
@@ -101,8 +101,7 @@ def singular_spectrum(features, centered: bool = True) -> np.ndarray:
         raise ValueError("features must be an (n, d) array")
     if x.shape[0] < 1:
         raise EmptyInput("need at least one feature row")
-    if centered:
-        x = x - x.mean(axis=0)
+    x = x - x.mean(axis=0)
     gram = x.T @ x
     eigvals = np.linalg.eigvalsh(gram)
     sv = np.sqrt(np.clip(eigvals, 0.0, None))[::-1]

@@ -16,6 +16,8 @@ from ._jsonl import float_texts
 VARIANCE_FLOOR = 1e-6
 DEFAULT_CLEAN_THRESHOLD = 0.5
 DEFAULT_T_FILTER = 3
+EM_MAX_ITERS = 100
+EM_TOL = 1e-6  # EM stops once the log-likelihood gains less than this
 
 
 class NonFiniteLoss(ValueError):
@@ -66,14 +68,14 @@ def _log_resp(model_means, model_vars, model_weights, x):
     return parts - ll[:, None], ll
 
 
-def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6,
-               trace: list | None = None) -> GmmModel:
+def fit_gmm_1d(losses, trace: list | None = None) -> GmmModel:
     """EM fit of a two-component 1-d GMM to per-sample losses.
 
     Means start at the 10th/90th percentiles, both variances at the overall
-    variance, weights equal.  Stops when the log-likelihood improves by less
-    than `tol`.  All-identical losses short-circuit to a single-component model
-    whose clean posterior is 1 everywhere.
+    variance, weights equal.  Stops after EM_MAX_ITERS iterations or when the
+    log-likelihood improves by less than EM_TOL; `trace`, when given, gets
+    each iteration's log-likelihood.  All-identical losses short-circuit to a
+    single-component model whose clean posterior is 1 everywhere.
     """
     x = np.asarray(losses, dtype=np.float64).ravel()
     if x.size < 2:
@@ -92,12 +94,12 @@ def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6,
     weights = np.array([0.5, 0.5])
 
     prev_ll = -np.inf
-    for _ in range(max_iters):
+    for _ in range(EM_MAX_ITERS):
         log_r, ll_per = _log_resp(means, variances, weights, x)
         ll = float(np.sum(ll_per))
         if trace is not None:
             trace.append(ll)
-        if ll - prev_ll < tol:
+        if ll - prev_ll < EM_TOL:
             break
         prev_ll = ll
         resp = np.exp(log_r)
@@ -116,18 +118,16 @@ def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6,
     return GmmModel(means, variances, weights, int(np.argmin(means)))
 
 
-def clean_posterior(model: GmmModel, loss) -> np.ndarray | float:
-    """Responsibility of the clean component at the given loss value(s)."""
-    x = np.asarray(loss, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+def clean_posterior(model: GmmModel, losses) -> np.ndarray:
+    """Responsibility of the clean component at each value of the 1-d `losses`."""
+    x = np.asarray(losses, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"losses must be a 1-d array, got shape {x.shape}")
     c = model.clean_component
     if model.weights[1 - c] == 0.0:
-        out = np.ones_like(x)
-    else:
-        log_r, _ = _log_resp(model.means, model.variances, model.weights, x)
-        out = np.exp(log_r[:, c])
-    return float(out[0]) if scalar else out
+        return np.ones_like(x)
+    log_r, _ = _log_resp(model.means, model.variances, model.weights, x)
+    return np.exp(log_r[:, c])
 
 
 @dataclass

@@ -54,7 +54,6 @@ from .partition import (
     fit_gmm_1d,
 )
 from .sampler import SamplerConfig, VirtualOutlierSet, dump_outliers, synthesize_outliers
-from .sphere import UnitVector
 from .synthgen import DatasetSpec, dump_dataset, make_dataset, make_ood_set
 
 
@@ -103,12 +102,9 @@ class TrainState:
     bank: BankSnapshot
     window: ConsensusWindow
     prototypes: PrototypeSet | None
-    epoch: int
 
 
 def _to_json(value):
-    if isinstance(value, UnitVector):
-        return value.coords.tolist()
     if is_dataclass(value):
         return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
@@ -118,7 +114,7 @@ def _to_json(value):
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """The config as a JSON document: every dataclass an object of its fields,
-    every tuple and unit vector a list."""
+    every tuple a list."""
     return _to_json(cfg)
 
 
@@ -267,13 +263,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     state = TrainState(embeddings=x, bank=BankSnapshot({}),
                        window=ConsensusWindow(cfg.t_filter, n),
-                       prototypes=None, epoch=0)
+                       prototypes=None)
 
     records: list[MetricsRecord] = []
     partition_lines: list[str] = []
 
     for epoch in range(cfg.epochs):
-        state.epoch = epoch
         x = state.embeddings
         warmup = epoch < cfg.warmup_epochs
         aug_ss, samp_ss = epoch_children[epoch].spawn(2)

@@ -98,25 +98,19 @@ def _init_pair(prototypes: np.ndarray, rng: np.random.Generator) -> ChainState:
 
 
 def dshd_step(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
-              rng: np.random.Generator | None = None,
-              noise: np.ndarray | None = None) -> ChainState:
+              noise: np.ndarray) -> ChainState:
     """One split step of the dissipative dynamics.
 
-    `noise`, when given, is a raw ambient Gaussian draw that is projected onto
-    the current tangent space (the per-round reuse path); otherwise fresh
-    tangent noise is drawn from `rng`.  `bank=None` means a zero potential,
-    which the conservation and equipartition tests rely on.
+    `noise` is a raw ambient Gaussian draw, projected onto the current tangent
+    space; `run_chain` reuses one draw for every step of a round unless
+    cfg.noise_per_step asks for fresh ones.  `bank=None` means a zero
+    potential, which the conservation and equipartition tests rely on.
     """
     z, v = state.position, state.momentum
     eps, gam, temp = cfg.step_size, cfg.friction, cfg.dyn_temperature
 
     grad = riemannian_grad_U(z, bank, params).coords if bank is not None else 0.0
-    if noise is not None:
-        xi = project_tangent(noise, z).coords
-    elif rng is not None:
-        xi = sample_tangent_gaussian(z, rng).coords
-    else:
-        raise ValueError("dshd_step needs an rng when no noise vector is supplied")
+    xi = project_tangent(noise, z).coords
 
     if cfg.integrator_variant == "exponential":
         alpha = np.exp(-gam * eps)      # exact OU damping over one step

@@ -80,7 +80,7 @@ def check_unit_rows(x: np.ndarray, what: str) -> None:
     norms = np.linalg.norm(x, axis=1)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:
-        raise ValueError(f"{what} {bad[0]} is not unit norm: |v| = {norms[bad[0]]!r}")
+        raise ValueError(f"{what} {bad[0]} is not unit norm: |v| = {float(norms[bad[0]])}")
 
 
 def normalize(x) -> UnitVector:

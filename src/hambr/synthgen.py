@@ -6,7 +6,6 @@ derived seeds so class order never matters.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +15,9 @@ from ._jsonl import list_texts
 from .sphere import UnitVector, normalize
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
-DEFAULT_THETA_MIN = math.pi / 3.0
+OOD_CLUSTERS = 3
+OOD_PER_CLUSTER = 100
+OOD_THETA_MIN = math.pi / 3.0  # least angle from an OOD mean to every class mean
 
 NOISE_MODES = ("symmetric", "asymmetric")
 
@@ -43,7 +44,7 @@ class DatasetSpec:
     n_classes: int = 3
     n_per_class: int = 200
     kappa: tuple = (20.0,)          # scalar broadcasts to every class
-    means: tuple | None = None      # None -> mutually orthogonal basis directions
+    means: tuple | None = None      # one direction per class; None -> basis directions
     noise: NoiseSpec | None = field(default_factory=lambda: NoiseSpec("symmetric", 0.4))
     seed: int = 0
 
@@ -66,25 +67,24 @@ class DatasetSpec:
             raise ValueError("kappa must be non-negative and finite")
         object.__setattr__(self, "kappa", kappa)
         if self.means is not None:
-            means = tuple(normalize(m.coords if isinstance(m, UnitVector) else m)
-                          for m in self.means)
+            means = [normalize(m).coords for m in self.means]
             if len(means) != self.n_classes:
                 raise ValueError("need one mean per class")
-            if any(m.dim != self.dim for m in means):
+            if any(m.size != self.dim for m in means):
                 raise ValueError("mean dimension mismatch")
             for i in range(len(means)):
                 for j in range(i + 1, len(means)):
-                    if np.allclose(means[i].coords, means[j].coords):
+                    if np.allclose(means[i], means[j]):
                         raise ValueError("class means must be pairwise distinct")
-            object.__setattr__(self, "means", means)
+            object.__setattr__(self, "means", tuple(tuple(m.tolist()) for m in means))
         elif self.n_classes > self.dim:
             raise ValueError("orthogonal default means need n_classes <= dim")
 
-    def class_means(self) -> list[UnitVector]:
+    def class_means(self) -> np.ndarray:
+        """Row c of the (n_classes, dim) array is class c's unit mean direction."""
         if self.means is not None:
-            return list(self.means)
-        eye = np.eye(self.dim)
-        return [UnitVector(eye[c]) for c in range(self.n_classes)]
+            return np.array(self.means)
+        return np.eye(self.n_classes, self.dim)
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,6 @@ class LabeledPoint:
     feature: UnitVector
     true_label: int
     observed_label: int
-
-    @property
-    def is_noisy(self) -> bool:
-        return self.true_label != self.observed_label
 
 
 def _uniform_sphere(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,12 +108,13 @@ def _uniform_sphere(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_vmf(mu, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws from the von Mises-Fisher distribution around mu (kappa=0: uniform).
+    """n draws from the von Mises-Fisher distribution around the unit vector mu
+    (kappa=0: uniform).
 
     Radial component by the usual beta-envelope rejection scheme; tangential
     component uniform on the subsphere orthogonal to mu.
     """
-    mu = mu.coords if isinstance(mu, UnitVector) else np.asarray(mu, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
     d = mu.size
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
@@ -196,31 +193,27 @@ def make_dataset(spec: DatasetSpec) -> list[LabeledPoint]:
     return points
 
 
-def make_ood_set(spec: DatasetSpec, rng: np.random.Generator, *,
-                 n_clusters: int = 3, n_per_cluster: int = 100,
-                 kappa: float | None = None,
-                 theta_min: float = DEFAULT_THETA_MIN) -> tuple[np.ndarray, np.ndarray]:
-    """vMF clusters whose means keep an angle >= theta_min to every class mean.
+def make_ood_set(spec: DatasetSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """OOD_CLUSTERS vMF clusters of OOD_PER_CLUSTER draws at class 0's kappa,
+    whose means keep an angle >= OOD_THETA_MIN to every class mean.
 
     Returns (features, means).  Raises PlacementFailure when no admissible mean
     direction shows up within the attempt budget.
     """
-    id_means = np.array([m.coords for m in spec.class_means()])
-    min_dot = math.cos(theta_min)
-    if kappa is None:
-        kappa = spec.kappa[0]
+    id_means = spec.class_means()
+    min_dot = math.cos(OOD_THETA_MIN)
     means = []
     attempts = 0
-    while len(means) < n_clusters:
+    while len(means) < OOD_CLUSTERS:
         if attempts >= MAX_PLACEMENT_ATTEMPTS:
             raise PlacementFailure(
-                f"no admissible mean after {MAX_PLACEMENT_ATTEMPTS} attempts "
-                f"(theta_min={theta_min!r})")
+                f"no mean at an angle >= {OOD_THETA_MIN!r} from every class mean "
+                f"after {MAX_PLACEMENT_ATTEMPTS} attempts")
         cand = _uniform_sphere(spec.dim, 1, rng)[0]
         attempts += 1
         if np.all(id_means @ cand <= min_dot):
             means.append(cand)
-    feats = [sample_vmf(mu, kappa, n_per_cluster, rng) for mu in means]
+    feats = [sample_vmf(mu, spec.kappa[0], OOD_PER_CLUSTER, rng) for mu in means]
     return np.concatenate(feats), np.array(means)
 
 
@@ -230,15 +223,3 @@ def dump_dataset(points, fh) -> None:
         f'{{"feature": {f}, "true": {int(p.true_label)}, '
         f'"observed": {int(p.observed_label)}}}\n'
         for f, p in zip(list_texts([point.feature.coords for point in points]), points)))
-
-
-def load_dataset(fh) -> list[LabeledPoint]:
-    points = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
-        points.append(LabeledPoint(normalize(np.asarray(row["feature"])),
-                                   int(row["true"]), int(row["observed"])))
-    return points

@@ -49,7 +49,7 @@ def gibbs_histogram_tv(n_steps: int = 200_000, burn_in: int = 10_000,
     width = 2.0 * np.pi / N_BINS
     counts = np.zeros(N_BINS)
     for t in range(burn_in + n_steps):
-        state = dshd_step(state, snap, params, cfg, rng=rng)
+        state = dshd_step(state, snap, params, cfg, noise=rng.standard_normal(2))
         if t >= burn_in:
             theta = float(np.arctan2(state.position.coords[1],
                                      state.position.coords[0]))
@@ -78,7 +78,8 @@ def equipartition_mean_sq(dim: int, dyn_temperature: float,
     state = ChainState(z, TangentVector(np.zeros(dim), z))
     total = 0.0
     for t in range(burn_in + n_steps):
-        state = dshd_step(state, None, EnergyParams(), cfg, rng=rng)
+        state = dshd_step(state, None, EnergyParams(), cfg,
+                          noise=rng.standard_normal(dim))
         if t >= burn_in:
             total += state.momentum.norm ** 2
     return total / n_steps

@@ -100,11 +100,11 @@ class TestEvalOod:
     def test_nan_score_is_an_error(self, tmp_path, capsys):
         id_path, ood_path = tmp_path / "id.txt", tmp_path / "ood.txt"
         write_scores(id_path, np.linspace(0.0, 1.0, 25))
-        write_scores(ood_path, [2.0, float("nan")])
+        write_scores(ood_path, [2.0, 2.0, 2.0, float("nan")])
         assert cli_main(["eval-ood", "--id-scores", str(id_path),
                          "--ood-scores", str(ood_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: OOD scores have 1 non-finite value")
+        assert capsys.readouterr().err == (
+            "error: OOD scores have 1 non-finite value(s), the first nan at index 3\n")
 
 
 class TestGenData:
@@ -159,8 +159,10 @@ class TestSynthesize:
             assert np.isclose(np.linalg.norm(row["outlier"]), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("text, message", [
-        ('{"class": 0, "weight": 1.0, "feature": [1.0, 1.0]}\n', "error: row 0 is not unit norm"),
-        ('{"class": 0, "weight": 1.5, "feature": [1.0, 0.0]}\n', "error: weight must be in [0, 1]"),
+        ('{"class": 0, "weight": 1.0, "feature": [1.0, 1.0]}\n',
+         "error: bank line 1: feature is not unit norm: |v| = 1.4142135623730951\n"),
+        ('{"class": 0, "weight": 1.5, "feature": [1.0, 0.0]}\n',
+         "error: bank line 1: weight must be in [0, 1], got 1.5\n"),
         ('{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]}\n'
          '{"class": 1, "weight": 1.0, "feature": [0.0, 1.0, 0.0]}\n', "error: "),
         ("", "error: cannot synthesize against an empty bank"),
@@ -186,7 +188,18 @@ class TestSynthesize:
         ('{"class": 1, "weight": true, "feature": [0.0, 1.0]}',
          "weight must be a number, got True"),
         ('{"class": 1, "weight": 1.0, "feature": [0.0, 1.0]', "not valid JSON"),
-    ], ids=["missing-feature", "ragged", "bool-class", "bool-weight", "bad-json"])
+        ('{"class": 1, "weight": 1.0, "feature": [0.6, 0.6]}',
+         "feature is not unit norm: |v| = 0.848528137423857"),
+        ('{"class": 1, "weight": 1.0, "feature": [NaN, 1.0]}',
+         "feature is not unit norm: |v| = nan"),
+        ('{"class": 1, "weight": 1.0, "feature": [-Infinity, 0.0]}',
+         "feature is not unit norm: |v| = inf"),
+        ('{"class": 1, "weight": -0.5, "feature": [0.0, 1.0]}',
+         "weight must be in [0, 1], got -0.5"),
+        ('{"class": 1, "weight": 1.0, "feature": [true, 0.0]}',
+         "feature must be a list of numbers"),
+    ], ids=["missing-feature", "ragged", "bool-class", "bool-weight", "bad-json",
+            "non-unit", "nan-feature", "inf-feature", "negative-weight", "bool-in-feature"])
     def test_bad_bank_line_is_named(self, tmp_path, capsys, row, message):
         bank_path = tmp_path / "bank.jsonl"
         bank_path.write_text('{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]}\n'

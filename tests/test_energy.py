@@ -69,8 +69,7 @@ class TestFeatureBank:
         bank.add(BankEntry(e(0), 0.1, 0))
         bank.add(BankEntry(e(1), 0.2, 0))
         bank.add(BankEntry(e(2), 0.3, 0))
-        weights = [entry.weight for entry in bank.entries(0)]
-        assert weights == [0.2, 0.3]
+        assert bank.snapshot().weights(0).tolist() == [0.2, 0.3]
 
     def test_round_trip_serialization(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -82,16 +81,16 @@ class TestFeatureBank:
             loaded = load_bank(fh)
         assert isinstance(loaded, BankSnapshot)
         assert len(loaded) == len(bank)
-        assert loaded.classes == bank.classes()
-        for c in bank.classes():
+        assert loaded.classes == bank.snapshot().classes
+        for c in loaded.classes:
             assert loaded.features(c).tobytes() == bank.snapshot().features(c).tobytes()
             assert loaded.weights(c).tobytes() == bank.snapshot().weights(c).tobytes()
 
     def test_dump_bank_writes_the_same_bytes_as_its_snapshot(self):
         rng = np.random.default_rng(21)
         bank = random_bank(rng, 8, 400, n_classes=3)
-        for entry in bank.entries(1)[:5]:
-            bank.add(BankEntry(entry.feature, 0.0, 1))
+        for feature in bank.snapshot().features(1)[:5]:
+            bank.add(BankEntry(UnitVector(feature), 0.0, 1))
         via_bank, via_snap = io.StringIO(), io.StringIO()
         dump_bank(bank, via_bank)
         dump_bank(bank.snapshot(), via_snap)
@@ -101,15 +100,16 @@ class TestFeatureBank:
     def test_load_keeps_every_entry(self, tmp_path):
         rng = np.random.default_rng(13)
         bank = FeatureBank(capacity_per_class=300)
-        bank.extend(BankEntry(normalize(rng.standard_normal(4)),
-                              float(rng.uniform(0.1, 1.0)), 0) for _ in range(300))
+        for _ in range(300):
+            bank.add(BankEntry(normalize(rng.standard_normal(4)),
+                               float(rng.uniform(0.1, 1.0)), 0))
         path = tmp_path / "bank.jsonl"
         with open(path, "w") as fh:
             dump_bank(bank, fh)
         with open(path) as fh:
             loaded = load_bank(fh)
         assert len(loaded) == 300
-        assert loaded.weights(0).tolist() == [e.weight for e in bank.entries(0)]
+        assert loaded.weights(0).tolist() == bank.snapshot().weights(0).tolist()
 
     def test_load_dump_round_trip_is_bit_exact(self):
         # a 300-entry class, a 1-entry class and 20% zero weights, through
@@ -171,6 +171,26 @@ class TestFeatureBank:
          "weight must be a number, got True"),
         ('{"class": 1, "weight": "1.0", "feature": [0.0, 1.0]}',
          "weight must be a number, got '1.0'"),
+        ('{"class": 1, "weight": 1.5, "feature": [0.0, 1.0]}',
+         "weight must be in [0, 1], got 1.5"),
+        ('{"class": 1, "weight": -0.0001, "feature": [0.0, 1.0]}',
+         "weight must be in [0, 1], got -0.0001"),
+        ('{"class": 1, "weight": NaN, "feature": [0.0, 1.0]}',
+         "weight must be in [0, 1], got nan"),
+        ('{"class": 1, "weight": Infinity, "feature": [0.0, 1.0]}',
+         "weight must be in [0, 1], got inf"),
+        ('{"class": 1, "weight": 1.0, "feature": [1.0, 1.0]}',
+         "feature is not unit norm: |v| = 1.4142135623730951"),
+        ('{"class": 1, "weight": 1.0, "feature": [1.0, NaN]}',
+         "feature is not unit norm: |v| = nan"),
+        ('{"class": 1, "weight": 1.0, "feature": [Infinity, 0.0]}',
+         "feature is not unit norm: |v| = inf"),
+        ('{"class": 1, "weight": 1.0, "feature": [true, 0.0]}',
+         "feature must be a list of numbers"),
+        ('{"class": 1, "weight": 1.0, "feature": [0.0, false]}',
+         "feature must be a list of numbers"),
+        ('{"class": 1, "weight": 1.0, "feature": [1.0]}',
+         "feature has 1 values, at least 2 are needed"),
     ])
     def test_load_names_the_bad_line(self, line, message):
         # line 1 is good, line 2 blank, so the bad row is line 3
@@ -219,10 +239,11 @@ class TestClassFreeEnergy:
         entries = [BankEntry(normalize(rng.standard_normal(4)),
                              float(rng.uniform(0.2, 1.0)), 0) for _ in range(9)]
         z = normalize(rng.standard_normal(4))
-        a = FeatureBank()
-        a.extend(entries)
-        b = FeatureBank()
-        b.extend(entries[::-1])
+        a, b = FeatureBank(), FeatureBank()
+        for entry in entries:
+            a.add(entry)
+        for entry in entries[::-1]:
+            b.add(entry)
         assert class_free_energy(z, a, 0) == pytest.approx(
             class_free_energy(z, b, 0), abs=1e-12)
 
@@ -272,10 +293,11 @@ class TestGlobalPotential:
         z = normalize(rng.standard_normal(4))
         params = EnergyParams(tau_energy=0.1)
         base = random_bank(rng, 4, 8, n_classes=2)
-        scaled = FeatureBank()
-        for c in base.classes():
-            for entry in base.entries(c):
-                scaled.add(BankEntry(entry.feature, 0.37 * entry.weight, c))
+        snap = base.snapshot()
+        scaled = BankSnapshot.from_arrays(
+            np.concatenate([snap.features(c) for c in snap.classes]),
+            0.37 * np.concatenate([snap.weights(c) for c in snap.classes]),
+            np.repeat(snap.classes, [snap.size(c) for c in snap.classes]))
         _, c_base = global_potential(z, base, params)
         _, c_scaled = global_potential(z, scaled, params)
         assert c_base == c_scaled
@@ -312,7 +334,7 @@ class TestGlobalPotential:
 def per_class_potential(z, bank, params):
     """Reference for global_potential: one class_free_energy call per class."""
     best = None
-    for c in bank.classes():
+    for c in bank.snapshot().classes:
         val = class_free_energy(z, bank, c, params)
         if best is None or val < best[0]:
             best = (val, c)
@@ -613,3 +635,17 @@ class TestBankFromArrays:
             cap = 0
         with pytest.raises(ValueError):
             BankSnapshot.from_arrays(x, weights, labels, cap)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("feature", "row 1 is not unit norm: |v| = 1.4142135623730951"),
+        ("weight", "weight must be in [0, 1], got 1.5 at row 1"),
+    ])
+    def test_range_errors_print_plain_floats(self, bad, message):
+        x = np.array([[1.0, 0.0], [0.0, 1.0]])
+        weights = np.array([1.0, 1.0])
+        if bad == "feature":
+            x[1, 0] = 1.0
+        else:
+            weights[1] = 1.5
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            BankSnapshot.from_arrays(x, weights, np.array([0, 1]))

@@ -149,14 +149,17 @@ class TestSelectionF1:
 
 
 class TestSingularSpectrum:
+    # the next two inputs have zero column means, so the centring the
+    # spectrum always applies leaves them as they are
     def test_rank_one_uncentered(self):
-        x = np.tile(e(0), (10, 1))
-        logs = singular_spectrum(x, centered=False)
+        x = np.concatenate([np.tile(e(0), (5, 1)), np.tile(-e(0), (5, 1))])
+        logs = singular_spectrum(x)
         assert logs[0] == pytest.approx(math.log(math.sqrt(10.0)), rel=1e-9)
         assert np.all(np.isneginf(logs[1:]))
 
     def test_orthonormal_rows_uncentered(self):
-        logs = singular_spectrum(np.eye(5), centered=False)
+        # [I; -I] / sqrt(2) has orthonormal columns: every singular value is 1
+        logs = singular_spectrum(np.concatenate([np.eye(5), -np.eye(5)]) / math.sqrt(2.0))
         assert np.allclose(logs, 0.0, atol=1e-12)
 
     def test_matches_svd_oracle(self):

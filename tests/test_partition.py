@@ -112,10 +112,10 @@ class TestFitGmm:
 class TestCleanPosterior:
     def test_far_below_is_confidently_clean(self):
         model = fit_gmm_1d(well_separated_losses())
-        assert clean_posterior(model, 0.01) >= 0.999
+        assert clean_posterior(model, np.array([0.01]))[0] >= 0.999
 
     def test_symmetric_crossing_is_half(self):
-        assert clean_posterior(symmetric_model(), 1.0) == pytest.approx(0.5)
+        assert clean_posterior(symmetric_model(), np.array([1.0]))[0] == pytest.approx(0.5)
 
     def test_monotone_non_increasing_over_the_span(self):
         model = fit_gmm_1d(well_separated_losses())
@@ -123,9 +123,10 @@ class TestCleanPosterior:
         post = clean_posterior(model, grid)
         assert np.all(np.diff(post) <= 1e-12)
 
-    def test_scalar_in_scalar_out(self):
-        out = clean_posterior(symmetric_model(), 0.0)
-        assert isinstance(out, float)
+    @pytest.mark.parametrize("losses", [0.5, [[0.5, 1.0]]], ids=["0-d", "2-d"])
+    def test_needs_a_1d_array(self, losses):
+        with pytest.raises(ValueError, match="1-d"):
+            clean_posterior(symmetric_model(), losses)
 
 
 class TestConsensusWindow:

@@ -361,7 +361,7 @@ def test_fallback_bank_scores_like_a_per_sample_feature_bank():
         bank.add(BankEntry(UnitVector(x[i]), float(max(posteriors[i], 1e-6)),
                            int(labels[i])))
     snap = _fallback_bank(x, labels, posteriors)
-    assert snap.classes == bank.classes() == [0, 1, 3]
+    assert snap.classes == bank.snapshot().classes == [0, 1, 3]
     queries = rng.standard_normal((300, 8))
     queries /= np.linalg.norm(queries, axis=1)[:, None]
     assert potential_batch(queries, snap).tobytes() == \
