@@ -104,7 +104,9 @@ def dshd_step(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
     `noise` is a raw ambient Gaussian draw, projected onto the current tangent
     space; `run_chain` reuses one draw for every step of a round unless
     cfg.noise_per_step asks for fresh ones.  `bank=None` means a zero
-    potential, which the conservation and equipartition tests rely on.
+    potential, which the conservation and equipartition tests rely on.  The
+    bank's snapshot remembers the gradient at z_new, so when the next step
+    starts there it asks for that gradient at no cost.
     """
     z, v = state.position, state.momentum
     eps, gam, temp = cfg.step_size, cfg.friction, cfg.dyn_temperature
@@ -150,9 +152,10 @@ def synthesize_outliers(bank, prototypes, params: EnergyParams,
     """Run cfg.n_chains independent chains and collect their final positions.
 
     Each chain starts at the midpoint of a random pair of rows of
-    `prototypes`, a (k, d) array of unit rows with k >= 2.  Each chain owns a
-    SeedSequence child keyed by (cfg.seed, chain index), so results do not
-    depend on scheduling order.  No accept/reject step.
+    `prototypes`, a (k, d) array of unit rows with k >= 2 and d the bank's
+    dimension.  Each chain owns a SeedSequence child keyed by (cfg.seed,
+    chain index), so results do not depend on scheduling order.  No
+    accept/reject step.
     """
     snap = bank.snapshot()
     if len(snap) == 0:
@@ -162,12 +165,16 @@ def synthesize_outliers(bank, prototypes, params: EnergyParams,
         raise ValueError(f"prototypes must be a (k, d) array, got shape {protos.shape}")
     if len(protos) < 2:
         raise InsufficientPrototypes(f"need >= 2 prototypes, got {len(protos)}")
+    d = snap.features(snap.classes[0]).shape[1]
+    if protos.shape[1] != d:
+        raise ValueError(f"prototypes have dimension {protos.shape[1]}, "
+                         f"the bank's features have dimension {d}")
     check_unit_rows(protos, "prototype")
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains + 1)
     rng_init = np.random.default_rng(children[0])
     starts = [_init_pair(protos, rng_init) for _ in range(cfg.n_chains)]
 
-    outliers = np.empty((cfg.n_chains, protos.shape[1]))
+    outliers = np.empty((cfg.n_chains, d))
     potentials = np.empty(cfg.n_chains)
     for idx, state in enumerate(starts):
         rng = np.random.default_rng(children[idx + 1])

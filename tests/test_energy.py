@@ -530,6 +530,92 @@ class TestRiemannianGrad:
             checked += 1
 
 
+def fresh(snap):
+    """A new snapshot of the same entries, whose memo is empty."""
+    return BankSnapshot({c: (snap.features(c), snap.weights(c)) for c in snap.classes})
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestQueryMemo:
+    def setup_method(self):
+        rng = np.random.default_rng(61)
+        self.params = EnergyParams(k_neighbors=8)
+        self.snap = uneven_bank(rng, 8, 3, self.params.k_neighbors).snapshot()
+        self.points = [normalize(rng.standard_normal(8)) for _ in range(2)]
+
+    def test_repeat_returns_the_same_answer(self):
+        z, snap, params = self.points[0], self.snap, self.params
+        first = global_potential(z, snap, params)
+        grad = riemannian_grad_U(z, snap, params)
+        again = global_potential(z, snap, params)
+        assert same_bits(again, first)
+        assert riemannian_grad_U(z, snap, params) is grad
+        assert same_bits(global_potential(z, fresh(snap), params), first)
+        assert same_bits(riemannian_grad_U(z, fresh(snap), params).coords, grad.coords)
+
+    def test_equal_point_of_another_vector_gets_the_same_bits(self):
+        z, snap, params = self.points[0], self.snap, self.params
+        first = global_potential(z, snap, params)
+        grad = riemannian_grad_U(z, snap, params)
+        twin = UnitVector(z.coords.copy())
+        assert same_bits(riemannian_grad_U(twin, snap, params).coords, grad.coords)
+        assert same_bits(global_potential(twin, snap, params), first)
+
+    @pytest.mark.parametrize("other", [EnergyParams(k_neighbors=12),
+                                       EnergyParams(k_neighbors=8, tau_energy=0.5)],
+                             ids=["k_neighbors", "tau_energy"])
+    def test_other_params_get_the_fresh_answer(self, other):
+        z, snap = self.points[0], self.snap
+        memo_answer = global_potential(z, snap, self.params)
+        riemannian_grad_U(z, snap, self.params)
+        got = global_potential(z, snap, other)
+        want = global_potential(z, fresh(snap), other)
+        assert same_bits(got, want) and got[0] != memo_answer[0]
+        assert same_bits(riemannian_grad_U(z, snap, other).coords,
+                         riemannian_grad_U(z, fresh(snap), other).coords)
+
+    def test_failed_query_is_not_remembered(self):
+        # with k=1 class 0 at z selects only its zero-weight entry e(0); with
+        # k=2 it also selects the unit-weight entry e(1)
+        feats = np.array([e(0).coords, e(1).coords, e(2).coords])
+        snap = BankSnapshot.from_arrays(feats, [0.0, 1.0, 1.0], [0, 0, 1])
+        z = normalize([1.0, 0.2, 0.1])
+        one, two = EnergyParams(k_neighbors=1), EnergyParams(k_neighbors=2)
+        for query in (global_potential, riemannian_grad_U):
+            with pytest.raises(ZeroMass):
+                query(z, snap, one)
+            assert snap._memo is None
+        good = riemannian_grad_U(z, snap, two)
+        with pytest.raises(ZeroMass):
+            riemannian_grad_U(z, snap, one)
+        assert snap._recall(z, one) is None
+        assert same_bits(global_potential(z, snap, two), global_potential(z, fresh(snap), two))
+        assert same_bits(good.coords, riemannian_grad_U(z, fresh(snap), two).coords)
+
+    def test_empty_class_is_not_remembered(self):
+        snap = BankSnapshot({0: (np.array([e(0).coords]), np.ones(1)),
+                             1: (np.empty((0, 3)), np.empty(0))})
+        for query in (global_potential, riemannian_grad_U, global_potential):
+            with pytest.raises(EmptyClass):
+                query(e(0), snap, EnergyParams())
+            assert snap._memo is None
+
+    def test_interleaved_queries_match_fresh_snapshots(self):
+        rng = np.random.default_rng(62)
+        snaps = [self.snap, uneven_bank(rng, 8, 3, self.params.k_neighbors).snapshot()]
+        order = [(0, 0), (0, 0), (0, 1), (1, 1), (0, 1), (1, 0), (1, 0), (0, 0), (1, 1)]
+        for s, p in order:
+            snap, z = snaps[s], self.points[p]
+            for query in (global_potential, riemannian_grad_U):
+                got, want = query(z, snap, self.params), query(z, fresh(snap), self.params)
+                if query is riemannian_grad_U:
+                    got, want = got.coords, want.coords
+                assert same_bits(got, want)
+
+
 class TestBankFromArrays:
     # class sizes around the FIFO cap; class 3 has no rows at all
     SIZES = {0: 300, 1: DEFAULT_CAPACITY, 2: DEFAULT_CAPACITY + 1, 4: 40}

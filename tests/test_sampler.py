@@ -12,7 +12,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from dynamics_checks import two_pole_bank
 
-from hambr.energy import BankEntry, EmptyBank, EnergyParams, FeatureBank, potential_batch
+from hambr.energy import (
+    BankEntry,
+    BankSnapshot,
+    EmptyBank,
+    EnergyParams,
+    FeatureBank,
+    global_potential,
+    potential_batch,
+)
 from hambr.sampler import (
     ChainState,
     InsufficientPrototypes,
@@ -298,11 +306,68 @@ class TestSynthesizeOutliers:
         (np.array([[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0]]), "prototype 1 is not unit norm"),
         (np.array([[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]]), "prototype 0 is not unit norm"),
         (np.array([[1.0 + 1e-6, 0.0, 0.0], [0.0, 1.0, 0.0]]), "prototype 0 is not unit norm"),
-    ], ids=["1-d", "norm-2", "nan", "inf", "off-by-1e-6"])
+        (np.eye(4)[:2], "prototypes have dimension 4, the bank's features have dimension 3"),
+        (np.eye(2), "prototypes have dimension 2, the bank's features have dimension 3"),
+    ], ids=["1-d", "norm-2", "nan", "inf", "off-by-1e-6", "d-4-vs-3", "d-2-vs-3"])
     def test_bad_prototypes_raise(self, protos, match):
         with pytest.raises(ValueError, match=re.escape(match)):
             synthesize_outliers(small_bank(), protos, EnergyParams(),
                                 SamplerConfig(n_chains=2))
+
+
+class MemolessBank:
+    """The entries of `snap` behind a snapshot() that builds a new BankSnapshot
+    on every call, so no energy query is answered from a snapshot's memo."""
+
+    def __init__(self, snap):
+        self.groups = {c: (snap.features(c), snap.weights(c)) for c in snap.classes}
+
+    def snapshot(self):
+        return BankSnapshot(self.groups)
+
+
+class TestQueryMemoInChains:
+    # d=8, three classes, class 1 smaller than k_neighbors
+    params = EnergyParams(k_neighbors=16)
+
+    def snapshot(self):
+        rng = np.random.default_rng(91)
+        sizes = (40, 5, 60)
+        labels = np.repeat(np.arange(3), sizes)
+        x = rng.standard_normal((labels.size, 8))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        return BankSnapshot.from_arrays(x, rng.uniform(0.1, 1.0, labels.size), labels)
+
+    def test_steps_match_steps_without_the_memo(self):
+        snap = self.snapshot()
+        cfg = SamplerConfig(step_size=0.05, dyn_temperature=0.1)
+        start = random_chain_state(np.random.default_rng(92), 8)
+        paths = []
+        for bank in (snap, MemolessBank(snap)):
+            rng, state, path = np.random.default_rng(93), start, []
+            for _ in range(200):
+                state = dshd_step(state, bank, self.params, cfg,
+                                  noise=rng.standard_normal(8))
+                path.append((state.position.coords.tobytes(),
+                             state.momentum.coords.tobytes()))
+            paths.append(path)
+        assert paths[0] == paths[1]
+
+    def test_synthesis_matches_chains_without_the_memo(self):
+        snap = self.snapshot()
+        cfg = SamplerConfig(n_chains=4, seed=94)
+        protos = np.array([snap.features(c)[0] for c in snap.classes])
+        oset = synthesize_outliers(snap, protos, self.params, cfg)
+
+        bank = MemolessBank(snap)
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains + 1)
+        starts = init_chains(protos, cfg.n_chains, np.random.default_rng(children[0]))
+        for i, state in enumerate(starts):
+            state = run_chain(state, bank, self.params, cfg,
+                              np.random.default_rng(children[i + 1]))
+            potential = global_potential(state.position, bank, self.params)[0]
+            assert oset.outliers[i].tobytes() == state.position.coords.tobytes()
+            assert oset.potentials[i].tobytes() == np.float64(potential).tobytes()
 
 
 class TestBoundaryTargeting:
