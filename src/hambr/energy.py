@@ -19,7 +19,20 @@ from ._jsonl import float_texts, list_texts
 from .sphere import NORM_TOL, TangentVector, UnitVector, check_unit_rows, project_tangent
 
 DEFAULT_CAPACITY = 256
-_BLOCK_SIMS = 1 << 16  # similarities potential_batch holds at once per class
+_BLOCK_SIMS = 1 << 16  # elements a row-blocked kernel's widest temporary holds
+
+
+def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) of the row blocks a kernel with `width` columns per row
+    works in: rows = max(2, _BLOCK_SIMS // width), the last block taking up to
+    rows + 1, so a block's widest temporary holds about _BLOCK_SIMS elements
+    whatever n is.  No block has a single row unless n is 1: numpy multiplies a
+    1-row block as a matrix-vector product, which rounds differently from the
+    matrix product of the other blocks.  n == 0 gives one empty block.
+    """
+    rows = max(2, _BLOCK_SIMS // max(width, 1))
+    starts = range(0, max(n - 1, 1), rows)
+    return [(r, n if r == starts[-1] else r + rows) for r in starts]
 
 
 class EmptyClass(ValueError):
@@ -217,19 +230,35 @@ class EnergyParams:
 
 
 def _top_k(sims: np.ndarray, weights: np.ndarray, k: int):
-    """The k largest similarities in each row of `sims` (rows, m), with their weights.
+    """The k largest similarities in each row of `sims` (rows, m), with their
+    weights and columns, each (rows, k) and in column order.
 
-    `weights` is one (m,) vector shared by every row or one (rows, m) row per
-    row.  Returns (sims, weights, columns); when k covers the whole row,
-    nothing is dropped, `weights` comes back as given and columns is None.
+    `sims` holds no NaN.  `weights` is one (m,) vector shared by every row or
+    one (rows, m) row per row.  A row keeps every entry at or above its k-th
+    largest value.  Where more than k entries tie at that value (the -inf
+    padding of a class smaller than k in the padded stack, or equal
+    similarities), the row keeps the k largest values and, among equal ones,
+    the lowest columns; every other row is selected as if scored alone.  When
+    k covers the whole row, nothing is dropped: `sims` and `weights` come back
+    as given and columns is None.
     """
     rows, m = sims.shape
     if k >= m:
         return sims, weights, None
-    idx = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-    flat = idx + m * np.arange(rows)[:, None]
-    w = weights[idx] if weights.ndim == 1 else weights.ravel()[flat]
-    return sims.ravel()[flat], w, idx
+    # array methods, not their np.* wrappers: the 1-row calls of a sampler
+    # step are short enough for the wrappers' dispatch to show
+    kth = sims.copy()
+    kth.partition(m - k, axis=1)
+    keep = sims >= kth[:, m - k, None]
+    flat = keep.ravel().nonzero()[0]
+    if flat.size != rows * k:  # every row keeps at least k, tie rows more
+        ties = np.flatnonzero(np.bincount(flat // m, minlength=rows) > k)
+        keep[ties] = False
+        keep[ties[:, None], np.argsort(-sims[ties], axis=1, kind="stable")[:, :k]] = True
+        flat = keep.ravel().nonzero()[0]
+    cols = flat.reshape(rows, k) % m
+    w = weights[cols] if weights.ndim == 1 else weights.ravel()[flat].reshape(rows, k)
+    return sims.ravel()[flat].reshape(rows, k), w, cols
 
 
 def _soft_min_terms(sims: np.ndarray, weights: np.ndarray, tau: float):
@@ -322,9 +351,9 @@ def riemannian_grad_U(z: UnitVector, bank,
     memo = snap._recall(z, params)
     if memo is not None and memo[4] is not None:
         return memo[4]
-    sims, weights, idx = _select_class(snap, z.coords, c, params)
+    sims, weights, cols = _select_class(snap, z.coords, c, params)
     terms = _soft_min_terms(sims, weights, params.tau_energy)[1][0]
-    feats = snap.features(c) if idx is None else snap.features(c)[idx[0]]
+    feats = snap.features(c) if cols is None else snap.features(c)[cols[0]]
     grad = project_tangent(-((terms / terms.sum()) @ feats), z)
     snap._memo = (z, params, potential, c, grad)
     return grad
@@ -332,29 +361,36 @@ def riemannian_grad_U(z: UnitVector, bank,
 
 def potential_batch(points: np.ndarray, bank,
                     params: EnergyParams = EnergyParams()) -> np.ndarray:
-    """Global potential for each row of `points`; same math as global_potential.
+    """Global potential for each row of `points` (n, d); same math as global_potential.
 
-    Each class scores `points` in row blocks of rows = max(2, _BLOCK_SIMS // m_c)
-    (the last block takes up to rows + 1), so every temporary (similarities,
-    their top-K indices and gathers) holds about _BLOCK_SIMS elements, 0.5 MB
-    of float64, whatever the number of points.  Only the (n, C) energies grow
-    with n.  No block has a single row unless `points` has one: numpy scores a
-    1-row block with a matrix-vector product, which rounds differently from
-    the matrix product of the other blocks.
+    Each class scores `points` in the row blocks of `_row_blocks(n, m_c)`,
+    into one similarity buffer per class, so every temporary (similarities,
+    the top-K mask and gathers) holds about _BLOCK_SIMS elements, 0.5 MB of
+    float64, whatever the number of points.  Only the (n, C) energies grow
+    with n.  A row's energy does not depend on the other rows of its block.
+    `points` that are not finite and (n, d) with the bank's d raise ValueError.
     """
     snap = bank.snapshot()
     if not snap.classes:
         raise EmptyBank("bank has no entries")
     points = np.asarray(points, dtype=np.float64)
+    d = snap.features(snap.classes[0]).shape[1]
+    if points.ndim != 2:
+        raise ValueError(f"points must be an (n, d) array, got shape {points.shape}")
+    if points.shape[1] != d:
+        raise ValueError(f"points have dimension {points.shape[1]}, "
+                         f"the bank's features have dimension {d}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     n = points.shape[0]
     energies = np.empty((n, len(snap.classes)))
     for j, c in enumerate(snap.classes):
         feats, w = snap.features(c), snap.weights(c)
-        rows = max(2, _BLOCK_SIMS // max(feats.shape[0], 1))
-        starts = range(0, max(n - 1, 1), rows)  # one (empty) block when n == 0
-        for r in starts:
-            stop = n if r == starts[-1] else r + rows
-            sims, weights, _ = _top_k(points[r:stop] @ feats.T, w, params.k_neighbors)
+        blocks = _row_blocks(n, feats.shape[0])
+        buf = np.empty((max(stop - r for r, stop in blocks), feats.shape[0]))
+        for r, stop in blocks:
+            sims = np.matmul(points[r:stop], feats.T, out=buf[:stop - r])
+            sims, weights, _ = _top_k(sims, w, params.k_neighbors)
             _check_mass(snap, c, weights)
             energies[r:stop, j] = _soft_min(sims, weights, params.tau_energy)
     return np.min(energies, axis=1)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import _row_blocks
+
 PROB_CLAMP = 1e-9  # predicted probabilities are clamped to [1e-9, 1 - 1e-9] before logs
 
 
@@ -207,11 +209,14 @@ def contrastive_grads(view1, view2, tau: float) -> tuple[float, np.ndarray, np.n
     gradients of the mean divide by the anchor count.  Each anchor view1[i]
     is contrasted with its positive view2[i] and with the other first views.
 
-    Every logit lives in one (n, 1 + n) buffer: column 0 holds the positive
-    logits and column k + 1 the logit of view1[i] against view1[k].  The
-    buffer becomes the softmax in place, and both gradient matmuls read views
-    of it, so the n^2 memory is that one buffer (8 n (1 + n) bytes), not a
-    copy per stage.
+    Anchors are taken in the row blocks of `_row_blocks(n, 1 + n)`, so the
+    logits never fill an (n, 1 + n) array: one block buffer, about
+    _BLOCK_SIMS elements, holds a block's logits (column 0 the positive
+    logits, column k + 1 the logit of view1[i] against view1[k]) and then
+    their softmax p.  A block adds its own rows' p @ view1 to the gradient
+    and its p.T @ view1[block] to the column term that every anchor's
+    negatives share.  The loss and the view2 gradient are row-local; the
+    view1 gradient sums the column term block by block.
     """
     v1 = np.asarray(view1, dtype=np.float64)
     v2 = np.asarray(view2, dtype=np.float64)
@@ -220,28 +225,36 @@ def contrastive_grads(view1, view2, tau: float) -> tuple[float, np.ndarray, np.n
     n = v1.shape[0]
     if n < 2:
         raise InsufficientBatch(f"need >= 2 view pairs, got {n}")
-    if tau <= 0:
-        raise DomainError("tau must be positive")
+    if not 0 < tau < np.inf:  # NaN fails every comparison
+        raise DomainError("tau must be positive and finite")
 
-    p = np.empty((n, 1 + n))
-    p[:, 0] = np.einsum("ij,ij->i", v1, v2)            # positive logits
-    np.matmul(v1, v1.T, out=p[:, 1:])                   # anchor against first views
-    p /= tau
-    pos = p[:, 0].copy()
-    rows = np.arange(n)
-    p[rows, rows + 1] = -np.inf                         # k != i
+    blocks = _row_blocks(n, 1 + n)
+    buf = np.empty((max(stop - r for r, stop in blocks), 1 + n))
+    terms = np.empty(n)
+    p_pos = np.empty(n)
+    g1 = np.empty_like(v1)                              # p @ v1, a block's rows at a time
+    col = np.zeros_like(v1)                             # p.T @ v1, summed over the blocks
+    for r, stop in blocks:
+        p = buf[:stop - r]
+        p[:, 0] = np.einsum("ij,ij->i", v1[r:stop], v2[r:stop])  # positive logits
+        np.matmul(v1[r:stop], v1.T, out=p[:, 1:])       # anchor against first views
+        p /= tau
+        pos = p[:, 0].copy()
+        rows = np.arange(stop - r)
+        p[rows, r + rows + 1] = -np.inf                 # k != i
 
-    m = p.max(axis=1)
-    p -= m[:, None]
-    np.exp(p, out=p)
-    denom = p.sum(axis=1)
-    p /= denom[:, None]
-    terms = np.log(denom) + m - pos
+        m = p.max(axis=1)
+        p -= m[:, None]
+        np.exp(p, out=p)
+        denom = p.sum(axis=1)
+        p /= denom[:, None]
+        terms[r:stop] = np.log(denom) + m - pos
+        p_pos[r:stop] = p[:, 0]
+        np.matmul(p[:, 1:], v1, out=g1[r:stop])         # p[:, 1:]: weights on the first views
+        col += p[:, 1:].T @ v1[r:stop]
+
     loss = float(terms.mean())
-
-    p_pos = p[:, 0]
-    p_a = p[:, 1:]                                      # weights on the first views
-    g1 = ((p_pos - 1.0)[:, None] * v2 + p_a @ v1 + p_a.T @ v1) / tau
+    g1 = ((p_pos - 1.0)[:, None] * v2 + g1 + col) / tau
     g2 = (p_pos - 1.0)[:, None] * v1 / tau
     return loss, g1, g2
 

@@ -484,6 +484,119 @@ class TestBlockedPotentialBatch:
         assert raised(potential_batch, points, snap) == expected
         assert expected[1].endswith(f"class {min(massless)}")
 
+    @pytest.mark.parametrize("points,message", [
+        (np.ones(8) / np.sqrt(8), r"points must be an \(n, d\) array, got shape \(8,\)"),
+        (np.eye(4), "points have dimension 4, the bank's features have dimension 8"),
+        (np.eye(9)[:3], "points have dimension 9, the bank's features have dimension 8"),
+        (np.full((2, 8), np.nan), "points must be finite"),
+    ])
+    def test_rejects_points_that_do_not_fit_the_bank(self, points, message):
+        snap = self.snapshot(np.random.default_rng(9), 8, (40, 9))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            potential_batch(points, snap)
+
+    def test_tie_row_leaves_the_other_rows_alone(self):
+        # class 0 has 10 entries with a positive first coordinate and 20 with
+        # a zero one, so e_0 ties 20 entries at its 16th largest similarity
+        rng = np.random.default_rng(10)
+        d = 8
+        pos = unit_rows(rng, 10, d)
+        pos[:, 0] = np.abs(pos[:, 0])
+        flat = unit_rows(rng, 20, d - 1)
+        feats = np.concatenate([pos, np.hstack([np.zeros((20, 1)), flat])])
+        snap = BankSnapshot({0: (feats, rng.uniform(0.1, 1.0, size=30)),
+                             1: (unit_rows(rng, 40, d), rng.uniform(0.1, 1.0, size=40))})
+        params = EnergyParams()
+        others = unit_rows(rng, 12, d)
+        points = np.concatenate([others[:5], np.eye(d)[:1], others[5:]])
+        got = potential_batch(points, snap, params)
+        assert np.array_equal(np.delete(got, 5), potential_batch(others, snap, params))
+        # the tie row keeps the 10 positive entries and the first 6 zero ones
+        keep = np.arange(16)
+        class0 = _soft_min(feats[keep, 0][None, :], snap.weights(0)[keep], params.tau_energy)
+        class1 = unblocked_potential_batch(np.eye(d)[:1], BankSnapshot(
+            {1: (snap.features(1), snap.weights(1))}), params)
+        assert got[5] == min(class0[0], class1[0])
+
+
+def stable_top_k(sims, weights, k):
+    """Oracle for _top_k: a stable sort of each row, largest first, keeps the
+    k largest values and, among equal ones, the lowest columns."""
+    cols = np.sort(np.argsort(-sims, axis=1, kind="stable")[:, :k], axis=1)
+    w = np.broadcast_to(weights, sims.shape)
+    return np.take_along_axis(sims, cols, 1), np.take_along_axis(w, cols, 1), cols
+
+
+def padded_stack_sims(rng, d, sizes):
+    """The similarities global_potential selects from: one unit point against
+    a snapshot's padded (C, m_max) stack, -inf on padding."""
+    snap = BankSnapshot({c: (unit_rows(rng, m, d), rng.uniform(0.1, 1.0, size=m))
+                         for c, m in enumerate(sizes)})
+    sims = (snap._stack_feats @ unit_rows(rng, 1, d)[0]).reshape(snap._stack_bias.shape)
+    return sims + snap._stack_bias, snap._stack_weights
+
+
+class TestTopK:
+    # the shapes the program selects from: a 1-row class (riemannian_grad_U),
+    # the padded stack with a class smaller than K (global_potential), and
+    # potential_batch's blocks of a 256-entry and a 2000-entry class
+    SHAPES = [(1, 256), (256, 256), (32, 2000)]
+    VALUES = ["distinct", "integers", "padded"]
+
+    def assert_matches_oracle(self, sims, weights, k):
+        got = _top_k(sims, weights, k)
+        ref = stable_top_k(sims, weights, k)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("values", VALUES)
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-weights", "row-weights"])
+    def test_matches_stable_sort(self, shape, values, shared):
+        rng = np.random.default_rng([*shape, self.VALUES.index(values), shared])
+        if values == "distinct":
+            sims = rng.uniform(-1.0, 1.0, size=shape)
+        else:  # heavy ties: four values, so every row ties at its 16th largest
+            sims = rng.integers(-2, 2, size=shape).astype(np.float64)
+        if values == "padded":  # rows whose tail is -inf padding, 7 real entries
+            sims[::2, 7:] = -np.inf
+        weights = rng.uniform(0.0, 1.0, size=shape[1] if shared else shape)
+        self.assert_matches_oracle(sims, weights, 16)
+
+    @pytest.mark.parametrize("d,sizes", [(8, (40, 7, 300)), (32, (256, 256, 3, 256, 1))])
+    def test_padded_stack_with_a_class_smaller_than_k(self, d, sizes):
+        rng = np.random.default_rng(d)
+        sims, weights = padded_stack_sims(rng, d, sizes)
+        assert np.isneginf(sims).any(axis=1).sum() == sum(m < max(sizes) for m in sizes)
+        self.assert_matches_oracle(sims, weights, 16)
+
+    def test_random_cases_against_the_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            rows, m = int(rng.integers(1, 40)), int(rng.integers(2, 80))
+            k = int(rng.integers(1, m))
+            sims = rng.integers(-3, 3, size=(rows, m)) / rng.choice([1.0, 7.0])
+            sims[rng.random((rows, m)) < 0.2] = -np.inf
+            self.assert_matches_oracle(sims, rng.uniform(size=m), k)
+
+    def test_tie_row_selection_matches_the_row_alone(self):
+        rng = np.random.default_rng(13)
+        sims = rng.uniform(-1.0, 1.0, size=(32, 2000))
+        sims[9, :40] = sims[9].max() + 1.0  # 40 ties above every other entry
+        weights = rng.uniform(size=2000)
+        got = _top_k(sims, weights, 16)
+        assert np.array_equal(got[2][9], np.arange(16))
+        for row in (0, 8, 10, 31):
+            alone = _top_k(sims[row:row + 1], weights, 16)
+            for a, b in zip(got, alone):
+                assert np.array_equal(a[row], b[0])
+
+    def test_k_covering_the_row_returns_it_whole(self):
+        sims, weights = np.arange(6.0).reshape(2, 3), np.ones(3)
+        got = _top_k(sims, weights, 3)
+        assert got[0] is sims and got[1] is weights and got[2] is None
+
 
 class TestRiemannianGrad:
     def test_aligned_entry_gives_zero_tangent(self):
