@@ -68,19 +68,21 @@ class BankSnapshot:
     the neighbor set mid-query.
 
     The memo is the one slot that changes after construction.  It holds the
-    last successful `global_potential` query (the point, its EnergyParams,
-    the potential and the argmin class) and, once `riemannian_grad_U` has
-    asked for it, the tangent gradient there.  A sampler step ends with the
-    gradient at its new position and the next step starts with the gradient
-    at that same position, so each step scores the bank once instead of
-    twice.  A hit is the answer a fresh query would compute, because that
-    answer depends on the snapshot, the point and the params alone: the
-    snapshot's arrays are read-only, the point is matched by identity (a
-    `UnitVector` copies its coordinates and makes them read-only, and the
-    memo's reference keeps its id from being reused), and the params by
-    value.  A query that raises leaves the memo as it was.  The memo is one
-    tuple, read once and replaced whole, so threads that share a snapshot
-    can make each other miss but never read a mixed entry.
+    last successful `global_potential` query: the point, its EnergyParams,
+    the potential, the argmin class, that class's soft-min terms and the
+    stack rows of their features, and, once `riemannian_grad_U` has asked
+    for it, the tangent gradient there.  The terms and rows are all the
+    gradient needs, so the gradient selects no neighbours of its own.  A
+    sampler step ends with the gradient at its new position and the next
+    step starts with the gradient at that same position, so each step
+    scores the bank once.  A hit is the answer a fresh query would compute,
+    because that answer depends on the snapshot, the point and the params
+    alone: the snapshot's arrays are read-only, the point is matched by
+    identity (a `UnitVector` copies its coordinates and makes them
+    read-only, and the memo's reference keeps its id from being reused), and
+    the params by value.  A query that raises leaves the memo as it was.
+    The memo is one tuple, read once and replaced whole, so threads that
+    share a snapshot can make each other miss but never read a mixed entry.
 
     The constructor also stacks every class into one padded layout, so that
     the global potential scores all classes in one pass.  With C classes
@@ -117,7 +119,8 @@ class BankSnapshot:
         self._stack_bias = bias
         for a in (self._stack_feats, weights, bias):
             a.flags.writeable = False
-        self._memo = None  # (point, params, potential, class, gradient or None)
+        # (point, params, potential, class, terms, rows, gradient or None)
+        self._memo = None
 
     @classmethod
     def from_arrays(cls, features, weights, labels,
@@ -280,18 +283,12 @@ def _soft_min(sims: np.ndarray, weights: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _check_mass(snap: BankSnapshot, class_id: int, weights: np.ndarray) -> None:
-    """Raise unless every row of the selected `weights` of one class keeps mass."""
+    """Raise unless every row of the selected `weights` of one class keeps
+    mass; one (m,) vector is one row."""
     if snap.size(class_id) == 0:
         raise EmptyClass(f"class {class_id} has no entries")
     if not (weights > 0).any(axis=-1).all():
         raise ZeroMass(f"all selected weights are zero for class {class_id}")
-
-
-def _select_class(snap: BankSnapshot, z: np.ndarray, class_id: int,
-                  params: EnergyParams):
-    """Top-K similarities, weights and columns of one class, as one row."""
-    return _top_k((snap.features(class_id) @ z)[None, :], snap.weights(class_id),
-                  params.k_neighbors)
 
 
 def class_free_energy(z: UnitVector, bank, class_id: int,
@@ -300,38 +297,52 @@ def class_free_energy(z: UnitVector, bank, class_id: int,
     snap = bank.snapshot()
     if class_id not in snap:
         raise EmptyClass(f"class {class_id} has no entries")
-    sims, weights, _ = _select_class(snap, z.coords, class_id, params)
+    sims, weights, _ = _top_k((snap.features(class_id) @ z.coords)[None, :],
+                              snap.weights(class_id), params.k_neighbors)
     _check_mass(snap, class_id, weights)
     return float(_soft_min(sims, weights, params.tau_energy)[0])
+
+
+def _scan(z: UnitVector, snap: BankSnapshot, params: EnergyParams) -> tuple:
+    """Score every class at z in one pass over the padded stack: one matvec,
+    one row-wise top-K and one masked log-sum-exp.  Returns the memo entry,
+    which replaces the snapshot's memo: the potential, the argmin class
+    (ties -> smallest id), and that class's soft-min terms with the stack
+    rows of their features."""
+    if not snap.classes:
+        raise EmptyBank("bank has no entries")
+    stack = snap._stack_bias.shape
+    sims = (snap._stack_feats @ z.coords).reshape(stack)
+    sims += snap._stack_bias
+    sims, weights, cols = _top_k(sims, snap._stack_weights, params.k_neighbors)
+    live = (weights > 0).any(axis=1)
+    if not live.all():
+        row = int(live.argmin())  # the first class without mass raises
+        _check_mass(snap, snap.classes[row], weights[row])
+    tau = params.tau_energy
+    m, terms = _soft_min_terms(sims, weights, tau)
+    energies = -(m + tau * np.log(terms.sum(axis=-1)))
+    best = int(energies.argmin())
+    c = snap.classes[best]
+    # a class smaller than K also selects padding, whose columns come last
+    size = snap.size(c)
+    cols = np.arange(size) if cols is None else cols[best, :size]
+    memo = (z, params, float(energies[best]), c, terms[best, :size],
+            best * stack[1] + cols, None)
+    snap._memo = memo
+    return memo
 
 
 def global_potential(z: UnitVector, bank,
                      params: EnergyParams = EnergyParams()) -> tuple[float, int]:
     """Minimum class free energy and its argmin class (ties -> smallest id).
 
-    One pass over the snapshot's padded stack scores every class: one matvec,
-    one row-wise top-K and one masked log-sum-exp.  The snapshot's memo
-    answers a repeat of its last query without the pass, and a computed
-    answer replaces the memo.
+    One `_scan` of the snapshot's padded stack scores every class.  The
+    snapshot's memo answers a repeat of its last query without the scan.
     """
     snap = bank.snapshot()
-    memo = snap._recall(z, params)
-    if memo is not None:
-        return memo[2], memo[3]
-    if not snap.classes:
-        raise EmptyBank("bank has no entries")
-    sims = (snap._stack_feats @ z.coords).reshape(snap._stack_bias.shape)
-    sims += snap._stack_bias
-    sims, weights, _ = _top_k(sims, snap._stack_weights, params.k_neighbors)
-    live = (weights > 0).any(axis=1)
-    if not live.all():
-        row = int(live.argmin())  # the first class without mass raises
-        _check_mass(snap, snap.classes[row], weights[row])
-    energies = _soft_min(sims, weights, params.tau_energy)
-    best = int(energies.argmin())
-    potential, c = float(energies[best]), snap.classes[best]
-    snap._memo = (z, params, potential, c, None)
-    return potential, c
+    memo = snap._recall(z, params) or _scan(z, snap, params)
+    return memo[2], memo[3]
 
 
 def riemannian_grad_U(z: UnitVector, bank,
@@ -340,22 +351,22 @@ def riemannian_grad_U(z: UnitVector, bank,
 
     The neighbor set of the argmin class is treated as locally constant, so the
     Euclidean gradient is -sum_j s_j k_j with s_j the weighted softmax of the
-    selected similarities.  The argmin class comes from this module's
-    `global_potential`, looked up by name at call time because perfbench's
-    tracer reads the class from that call; its neighbors are then selected
-    again with a one-class matvec.  The gradient joins the snapshot's memo,
-    so a repeat of the query returns the same TangentVector.
+    selected similarities.  This module's `global_potential` is looked up by
+    name at call time, because perfbench's tracer reads the argmin class from
+    that call; its scan leaves the class's soft-min terms and the stack rows
+    of their features in the snapshot's memo, and the gradient is built from
+    those, with no selection of its own.  The gradient joins the memo, so a
+    repeat of the query returns the same TangentVector.
     """
     snap = bank.snapshot()
-    potential, c = global_potential(z, snap, params)  # has checked every class for mass
-    memo = snap._recall(z, params)
-    if memo is not None and memo[4] is not None:
-        return memo[4]
-    sims, weights, cols = _select_class(snap, z.coords, c, params)
-    terms = _soft_min_terms(sims, weights, params.tau_energy)[1][0]
-    feats = snap.features(c) if cols is None else snap.features(c)[cols[0]]
-    grad = project_tangent(-((terms / terms.sum()) @ feats), z)
-    snap._memo = (z, params, potential, c, grad)
+    global_potential(z, snap, params)  # has checked every class for mass
+    # another thread's query may have replaced the memo since: scan again
+    memo = snap._recall(z, params) or _scan(z, snap, params)
+    if memo[6] is not None:
+        return memo[6]
+    terms, rows = memo[4], memo[5]
+    grad = project_tangent(-((terms / terms.sum()) @ snap._stack_feats[rows]), z)
+    snap._memo = memo[:6] + (grad,)
     return grad
 
 
@@ -368,6 +379,9 @@ def potential_batch(points: np.ndarray, bank,
     the top-K mask and gathers) holds about _BLOCK_SIMS elements, 0.5 MB of
     float64, whatever the number of points.  Only the (n, C) energies grow
     with n.  A row's energy does not depend on the other rows of its block.
+    Every class is checked for mass, each as a whole before its blocks and
+    then each block's selection, so that no points still raise for a
+    massless class.
     `points` that are not finite and (n, d) with the bank's d raise ValueError.
     """
     snap = bank.snapshot()
@@ -386,6 +400,7 @@ def potential_batch(points: np.ndarray, bank,
     energies = np.empty((n, len(snap.classes)))
     for j, c in enumerate(snap.classes):
         feats, w = snap.features(c), snap.weights(c)
+        _check_mass(snap, c, w)  # also when the blocks hold no rows to select
         blocks = _row_blocks(n, feats.shape[0])
         buf = np.empty((max(stop - r for r, stop in blocks), feats.shape[0]))
         for r, stop in blocks:

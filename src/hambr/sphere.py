@@ -7,6 +7,7 @@ on those two invariants, so the wrapper types enforce them at construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,14 @@ class DegenerateVector(ValueError):
 
 class AntipodalTransport(ValueError):
     """Transport between (near-)antipodal points is undefined."""
+
+
+def _norm(v: np.ndarray) -> float:
+    """|v| of a 1-d float vector by np.linalg.norm's own formula, so bitwise
+    the same, without its dispatch.  The primitives below run a few times per
+    sampler step on short vectors, so they also take dots as `a.dot(b)` and
+    cos/sin of floats through `math`."""
+    return math.sqrt(v.dot(v))
 
 
 def _as_float_vector(x) -> np.ndarray:
@@ -41,7 +50,7 @@ class UnitVector:
         v = _as_float_vector(self.coords).copy()
         if v.size < 2:
             raise ValueError("dimension must be >= 2")
-        n = float(np.linalg.norm(v))
+        n = _norm(v)
         if not abs(n - 1.0) <= NORM_TOL:  # also rejects NaN and inf coordinates
             raise ValueError(f"not unit norm: |v| = {n!r}")
         v.flags.writeable = False
@@ -63,7 +72,7 @@ class TangentVector:
         v = _as_float_vector(self.coords).copy()
         if v.size != self.base.dim:
             raise ValueError("tangent and base dimensions differ")
-        d = float(np.dot(v, self.base.coords))
+        d = float(v.dot(self.base.coords))
         if not abs(d) <= NORM_TOL:  # a NaN or inf coordinate makes d NaN or inf
             raise ValueError(f"not tangent at base: <v, z> = {d!r}")
         v.flags.writeable = False
@@ -71,7 +80,7 @@ class TangentVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+        return _norm(self.coords)
 
 
 def check_unit_rows(x: np.ndarray, what: str) -> None:
@@ -86,7 +95,7 @@ def check_unit_rows(x: np.ndarray, what: str) -> None:
 def normalize(x) -> UnitVector:
     """Scale x to unit norm. Raises DegenerateVector if |x| <= 1e-12."""
     v = _as_float_vector(x)
-    n = float(np.linalg.norm(v))
+    n = _norm(v)
     if n <= DEGENERATE_NORM:
         raise DegenerateVector(f"norm {n!r} too small to normalize")
     return UnitVector(v / n)
@@ -95,7 +104,7 @@ def normalize(x) -> UnitVector:
 def project_tangent(v, z: UnitVector) -> TangentVector:
     """Orthogonal projection of v onto the tangent space at z: v - <v,z> z."""
     v = _as_float_vector(v)
-    out = v - np.dot(v, z.coords) * z.coords
+    out = v - v.dot(z.coords) * z.coords
     return TangentVector(out, z)
 
 
@@ -109,7 +118,7 @@ def geodesic_step(z: UnitVector, v: TangentVector, eps: float) -> UnitVector:
     if speed < DEGENERATE_NORM:
         return z
     angle = speed * eps
-    out = np.cos(angle) * z.coords + np.sin(angle) * (v.coords / speed)
+    out = math.cos(angle) * z.coords + math.sin(angle) * (v.coords / speed)
     return normalize(out)
 
 
@@ -119,19 +128,20 @@ def transport(v: TangentVector, z_from: UnitVector, z_to: UnitVector) -> Tangent
     Rotation in span{z_from, z_to}; the component of v orthogonal to that plane
     is unchanged.  Raises AntipodalTransport when the geodesic is ambiguous.
     """
-    c = float(np.dot(z_from.coords, z_to.coords))
+    c = float(z_from.coords.dot(z_to.coords))
     if c < -1.0 + ANTIPODAL_TOL:
         raise AntipodalTransport(f"base points nearly antipodal: <from, to> = {c!r}")
     w = z_to.coords - c * z_from.coords
-    wn = float(np.linalg.norm(w))
+    wn = _norm(w)
     if wn < DEGENERATE_NORM:
         # same base point: transport is the identity
         return TangentVector(v.coords, z_to)
     e = w / wn
-    a = float(np.dot(v.coords, e))
+    a = float(v.coords.dot(e))
+    # np.arctan2, not math.atan2: the two round differently on some inputs
     theta = np.arctan2(wn, c)  # wn = sin(theta) for unit inputs
-    out = (v.coords - a * e) + a * (np.cos(theta) * e - np.sin(theta) * z_from.coords)
-    out = out - np.dot(out, z_to.coords) * z_to.coords  # scrub rounding residual
+    out = (v.coords - a * e) + a * (math.cos(theta) * e - math.sin(theta) * z_from.coords)
+    out = out - out.dot(z_to.coords) * z_to.coords  # scrub rounding residual
     return TangentVector(out, z_to)
 
 

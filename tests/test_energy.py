@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from hambr import energy
 from hambr.energy import (
     DEFAULT_CAPACITY,
     BankEntry,
@@ -388,6 +389,57 @@ class TestFusedPotential:
         assert str(fused.value) == str(ref.value)
 
 
+def one_class_gradient(z, snap, params):
+    """Reference for riemannian_grad_U: the argmin class of a per-class loop,
+    its K nearest entries selected by a stable sort of a one-class matvec,
+    and -sum_j s_j k_j over them, projected onto the tangent at z."""
+    _, c = per_class_potential(z, snap, params)
+    feats, w = snap.features(c), snap.weights(c)
+    sims = (feats @ z.coords)[None, :]
+    sims, w, cols = stable_top_k(sims, w, min(params.k_neighbors, feats.shape[0]))
+    masked = np.where(w[0] > 0, sims[0], -np.inf)
+    terms = w[0] * np.exp((masked - masked.max()) / params.tau_energy)
+    return project_tangent(-((terms / terms.sum()) @ feats[cols[0]]), z), c
+
+
+def tied_bank(rng, d, n_classes, k):
+    """`uneven_bank` with 2k copies of e_0 (every third weightless) among
+    class 0's entries: any point's similarity to them ties exactly, so near
+    e_0 more than k entries tie at class 0's k-th largest value."""
+    snap = uneven_bank(rng, d, n_classes, k).snapshot()
+    groups = {c: (snap.features(c), snap.weights(c)) for c in snap.classes}
+    feats, weights = groups[0]
+    copies = np.tile(np.eye(d)[0], (2 * k, 1))
+    copy_weights = rng.uniform(0.1, 1.0, size=2 * k)
+    copy_weights[::3] = 0.0
+    groups[0] = (np.concatenate([feats[:5], copies, feats[5:]]),
+                 np.concatenate([weights[:5], copy_weights, weights[5:]]))
+    return BankSnapshot(groups)
+
+
+class TestFusedGradient:
+    @pytest.mark.parametrize("d,n_classes", [(8, 3), (32, 10)])
+    def test_matches_one_class_reference(self, d, n_classes):
+        rng = np.random.default_rng(100 + d)
+        params = EnergyParams(tau_energy=0.1, k_neighbors=16)
+        snap = tied_bank(rng, d, n_classes, params.k_neighbors)
+        assert snap.size(1) < params.k_neighbors
+        anchors = [UnitVector(snap.features(c)[1]) for c in snap.classes]
+        near_e0 = [normalize(np.eye(d)[0] + 0.05 * rng.standard_normal(d))
+                   for _ in range(20)]
+        points = anchors + near_e0 + [normalize(rng.standard_normal(d)) for _ in range(200)]
+        argmins = []
+        for z in points:
+            grad = riemannian_grad_U(z, snap, params)
+            ref, ref_cls = one_class_gradient(z, snap, params)
+            assert global_potential(z, snap, params)[1] == ref_cls
+            assert np.max(np.abs(grad.coords - ref.coords)) <= 1e-12
+            argmins.append(ref_cls)
+        # the class smaller than K, the tied copies and other classes all won
+        assert argmins[1] == 1 and set(argmins[n_classes:n_classes + 20]) == {0}
+        assert len(set(argmins)) > 2
+
+
 
 def unblocked_potential_batch(points, snap, params):
     """Reference for potential_batch: each class scored in one (n, m_c) slab."""
@@ -473,6 +525,12 @@ class TestBlockedPotentialBatch:
         massless = self.snapshot(rng, d, (40, 9), massless=(1,))
         expected = raised(unblocked_potential_batch, none, massless, EnergyParams())
         assert raised(potential_batch, none, massless) == expected == (
+            ZeroMass, "all selected weights are zero for class 1")
+        # a massless class of more than K entries: no points select none of
+        # its weights, and it raises as it does for three points
+        large = self.snapshot(rng, d, (9, 40), massless=(1,))
+        assert raised(potential_batch, none, large) == raised(
+            potential_batch, unit_rows(rng, 3, d), large) == (
             ZeroMass, "all selected weights are zero for class 1")
 
     @pytest.mark.parametrize("massless", [(0,), (2,), (1, 3)])
@@ -707,6 +765,21 @@ class TestQueryMemo:
         assert snap._recall(z, one) is None
         assert same_bits(global_potential(z, snap, two), global_potential(z, fresh(snap), two))
         assert same_bits(good.coords, riemannian_grad_U(z, fresh(snap), two).coords)
+
+    def test_memo_replaced_after_the_potential_is_scanned_again(self, monkeypatch):
+        z, other = self.points
+        snap, params = self.snap, self.params
+        want = riemannian_grad_U(z, fresh(snap), params)
+        real = energy.global_potential
+
+        def racing(point, bank, query_params):
+            answer = real(point, bank, query_params)
+            real(other, bank, query_params)  # another thread's query
+            return answer
+
+        monkeypatch.setattr(energy, "global_potential", racing)
+        assert same_bits(riemannian_grad_U(z, snap, params).coords, want.coords)
+        assert snap._recall(z, params)[6].coords.tobytes() == want.coords.tobytes()
 
     def test_empty_class_is_not_remembered(self):
         snap = BankSnapshot({0: (np.array([e(0).coords]), np.ones(1)),

@@ -12,6 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from dynamics_checks import two_pole_bank
 
+from hambr import energy
 from hambr.energy import (
     BankEntry,
     BankSnapshot,
@@ -368,6 +369,23 @@ class TestQueryMemoInChains:
             potential = global_potential(state.position, bank, self.params)[0]
             assert oset.outliers[i].tobytes() == state.position.coords.tobytes()
             assert oset.potentials[i].tobytes() == np.float64(potential).tobytes()
+
+    @pytest.mark.parametrize("n_rounds,steps_per_round", [(2, 5), (1, 1)])
+    def test_one_bank_pass_per_step(self, monkeypatch, n_rounds, steps_per_round):
+        # a stacked pass selects from the (C, m_max) weight stack, a one-class
+        # selection from one class's (m,) weights
+        passes = []
+        top_k = energy._top_k
+
+        def counting(sims, weights, k):
+            passes.append("stacked" if weights.ndim == 2 else "one class")
+            return top_k(sims, weights, k)
+
+        monkeypatch.setattr(energy, "_top_k", counting)
+        cfg = SamplerConfig(n_rounds=n_rounds, steps_per_round=steps_per_round)
+        start = random_chain_state(np.random.default_rng(95), 8)
+        run_chain(start, self.snapshot(), self.params, cfg, np.random.default_rng(96))
+        assert passes == ["stacked"] * (n_rounds * steps_per_round + 1)
 
 
 class TestBoundaryTargeting:

@@ -11,6 +11,7 @@ from hambr.sphere import (
     geodesic_step,
     normalize,
     project_tangent,
+    _norm,
     sample_tangent_gaussian,
     transport,
 )
@@ -69,6 +70,32 @@ class TestTangentVector:
     def test_norm(self):
         v = TangentVector(np.array([0.0, 3.0, 4.0]), e(0))
         assert v.norm == pytest.approx(5.0)
+
+
+class TestNorms:
+    # the primitives take 1-d norms as sqrt(v.dot(v)) instead of np.linalg.norm;
+    # 1e-200 and 1e200 underflow and overflow the squares
+    @pytest.mark.parametrize("d", [2, 3, 8, 32, 1000])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-6, 1.0, 1e6, 1e200])
+    def test_bitwise_equal_to_linalg_norm(self, d, scale):
+        rng = np.random.default_rng([d, int(np.log10(scale)) + 300])
+        with np.errstate(over="ignore"):  # both overflow alike
+            for v in rng.standard_normal((200, d)) * scale:
+                assert _norm(v) == np.linalg.norm(v)
+
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_wrappers_and_normalize_match_linalg_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        for v in rng.standard_normal((200, d)):
+            z = normalize(v)
+            assert z.coords.tobytes() == (v / np.linalg.norm(v)).tobytes()
+            t = project_tangent(rng.standard_normal(d), z)
+            assert t.norm == np.linalg.norm(t.coords)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_is_what_linalg_gives(self, bad):
+        v = np.array([1.0, bad, 0.0])
+        assert np.array_equal(_norm(v), np.linalg.norm(v), equal_nan=True)
 
 
 class TestNormalize:
