@@ -16,9 +16,9 @@ from . import __version__
 from .energy import load_bank
 from .losses import compute_prototypes
 from .metrics import auroc, fpr_at_95_tpr
-from .runner import config_from_dict, load_config, run_experiment
+from .runner import config_from_dict, load_config, read_config_json, run_experiment
 from .sampler import dump_outliers, synthesize_outliers
-from .synthgen import dump_dataset, make_dataset
+from .synthgen import DatasetSpec, dump_dataset, make_dataset
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,9 +58,10 @@ def _read_scores(path: str) -> np.ndarray:
 
 
 def _load_any_config(path: str):
-    """Full experiment config, or a bare dataset section for gen-data."""
-    doc = json.loads(Path(path).read_text())
-    if isinstance(doc, dict) and "dataset" not in doc:
+    """Full experiment config, or for gen-data a bare dataset section: a
+    document whose keys are all DatasetSpec fields."""
+    doc = read_config_json(path)
+    if isinstance(doc, dict) and set(doc) <= set(DatasetSpec.__dataclass_fields__):
         doc = {"dataset": doc}
     return config_from_dict(doc)
 

@@ -68,13 +68,10 @@ class BankSnapshot:
     the neighbor set mid-query.
 
     The memo is the one slot that changes after construction.  It holds the
-    last successful `global_potential` query: the point, its EnergyParams,
-    the potential, the argmin class, that class's soft-min terms and the
-    stack rows of their features, and, once `riemannian_grad_U` has asked
-    for it, the tangent gradient there.  The terms and rows are all the
-    gradient needs, so the gradient selects no neighbours of its own.  A
-    sampler step ends with the gradient at its new position and the next
-    step starts with the gradient at that same position, so each step
+    answers of the last successful `global_potential` query: the point, its
+    EnergyParams, the potential, the argmin class and the tangent gradient
+    there.  A sampler step ends with the gradient at its new position and the
+    next step starts with the gradient at that same position, so each step
     scores the bank once.  A hit is the answer a fresh query would compute,
     because that answer depends on the snapshot, the point and the params
     alone: the snapshot's arrays are read-only, the point is matched by
@@ -105,7 +102,7 @@ class BankSnapshot:
         self.classes = sorted(groups)
         sizes = [self.size(c) for c in self.classes]
         m_max = max(sizes, default=0)
-        d = groups[self.classes[0]][0].shape[1] if self.classes else 0
+        self.dim = d = groups[self.classes[0]][0].shape[1] if self.classes else 0
         feats = np.zeros((len(sizes), m_max, d))
         weights = np.zeros((len(sizes), m_max))
         bias = np.full((len(sizes), m_max), -np.inf)
@@ -119,7 +116,7 @@ class BankSnapshot:
         self._stack_bias = bias
         for a in (self._stack_feats, weights, bias):
             a.flags.writeable = False
-        # (point, params, potential, class, terms, rows, gradient or None)
+        # (point, params, potential, class, gradient)
         self._memo = None
 
     @classmethod
@@ -264,31 +261,29 @@ def _top_k(sims: np.ndarray, weights: np.ndarray, k: int):
     return sims.ravel()[flat].reshape(rows, k), w, cols
 
 
-def _soft_min_terms(sims: np.ndarray, weights: np.ndarray, tau: float):
-    """Max similarity m and terms w_j exp((s_j - m) / tau) along the last axis.
+def _soft_min(sims: np.ndarray, weights: np.ndarray, params: EnergyParams,
+              snap: BankSnapshot, classes) -> tuple:
+    """-tau * log sum_j w_j exp(s_j / tau) over each row's `_top_k` selection.
 
-    Zero-weight entries drop out of both.  Callers first make sure, through
-    `_check_mass`, that every row keeps one with positive weight.  The terms
-    normalise to the softmax weights of the gradient.
+    Row i of `sims` scores class `classes[i]`; `weights` is as for `_top_k`.
+    Returns the (rows,) energies, the terms w_j exp((s_j - max) / tau), whose
+    normalisation is the gradient's softmax, and `_top_k`'s columns.  The
+    first row whose selection holds no positive weight raises EmptyClass if
+    its class has no entries, else ZeroMass.
     """
-    masked = np.where(weights > 0, sims, -np.inf)  # exp(-inf) = 0
+    sims, weights, cols = _top_k(sims, weights, params.k_neighbors)
+    live = weights > 0
+    has_mass = live.any(axis=-1)
+    if not has_mass.all():
+        c = classes[int(has_mass.argmin())]
+        if snap.size(c) == 0:
+            raise EmptyClass(f"class {c} has no entries")
+        raise ZeroMass(f"all selected weights are zero for class {c}")
+    tau = params.tau_energy
+    masked = np.where(live, sims, -np.inf)  # exp(-inf) = 0
     m = masked.max(axis=-1, keepdims=True)
-    return m[..., 0], weights * np.exp((masked - m) / tau)
-
-
-def _soft_min(sims: np.ndarray, weights: np.ndarray, tau: float) -> np.ndarray:
-    """-tau * log sum_j w_j exp(s_j / tau) along the last axis."""
-    m, terms = _soft_min_terms(sims, weights, tau)
-    return -(m + tau * np.log(terms.sum(axis=-1)))
-
-
-def _check_mass(snap: BankSnapshot, class_id: int, weights: np.ndarray) -> None:
-    """Raise unless every row of the selected `weights` of one class keeps
-    mass; one (m,) vector is one row."""
-    if snap.size(class_id) == 0:
-        raise EmptyClass(f"class {class_id} has no entries")
-    if not (weights > 0).any(axis=-1).all():
-        raise ZeroMass(f"all selected weights are zero for class {class_id}")
+    terms = weights * np.exp((masked - m) / tau)
+    return -(m[..., 0] + tau * np.log(terms.sum(axis=-1))), terms, cols
 
 
 def class_free_energy(z: UnitVector, bank, class_id: int,
@@ -297,38 +292,31 @@ def class_free_energy(z: UnitVector, bank, class_id: int,
     snap = bank.snapshot()
     if class_id not in snap:
         raise EmptyClass(f"class {class_id} has no entries")
-    sims, weights, _ = _top_k((snap.features(class_id) @ z.coords)[None, :],
-                              snap.weights(class_id), params.k_neighbors)
-    _check_mass(snap, class_id, weights)
-    return float(_soft_min(sims, weights, params.tau_energy)[0])
+    sims = (snap.features(class_id) @ z.coords)[None, :]
+    energies, _, _ = _soft_min(sims, snap.weights(class_id), params, snap, [class_id])
+    return float(energies[0])
 
 
 def _scan(z: UnitVector, snap: BankSnapshot, params: EnergyParams) -> tuple:
-    """Score every class at z in one pass over the padded stack: one matvec,
-    one row-wise top-K and one masked log-sum-exp.  Returns the memo entry,
-    which replaces the snapshot's memo: the potential, the argmin class
-    (ties -> smallest id), and that class's soft-min terms with the stack
-    rows of their features."""
+    """Score every class at z in one pass over the padded stack (one matvec,
+    one `_soft_min` of the C rows) and return the memo entry that replaces
+    the snapshot's memo: the potential, the argmin class (ties -> smallest
+    id) and the tangent gradient built from that class's soft-min terms."""
     if not snap.classes:
         raise EmptyBank("bank has no entries")
     stack = snap._stack_bias.shape
     sims = (snap._stack_feats @ z.coords).reshape(stack)
     sims += snap._stack_bias
-    sims, weights, cols = _top_k(sims, snap._stack_weights, params.k_neighbors)
-    live = (weights > 0).any(axis=1)
-    if not live.all():
-        row = int(live.argmin())  # the first class without mass raises
-        _check_mass(snap, snap.classes[row], weights[row])
-    tau = params.tau_energy
-    m, terms = _soft_min_terms(sims, weights, tau)
-    energies = -(m + tau * np.log(terms.sum(axis=-1)))
+    energies, terms, cols = _soft_min(sims, snap._stack_weights, params, snap, snap.classes)
     best = int(energies.argmin())
     c = snap.classes[best]
     # a class smaller than K also selects padding, whose columns come last
     size = snap.size(c)
     cols = np.arange(size) if cols is None else cols[best, :size]
-    memo = (z, params, float(energies[best]), c, terms[best, :size],
-            best * stack[1] + cols, None)
+    terms = terms[best, :size]
+    grad = project_tangent(
+        -((terms / terms.sum()) @ snap._stack_feats[best * stack[1] + cols]), z)
+    memo = (z, params, float(energies[best]), c, grad)
     snap._memo = memo
     return memo
 
@@ -351,23 +339,15 @@ def riemannian_grad_U(z: UnitVector, bank,
 
     The neighbor set of the argmin class is treated as locally constant, so the
     Euclidean gradient is -sum_j s_j k_j with s_j the weighted softmax of the
-    selected similarities.  This module's `global_potential` is looked up by
-    name at call time, because perfbench's tracer reads the argmin class from
-    that call; its scan leaves the class's soft-min terms and the stack rows
-    of their features in the snapshot's memo, and the gradient is built from
-    those, with no selection of its own.  The gradient joins the memo, so a
-    repeat of the query returns the same TangentVector.
+    selected similarities.  `_scan` builds it with the potential, and the
+    snapshot's memo returns it again.  `global_potential` is looked up by
+    name at call time, because perfbench's tracer reads the argmin class
+    from that call.
     """
     snap = bank.snapshot()
-    global_potential(z, snap, params)  # has checked every class for mass
+    global_potential(z, snap, params)
     # another thread's query may have replaced the memo since: scan again
-    memo = snap._recall(z, params) or _scan(z, snap, params)
-    if memo[6] is not None:
-        return memo[6]
-    terms, rows = memo[4], memo[5]
-    grad = project_tangent(-((terms / terms.sum()) @ snap._stack_feats[rows]), z)
-    snap._memo = memo[:6] + (grad,)
-    return grad
+    return (snap._recall(z, params) or _scan(z, snap, params))[4]
 
 
 def potential_batch(points: np.ndarray, bank,
@@ -379,35 +359,35 @@ def potential_batch(points: np.ndarray, bank,
     the top-K mask and gathers) holds about _BLOCK_SIMS elements, 0.5 MB of
     float64, whatever the number of points.  Only the (n, C) energies grow
     with n.  A row's energy does not depend on the other rows of its block.
-    Every class is checked for mass, each as a whole before its blocks and
-    then each block's selection, so that no points still raise for a
-    massless class.
+    Every class is checked for mass in class order: each block's selection,
+    or with no points each class's whole weight vector.
     `points` that are not finite and (n, d) with the bank's d raise ValueError.
     """
     snap = bank.snapshot()
     if not snap.classes:
         raise EmptyBank("bank has no entries")
     points = np.asarray(points, dtype=np.float64)
-    d = snap.features(snap.classes[0]).shape[1]
     if points.ndim != 2:
         raise ValueError(f"points must be an (n, d) array, got shape {points.shape}")
-    if points.shape[1] != d:
+    if points.shape[1] != snap.dim:
         raise ValueError(f"points have dimension {points.shape[1]}, "
-                         f"the bank's features have dimension {d}")
+                         f"the bank's features have dimension {snap.dim}")
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
     n = points.shape[0]
+    if n == 0:
+        # ranked by weight, a class's K heaviest entries hold mass iff any does
+        _soft_min(snap._stack_weights + snap._stack_bias, snap._stack_weights,
+                  params, snap, snap.classes)
     energies = np.empty((n, len(snap.classes)))
     for j, c in enumerate(snap.classes):
-        feats, w = snap.features(c), snap.weights(c)
-        _check_mass(snap, c, w)  # also when the blocks hold no rows to select
+        feats = snap.features(c)
         blocks = _row_blocks(n, feats.shape[0])
         buf = np.empty((max(stop - r for r, stop in blocks), feats.shape[0]))
         for r, stop in blocks:
             sims = np.matmul(points[r:stop], feats.T, out=buf[:stop - r])
-            sims, weights, _ = _top_k(sims, w, params.k_neighbors)
-            _check_mass(snap, c, weights)
-            energies[r:stop, j] = _soft_min(sims, weights, params.tau_energy)
+            energies[r:stop, j] = _soft_min(sims, snap.weights(c), params, snap,
+                                            [c] * (stop - r))[0]
     return np.min(energies, axis=1)
 
 

@@ -282,7 +282,6 @@ def compute_prototypes(bank) -> PrototypeSet:
     usable direction carries no prototype.
     """
     snap = bank.snapshot()
-    d = snap.features(snap.classes[0]).shape[1] if snap.classes else 0
     classes, directions, support = [], [], []
     for c in snap.classes:
         w = snap.weights(c)
@@ -294,5 +293,5 @@ def compute_prototypes(bank) -> PrototypeSet:
         directions.append(s / norm)
         support.append(int(np.count_nonzero(w > 0)))
     return PrototypeSet(np.array(classes, dtype=np.int64),
-                        np.array(directions).reshape(len(classes), d),
+                        np.array(directions).reshape(len(classes), snap.dim),
                         np.array(support, dtype=np.int64))

@@ -192,13 +192,17 @@ def config_from_dict(doc: dict, seed_override: int | None = None,
     return _parse("", ExperimentConfig, doc, seed, seed_override is not None)
 
 
-def load_config(path, seed_override: int | None = None,
-                out_override: str | None = None) -> ExperimentConfig:
+def read_config_json(path):
+    """The JSON document in the file at `path`; ConfigError if it is not JSON."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(doc, seed_override, out_override)
+
+
+def load_config(path, seed_override: int | None = None,
+                out_override: str | None = None) -> ExperimentConfig:
+    return config_from_dict(read_config_json(path), seed_override, out_override)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:

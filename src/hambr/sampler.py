@@ -165,16 +165,15 @@ def synthesize_outliers(bank, prototypes, params: EnergyParams,
         raise ValueError(f"prototypes must be a (k, d) array, got shape {protos.shape}")
     if len(protos) < 2:
         raise InsufficientPrototypes(f"need >= 2 prototypes, got {len(protos)}")
-    d = snap.features(snap.classes[0]).shape[1]
-    if protos.shape[1] != d:
+    if protos.shape[1] != snap.dim:
         raise ValueError(f"prototypes have dimension {protos.shape[1]}, "
-                         f"the bank's features have dimension {d}")
+                         f"the bank's features have dimension {snap.dim}")
     check_unit_rows(protos, "prototype")
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains + 1)
     rng_init = np.random.default_rng(children[0])
     starts = [_init_pair(protos, rng_init) for _ in range(cfg.n_chains)]
 
-    outliers = np.empty((cfg.n_chains, d))
+    outliers = np.empty((cfg.n_chains, snap.dim))
     potentials = np.empty(cfg.n_chains)
     for idx, state in enumerate(starts):
         rng = np.random.default_rng(children[idx + 1])

@@ -65,7 +65,11 @@ class DatasetSpec:
             raise ValueError("kappa must be scalar or one value per class")
         if not all(0 <= k < np.inf for k in kappa):  # NaN fails every comparison
             raise ValueError("kappa must be non-negative and finite")
+        for k in kappa:
+            _vmf_envelope(k, self.dim)  # raises for a kappa sample_vmf cannot draw at
         object.__setattr__(self, "kappa", kappa)
+        if self.noise is not None and self.noise.rate > 0 and self.n_classes < 2:
+            raise ValueError(f"noise flips labels, so needs n_classes >= 2, got {self.n_classes}")
         if self.means is not None:
             means = [normalize(m).coords for m in self.means]
             if len(means) != self.n_classes:
@@ -107,6 +111,20 @@ def _uniform_sphere(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _vmf_envelope(kappa: float, d: int) -> tuple[float, float, float]:
+    """b, x0 and c of the beta-envelope rejection scheme that draws a vMF's
+    radial component on S^(d-1).  ValueError when they are not finite: above
+    a kappa of a few 1e16 at d=8, x0 rounds to 1 and no draw is accepted."""
+    m = d - 1.0
+    with np.errstate(over="ignore", divide="ignore"):  # kappa ** 2 = inf, log(0)
+        b = m / (np.sqrt(4.0 * np.float64(kappa) ** 2 + m ** 2) + 2.0 * kappa)
+        x0 = (1.0 - b) / (1.0 + b)
+        c = kappa * x0 + m * np.log(1.0 - x0 ** 2)
+    if not np.isfinite(c):
+        raise ValueError(f"kappa {kappa!r} is too large to sample in dimension {d}")
+    return b, x0, c
+
+
 def sample_vmf(mu, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws from the von Mises-Fisher distribution around the unit vector mu
     (kappa=0: uniform).
@@ -124,9 +142,7 @@ def sample_vmf(mu, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray
         return _uniform_sphere(d, n, rng)
 
     m = d - 1.0
-    b = m / (np.sqrt(4.0 * kappa ** 2 + m ** 2) + 2.0 * kappa)
-    x0 = (1.0 - b) / (1.0 + b)
-    c = kappa * x0 + m * np.log(1.0 - x0 ** 2)
+    b, x0, c = _vmf_envelope(kappa, d)
 
     w = np.empty(n)
     filled = 0

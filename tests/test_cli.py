@@ -134,6 +134,32 @@ class TestGenData:
         assert capsys.readouterr().err.startswith("error: dataset.n_per_class must be")
         assert not out.exists()
 
+    def test_full_config_without_a_dataset_section(self, tmp_path):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"epochs": 8, "seed": 3}))
+        out = tmp_path / "dataset.jsonl"
+        assert cli_main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 600
+
+    def test_keys_of_both_kinds_are_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"epochs": 8, "n_per_class": 15}))
+        out = tmp_path / "dataset.jsonl"
+        assert cli_main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['n_per_class']\n"
+        assert not out.exists()
+
+    def test_invalid_json_is_reported_as_run_reports_it(self, tmp_path, capsys):
+        cfg = tmp_path / "data.json"
+        cfg.write_text('{n_per_class: 15}')
+        out = tmp_path / "dataset.jsonl"
+        assert cli_main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+        gen_err = capsys.readouterr().err
+        assert gen_err.startswith("error: config is not valid JSON: Expecting property name")
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == gen_err
+        assert not out.exists()
+
 
 class TestSynthesize:
     def test_outlier_rows_match_chain_count(self, tmp_path):
@@ -214,6 +240,20 @@ class TestSynthesize:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("dataset, message", [
+        ({"kappa": [1e20]}, "kappa 1e+20 is too large to sample in dimension 8"),
+        ({"n_classes": 1}, "noise flips labels, so needs n_classes >= 2, got 1"),
+    ], ids=["kappa", "noise"])
+    def test_dataset_that_cannot_be_made_fails_before_any_output(
+            self, tmp_path, capsys, dataset, message):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": dataset}))
+        for command in (["run", "--out", str(out)], ["gen-data", "--out", str(out)]):
+            assert cli_main([*command, "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == f"error: bad 'dataset' section: {message}\n"
+            assert not out.exists()
+
     def test_end_to_end_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

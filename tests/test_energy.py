@@ -23,8 +23,6 @@ from hambr.energy import (
     load_bank,
     potential_batch,
     riemannian_grad_U,
-    _check_mass,
-    _soft_min,
     _top_k,
 )
 from hambr.sphere import UnitVector, geodesic_step, normalize, project_tangent
@@ -441,14 +439,30 @@ class TestFusedGradient:
 
 
 
+def soft_min_reference(sims, weights, tau):
+    """-tau * log sum_j w_j exp(s_j / tau) along the last axis, with the
+    zero-weight entries masked out."""
+    masked = np.where(weights > 0, sims, -np.inf)
+    m = masked.max(axis=-1, keepdims=True)
+    terms = weights * np.exp((masked - m) / tau)
+    return -(m[..., 0] + tau * np.log(terms.sum(axis=-1)))
+
+
 def unblocked_potential_batch(points, snap, params):
-    """Reference for potential_batch: each class scored in one (n, m_c) slab."""
+    """Reference for potential_batch: each class, in class order, scored in
+    one (n, m_c) slab.  A class must have entries and some positive weight,
+    and each point's K nearest entries (a stable sort) must keep some; a
+    masked log-sum-exp over them gives the class energy."""
     energies = np.empty((points.shape[0], len(snap.classes)))
     for j, c in enumerate(snap.classes):
-        sims, weights, _ = _top_k(points @ snap.features(c).T, snap.weights(c),
-                                  params.k_neighbors)
-        _check_mass(snap, c, weights)
-        energies[:, j] = _soft_min(sims, weights, params.tau_energy)
+        feats, w = snap.features(c), snap.weights(c)
+        if feats.shape[0] == 0:
+            raise EmptyClass(f"class {c} has no entries")
+        sims, weights, _ = stable_top_k(points @ feats.T, w,
+                                        min(params.k_neighbors, feats.shape[0]))
+        if not (w > 0).any() or not (weights > 0).any(axis=1).all():
+            raise ZeroMass(f"all selected weights are zero for class {c}")
+        energies[:, j] = soft_min_reference(sims, weights, params.tau_energy)
     return np.min(energies, axis=1)
 
 
@@ -532,6 +546,11 @@ class TestBlockedPotentialBatch:
         assert raised(potential_batch, none, large) == raised(
             potential_batch, unit_rows(rng, 3, d), large) == (
             ZeroMass, "all selected weights are zero for class 1")
+        # a class whose one weighted entry is the last of 40 holds mass
+        w = np.zeros(40)
+        w[-1] = 0.5
+        last = BankSnapshot({0: (unit_rows(rng, 9, d), np.ones(9)), 1: (unit_rows(rng, 40, d), w)})
+        assert potential_batch(none, last).shape == (0,)
 
     @pytest.mark.parametrize("massless", [(0,), (2,), (1, 3)])
     def test_zero_mass_names_the_reference_class(self, massless):
@@ -571,10 +590,32 @@ class TestBlockedPotentialBatch:
         assert np.array_equal(np.delete(got, 5), potential_batch(others, snap, params))
         # the tie row keeps the 10 positive entries and the first 6 zero ones
         keep = np.arange(16)
-        class0 = _soft_min(feats[keep, 0][None, :], snap.weights(0)[keep], params.tau_energy)
+        class0 = soft_min_reference(feats[keep, 0][None, :], snap.weights(0)[keep],
+                                    params.tau_energy)
         class1 = unblocked_potential_batch(np.eye(d)[:1], BankSnapshot(
             {1: (snap.features(1), snap.weights(1))}), params)
         assert got[5] == min(class0[0], class1[0])
+
+
+class TestMassErrors:
+    @pytest.mark.parametrize("size,weight,error", [
+        (0, 1.0, (EmptyClass, "class 1 has no entries")),
+        (9, 0.0, (ZeroMass, "all selected weights are zero for class 1")),
+        (40, 0.0, (ZeroMass, "all selected weights are zero for class 1")),
+    ], ids=["empty", "massless-under-k", "massless-over-k"])
+    def test_every_query_raises_alike(self, size, weight, error):
+        rng = np.random.default_rng(14)
+        d = 8
+        snap = BankSnapshot({0: (unit_rows(rng, 30, d), np.ones(30)),
+                             1: (unit_rows(rng, size, d), np.full(size, weight)),
+                             2: (unit_rows(rng, 20, d), np.ones(20))})
+        z = normalize(rng.standard_normal(d))
+        params = EnergyParams()
+        assert raised(class_free_energy, z, snap, 1, params) == error
+        assert raised(global_potential, z, snap, params) == error
+        assert raised(riemannian_grad_U, z, snap, params) == error
+        assert raised(potential_batch, unit_rows(rng, 5, d), snap, params) == error
+        assert snap._memo is None
 
 
 def stable_top_k(sims, weights, k):
@@ -779,7 +820,7 @@ class TestQueryMemo:
 
         monkeypatch.setattr(energy, "global_potential", racing)
         assert same_bits(riemannian_grad_U(z, snap, params).coords, want.coords)
-        assert snap._recall(z, params)[6].coords.tobytes() == want.coords.tobytes()
+        assert snap._recall(z, params)[4].coords.tobytes() == want.coords.tobytes()
 
     def test_empty_class_is_not_remembered(self):
         snap = BankSnapshot({0: (np.array([e(0).coords]), np.ones(1)),

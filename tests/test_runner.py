@@ -172,6 +172,14 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("dataset, field", [
+        ({"kappa": [1e20]}, "kappa"), ({"kappa": [20.0, 1e17, 5.0]}, "kappa"),
+        ({"n_classes": 1}, "noise"), ({"n_classes": 1, "noise": {"rate": 0.1}}, "noise"),
+    ])
+    def test_dataset_that_cannot_be_sampled_rejected(self, dataset, field):
+        with pytest.raises(ConfigError, match=f"^bad 'dataset' section: {field} "):
+            config_from_dict({"dataset": dataset})
+
     def test_negative_seed_override_rejected(self):
         with pytest.raises(ConfigError, match="^seed must be >= 0"):
             config_from_dict({}, seed_override=-1)

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ class TestSampleVmf:
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
             sample_vmf(e(0, 3), -1.0, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kappa", [1e17, 1e20, 1e200])
+    def test_kappa_without_a_finite_envelope_rejected(self, kappa):
+        # x0 rounds to 1, so the rejection loop would never accept a draw
+        message = re.escape(f"kappa {kappa!r} is too large to sample in dimension 8")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_vmf(e(0), kappa, 10, np.random.default_rng(0))
+
+    def test_largest_samplable_kappa_draws_at_the_mean(self):
+        draws = sample_vmf(e(0), 1e16, 10, np.random.default_rng(0))
+        assert np.allclose(draws, e(0), atol=1e-6)
 
 
 class TestInjectNoise:
@@ -127,6 +139,18 @@ class TestDatasetSpec:
     def test_too_many_classes_for_dim(self):
         with pytest.raises(ValueError):
             DatasetSpec(dim=2, n_classes=3)
+
+    @pytest.mark.parametrize("kappa", [(1e20,), (20.0, 1e17, 20.0)])
+    def test_kappa_that_cannot_be_sampled_rejected(self, kappa):
+        with pytest.raises(ValueError, match=r"^kappa 1e\+\d+ is too large to sample "
+                                             r"in dimension 8$"):
+            DatasetSpec(kappa=kappa)
+
+    def test_label_noise_needs_two_classes(self):
+        with pytest.raises(ValueError, match="^noise flips labels, so needs n_classes >= 2, got 1$"):
+            DatasetSpec(n_classes=1)
+        assert DatasetSpec(n_classes=1, noise=None).n_classes == 1
+        assert DatasetSpec(n_classes=1, noise=NoiseSpec("asymmetric", 0.0)).n_classes == 1
 
 
 class TestMakeDataset:
