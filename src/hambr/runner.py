@@ -10,7 +10,6 @@ sequences, so a config fixes the run byte for byte.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import numbers
 import typing
@@ -122,8 +121,8 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _is_numbers(value) -> bool:
-    return _is_number(value) or (isinstance(value, list) and all(map(_is_numbers, value)))
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
 
 
 _type_hints = functools.cache(typing.get_type_hints)  # resolved once per section class
@@ -134,7 +133,8 @@ _JSON_TYPES = {
     int: (lambda v: _is_number(v) and isinstance(v, numbers.Integral), "an integer"),
     float: (_is_number, "a number"),
     str: (lambda v: isinstance(v, str), "a string"),
-    tuple: (_is_numbers, "a number or a list of numbers"),  # kappa, means
+    tuple: (lambda v: _is_number(v) or _list_of(_is_number)(v), "a number or a list of numbers"),
+    tuple[tuple[float, ...], ...]: (_list_of(_list_of(_is_number)), "a list of lists of numbers"),
 }
 
 
@@ -174,7 +174,7 @@ def _parse(path: str, hint, value, seed: int, seed_wins: bool):
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {path or 'experiment'!r} section: {exc}") from exc
+        raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
 def config_from_dict(doc: dict, seed_override: int | None = None,
@@ -241,19 +241,27 @@ def _fallback_bank(x: np.ndarray, labels: np.ndarray, posteriors: np.ndarray) ->
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run the full pipeline; writes artifacts into cfg.output_dir.
+    """Run the full pipeline; writes artifacts into cfg.output_dir as it goes.
 
-    Files: config.json (resolved), dataset.jsonl, partition.jsonl (one block of
-    rows per epoch), metrics.csv + metrics.jsonl, bank.jsonl and outliers.jsonl
-    (final epoch).  Returns the train state, metric records and output path.
+    config.json (resolved) and dataset.jsonl first; each epoch's partition.jsonl,
+    metrics.csv and metrics.jsonl rows when it ends, line-buffered, so a failed
+    run keeps them; bank.jsonl and outliers.jsonl (final epoch) last. Returns the
+    train state, metric records and output path.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("bank.jsonl", "outliers.jsonl"):  # an earlier run's final epoch
+        (out_dir / name).unlink(missing_ok=True)
 
     points = make_dataset(cfg.dataset)
+    (out_dir / "config.json").write_text(
+        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
+    with open(out_dir / "dataset.jsonl", "w") as fh:
+        dump_dataset(points, fh)
     x = np.array([p.feature.coords for p in points])
     y_obs = np.array([p.observed_label for p in points], dtype=np.int64)
     y_true = np.array([p.true_label for p in points], dtype=np.int64)
+    del points
     noise_mask = y_obs != y_true
     n, _ = x.shape
     n_classes = cfg.dataset.n_classes
@@ -270,95 +278,89 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                        prototypes=None)
 
     records: list[MetricsRecord] = []
-    partition_lines: list[str] = []
+    with (open(out_dir / "partition.jsonl", "w", buffering=1) as partition_fh,
+          open(out_dir / "metrics.csv", "w", buffering=1) as csv_fh,
+          open(out_dir / "metrics.jsonl", "w", buffering=1) as jsonl_fh):
+        csv_fh.write(csv_header() + "\n")
+        for epoch in range(cfg.epochs):
+            warmup = epoch < cfg.warmup_epochs
+            aug_ss, samp_ss = epoch_children[epoch].spawn(2)
+            aug_rng = np.random.default_rng(aug_ss)
+            sampler_seed = int(np.random.default_rng(samp_ss).integers(0, 2 ** 63 - 1))
 
-    for epoch in range(cfg.epochs):
-        x = state.embeddings
-        warmup = epoch < cfg.warmup_epochs
-        aug_ss, samp_ss = epoch_children[epoch].spawn(2)
-        aug_rng = np.random.default_rng(aug_ss)
-        sampler_seed = int(np.random.default_rng(samp_ss).integers(0, 2 ** 63 - 1))
+            # (1) classify against the carried prototypes (observed means early on)
+            obs_means = _class_mean_prototypes(x, y_obs, n_classes)
+            if warmup or state.prototypes is None:
+                p_cls = obs_means
+            else:
+                p_cls = _fill_prototypes(state.prototypes, obs_means)
+            preds = _softmax_rows(x @ p_cls.T / temp)
+            preds = np.clip(preds, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
-        # (1) classify against the carried prototypes (observed means early on)
-        obs_means = _class_mean_prototypes(x, y_obs, n_classes)
-        if warmup or state.prototypes is None:
-            p_cls = obs_means
-        else:
-            p_cls = _fill_prototypes(state.prototypes, obs_means)
-        preds = _softmax_rows(x @ p_cls.T / temp)
-        preds = np.clip(preds, PROB_CLAMP, 1.0 - PROB_CLAMP)
+            # (2) per-sample losses for the partition
+            losses = sample_losses(preds, y_obs, warmup, w.gce_q)
 
-        # (2) per-sample losses for the partition
-        losses = sample_losses(preds, y_obs, warmup, w.gce_q)
+            # (3) mixture fit, flags, consensus
+            model = fit_gmm_1d(losses)
+            posteriors = clean_posterior(model, losses)
+            flags = posteriors > cfg.clean_threshold
+            consensus_update(state.window, flags)
+            consensus = consensus_set(state.window)
+            window_ready = epoch + 1 >= cfg.t_filter  # t_filter epochs recorded
+            # the consensus set once the window is full, this epoch's flags before
+            labeled_mask = np.isin(np.arange(n), consensus) if window_ready else flags
 
-        # (3) mixture fit, flags, consensus
-        model = fit_gmm_1d(losses)
-        posteriors = clean_posterior(model, losses)
-        flags = posteriors > cfg.clean_threshold
-        consensus_update(state.window, flags)
-        consensus = consensus_set(state.window)
-        window_ready = epoch + 1 >= cfg.t_filter  # t_filter epochs recorded
-        # the consensus set once the window is full, this epoch's flags before
-        labeled_mask = np.isin(np.arange(n), consensus) if window_ready else flags
+            # (4) bank rebuilt from the consensus set only: the last
+            # DEFAULT_CAPACITY consensus ids of each class, in id order
+            if window_ready:
+                bank = BankSnapshot.from_arrays(x[consensus], posteriors[consensus],
+                                                y_obs[consensus], DEFAULT_CAPACITY)
+            else:
+                bank = BankSnapshot({})
+            state.bank = bank
 
-        buf = io.StringIO()
-        dump_partition(buf, losses, posteriors, flags, consensus)
-        partition_lines.append(buf.getvalue())
+            # (5) fresh prototypes from the bank
+            proto_set = compute_prototypes(bank) if len(bank) else None
+            state.prototypes = proto_set
+            p_fresh = _fill_prototypes(proto_set, obs_means)
 
-        # (4) bank rebuilt from the consensus set only: the last
-        # DEFAULT_CAPACITY consensus ids of each class, in id order
-        if window_ready:
-            bank = BankSnapshot.from_arrays(x[consensus], posteriors[consensus],
-                                            y_obs[consensus], DEFAULT_CAPACITY)
-        else:
-            bank = BankSnapshot({})
-        state.bank = bank
+            # (6) virtual outliers between prototype pairs
+            if proto_set is not None and len(proto_set) >= 2:
+                samp_cfg = replace(cfg.sampler, seed=sampler_seed)
+                oset = synthesize_outliers(bank, proto_set.directions, cfg.energy, samp_cfg)
+            else:
+                oset = VirtualOutlierSet(np.empty((0, x.shape[1])), np.empty(0))
 
-        # (5) fresh prototypes from the bank
-        proto_set = compute_prototypes(bank) if len(bank) else None
-        state.prototypes = proto_set
-        p_fresh = _fill_prototypes(proto_set, obs_means)
+            # (7)+(8) analytic gradient step
+            terms, grads = objective(x, preds, p_cls, y_obs, w, temp, warmup=warmup,
+                                     posteriors=posteriors, labeled=labeled_mask,
+                                     prototypes=p_fresh, outliers=oset.outliers,
+                                     aug_sigma=cfg.aug_sigma, rng=aug_rng)
+            tangential = grads - np.einsum("ij,ij->i", grads, x)[:, None] * x
+            moved = x - cfg.learn_rate * tangential
+            state.embeddings = moved / np.linalg.norm(moved, axis=1)[:, None]
+            x = state.embeddings
 
-        # (6) virtual outliers between prototype pairs
-        if proto_set is not None and len(proto_set) >= 2:
-            samp_cfg = replace(cfg.sampler, seed=sampler_seed)
-            oset = synthesize_outliers(bank, proto_set.directions, cfg.energy, samp_cfg)
-        else:
-            oset = VirtualOutlierSet(np.empty((0, x.shape[1])), np.empty(0))
+            # (9) metrics on the post-step state
+            sel_p, sel_r, sel_f = selection_f1(np.flatnonzero(labeled_mask), noise_mask)
+            intra, inter = geometry_metrics(x, y_true, p_fresh)
+            score_bank = bank if len(bank) else _fallback_bank(x, y_obs, posteriors)
+            u_id = potential_batch(x, score_bank, cfg.energy)
+            u_ood = potential_batch(ood_feats, score_bank, cfg.energy)
+            rec = MetricsRecord(
+                epoch=epoch, loss_x=terms.x, loss_u=terms.u, loss_reg=terms.reg,
+                loss_con=terms.con, loss_hambr=terms.hambr,
+                sel_precision=sel_p, sel_recall=sel_r, sel_f1=sel_f,
+                intra=intra, inter=inter,
+                auroc=auroc(u_id, u_ood), fpr95=fpr_at_95_tpr(u_id, u_ood),
+                log_singular_values=tuple(singular_spectrum(x)))
+            records.append(rec)
 
-        # (7)+(8) analytic gradient step
-        terms, grads = objective(x, preds, p_cls, y_obs, w, temp, warmup=warmup,
-                                 posteriors=posteriors, labeled=labeled_mask,
-                                 prototypes=p_fresh, outliers=oset.outliers,
-                                 aug_sigma=cfg.aug_sigma, rng=aug_rng)
-        tangential = grads - np.einsum("ij,ij->i", grads, x)[:, None] * x
-        moved = x - cfg.learn_rate * tangential
-        state.embeddings = moved / np.linalg.norm(moved, axis=1)[:, None]
-        x = state.embeddings
+            # (10) the epoch's rows, written before the next epoch starts
+            dump_partition(partition_fh, losses, posteriors, flags, consensus)
+            csv_fh.write(rec.csv_row() + "\n")
+            jsonl_fh.write(rec.json_line() + "\n")
 
-        # (9) metrics on the post-step state
-        sel_p, sel_r, sel_f = selection_f1(np.flatnonzero(labeled_mask), noise_mask)
-        intra, inter = geometry_metrics(x, y_true, p_fresh)
-        score_bank = bank if len(bank) else _fallback_bank(x, y_obs, posteriors)
-        u_id = potential_batch(x, score_bank, cfg.energy)
-        u_ood = potential_batch(ood_feats, score_bank, cfg.energy)
-        rec = MetricsRecord(
-            epoch=epoch, loss_x=terms.x, loss_u=terms.u, loss_reg=terms.reg,
-            loss_con=terms.con, loss_hambr=terms.hambr,
-            sel_precision=sel_p, sel_recall=sel_r, sel_f1=sel_f,
-            intra=intra, inter=inter,
-            auroc=auroc(u_id, u_ood), fpr95=fpr_at_95_tpr(u_id, u_ood),
-            log_singular_values=tuple(singular_spectrum(x)))
-        records.append(rec)
-
-    (out_dir / "config.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
-    with open(out_dir / "dataset.jsonl", "w") as fh:
-        dump_dataset(points, fh)
-    (out_dir / "partition.jsonl").write_text("".join(partition_lines))
-    (out_dir / "metrics.csv").write_text(
-        "".join(line + "\n" for line in [csv_header()] + [r.csv_row() for r in records]))
-    (out_dir / "metrics.jsonl").write_text("".join(r.json_line() + "\n" for r in records))
     with open(out_dir / "bank.jsonl", "w") as fh:
         dump_bank(state.bank, fh)
     with open(out_dir / "outliers.jsonl", "w") as fh:

@@ -44,7 +44,7 @@ class DatasetSpec:
     n_classes: int = 3
     n_per_class: int = 200
     kappa: tuple = (20.0,)          # scalar broadcasts to every class
-    means: tuple | None = None      # one direction per class; None -> basis directions
+    means: tuple[tuple[float, ...], ...] | None = None  # one direction per class; None -> basis
     noise: NoiseSpec | None = field(default_factory=lambda: NoiseSpec("symmetric", 0.4))
     seed: int = 0
 
@@ -55,10 +55,7 @@ class DatasetSpec:
             raise ValueError("n_classes must be >= 1")
         if self.n_per_class < 1:
             raise ValueError("n_per_class must be >= 1")
-        kappa = self.kappa
-        if np.isscalar(kappa):
-            kappa = (float(kappa),)
-        kappa = tuple(float(k) for k in kappa)
+        kappa = tuple(map(float, np.atleast_1d(self.kappa)))
         if len(kappa) == 1:
             kappa = kappa * self.n_classes
         if len(kappa) != self.n_classes:

@@ -69,6 +69,10 @@ class TestUsage:
         ({"output_dir": 5}, "output_dir"),
         ({"dataset": None}, "dataset"),
         ({"energy": "ab"}, "energy"),
+        ({"dataset": {"kappa": [[1.0, 2.0]]}}, "dataset.kappa"),
+        ({"dataset": {"means": [1.0, 0.0]}}, "dataset.means"),
+        ({"dataset": {"means": [[[1.0] + [0.0] * 7], [[0.0, 1.0] + [0.0] * 6],
+                                [[0.0, 0.0, 1.0] + [0.0] * 5]]}}, "dataset.means"),
     ])
     def test_wrong_json_type_fails_before_any_output(self, tmp_path, capsys,
                                                      monkeypatch, doc, name):
@@ -251,7 +255,7 @@ class TestRunCommand:
         cfg.write_text(json.dumps({"dataset": dataset}))
         for command in (["run", "--out", str(out)], ["gen-data", "--out", str(out)]):
             assert cli_main([*command, "--config", str(cfg)]) == 1
-            assert capsys.readouterr().err == f"error: bad 'dataset' section: {message}\n"
+            assert capsys.readouterr().err == f"error: dataset: {message}\n"
             assert not out.exists()
 
     def test_end_to_end_with_overrides(self, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import json
 import re
+import shutil
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -24,7 +26,7 @@ from hambr.runner import (
     _fallback_bank,
 )
 from hambr.sphere import UnitVector
-from hambr.sampler import SamplerConfig, VirtualOutlierSet
+from hambr.sampler import SamplerConfig, VirtualOutlierSet, synthesize_outliers
 from hambr.synthgen import DatasetSpec, NoiseSpec
 
 
@@ -177,8 +179,16 @@ class TestConfigPlumbing:
         ({"n_classes": 1}, "noise"), ({"n_classes": 1, "noise": {"rate": 0.1}}, "noise"),
     ])
     def test_dataset_that_cannot_be_sampled_rejected(self, dataset, field):
-        with pytest.raises(ConfigError, match=f"^bad 'dataset' section: {field} "):
+        with pytest.raises(ConfigError, match=f"^dataset: {field} "):
             config_from_dict({"dataset": dataset})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"sampler": {"step_size": -1.0}}, "sampler: step_size must be positive and finite"),
+        ({"dataset": {"noise": {"rate": 2.0}}}, "dataset.noise: rate must be in [0, 1]"),
+    ])
+    def test_section_check_starts_with_the_section_path(self, doc, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            config_from_dict(doc)
 
     def test_negative_seed_override_rejected(self):
         with pytest.raises(ConfigError, match="^seed must be >= 0"):
@@ -232,6 +242,12 @@ class TestConfigPlumbing:
         ({"dataset": {"noise": {"rate": True}}}, "dataset.noise.rate must be a number"),
         ({"dataset": {"noise": {"rate": None}}}, "dataset.noise.rate must be a number"),
         ({"dataset": {"noise": {"kind": "x"}}}, "unknown dataset.noise keys: ['kind']"),
+        # nesting: kappa is flat, means one level deeper
+        ({"dataset": {"kappa": [[1.0, 2.0]]}},
+         "dataset.kappa must be a number or a list of numbers"),
+        ({"dataset": {"means": [1.0, 0.0]}}, "dataset.means must be a list of lists of numbers"),
+        ({"dataset": {"means": [[[1.0, 0.0]]]}},
+         "dataset.means must be a list of lists of numbers"),
     ])
     def test_value_of_the_wrong_json_type_rejected(self, doc, message):
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
@@ -337,6 +353,56 @@ class TestRunExperiment:
         off = (tmp_path / "off" / "metrics.csv").read_bytes()
         on = (tmp_path / "on" / "metrics.csv").read_bytes()
         assert off == on
+
+    def test_failed_run_keeps_the_epochs_it_finished(self, tmp_path, monkeypatch):
+        full, out = tmp_path / "full", tmp_path / "failed"
+        full_cfg = small_config(full)
+        run_experiment(full_cfg)
+        shutil.copytree(full, out)  # an earlier run's files in the same directory
+        cfg = replace(full_cfg, output_dir=str(out))
+
+        real = synthesize_outliers
+        finished = []  # epochs on disk when each synthesis starts
+
+        def fail_second(*args):
+            finished.append(len((out / "metrics.csv").read_text().splitlines()) - 1)
+            if len(finished) == 2:
+                raise RuntimeError("synthesis failed")
+            return real(*args)
+
+        monkeypatch.setattr("hambr.runner.synthesize_outliers", fail_second)
+        with pytest.raises(RuntimeError, match="synthesis failed"):
+            run_experiment(cfg)
+        done = finished[-1]
+        assert finished == [done - 1, done] and 0 < done < cfg.epochs
+
+        assert json.loads((out / "config.json").read_text()) == config_to_dict(cfg)
+        assert (out / "dataset.jsonl").read_bytes() == (full / "dataset.jsonl").read_bytes()
+        n = cfg.dataset.n_classes * cfg.dataset.n_per_class
+        for name, rows in (("partition.jsonl", done * n), ("metrics.csv", 1 + done),
+                           ("metrics.jsonl", done)):
+            text = (out / name).read_text()
+            assert len(text.splitlines()) == rows, name
+            assert (full / name).read_text().startswith(text), name
+        assert not (out / "bank.jsonl").exists()
+        assert not (out / "outliers.jsonl").exists()
+
+    def test_peak_memory_does_not_grow_with_epochs(self, tmp_path):
+        def peak(epochs):
+            cfg = config_from_dict({
+                "dataset": {"n_per_class": 400},
+                "sampler": {"n_chains": 2, "n_rounds": 1},
+                "epochs": epochs, "warmup_epochs": 1, "t_filter": 2,
+                "output_dir": str(tmp_path / f"run-{epochs}")})
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # the first run in a process also fills lazily built caches
+        assert peak(16) - peak(4) <= 0.5 * 2 ** 20
 
     def test_consensus_matches_flag_intersection(self, tmp_path):
         cfg = small_config(tmp_path / "run", seed=19, t_filter=3)
