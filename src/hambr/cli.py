@@ -18,7 +18,7 @@ from .losses import compute_prototypes
 from .metrics import auroc, fpr_at_95_tpr
 from .runner import config_from_dict, load_config, read_config_json, run_experiment
 from .sampler import dump_outliers, synthesize_outliers
-from .synthgen import DatasetSpec, dump_dataset, make_dataset
+from .synthgen import DatasetSpec, dataset_arrays, dump_dataset
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,9 +89,9 @@ def cli_main(argv=None) -> int:
                 dump_outliers(oset, fh)
         elif args.command == "gen-data":
             cfg = _load_any_config(args.config)
-            points = make_dataset(cfg.dataset)
+            arrays = dataset_arrays(cfg.dataset)
             with open(args.out, "w") as fh:
-                dump_dataset(points, fh)
+                dump_dataset(*arrays, fh)
         elif args.command == "eval-ood":
             id_scores = _read_scores(args.id_scores)
             ood_scores = _read_scores(args.ood_scores)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsonl import float_texts, list_texts
+from ._jsonl import write_rows
 from .sphere import NORM_TOL, TangentVector, UnitVector, check_unit_rows, project_tangent
 
 DEFAULT_CAPACITY = 256
@@ -394,10 +394,10 @@ def potential_batch(points: np.ndarray, bank,
 def dump_bank(bank, fh) -> None:
     """One row per entry, json.dumps's text of {"class": c, "weight": w, "feature": [...]}."""
     snap = bank.snapshot()
-    for c in snap.classes:  # a write per class: one class's text is held at once
-        fh.write("".join(
-            f'{{"class": {c}, "weight": {w}, "feature": {f}}}\n'
-            for w, f in zip(float_texts(snap.weights(c)), list_texts(snap.features(c)))))
+    for c in snap.classes:
+        weights = snap.weights(c)
+        write_rows(fh, '{"class": {}, "weight": {}, "feature": {}}\n',
+                   np.full(len(weights), c), weights, snap.features(c))
 
 
 def _bank_row(line: str, d: int | None):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonl import float_texts
+from ._jsonl import write_rows
 
 VARIANCE_FLOOR = 1e-6
 DEFAULT_CLEAN_THRESHOLD = 0.5
@@ -165,15 +165,13 @@ def consensus_set(window: ConsensusWindow) -> np.ndarray:
 def dump_partition(fh, losses, posteriors, flags, consensus_ids) -> None:
     """One JSON object per sample: loss, posterior, flag, consensus membership.
 
-    Each row is the text json.dumps gives the sample's dict, built from
-    columns converted once, and all rows go out in one write.
+    Each row is the text json.dumps gives the sample's dict.
     """
-    in_consensus = np.zeros(len(losses), dtype=bool)
+    n = len(losses)
+    in_consensus = np.zeros(n, dtype=bool)
     in_consensus[np.asarray(consensus_ids, dtype=np.int64)] = True
-    rows = zip(float_texts(losses), float_texts(posteriors),
-               np.asarray(flags, dtype=bool).tolist(), in_consensus.tolist())
-    fh.write("".join(
-        f'{{"sample": {i}, "loss": {loss}, "posterior": {post}, '
-        f'"flag": {"true" if flag else "false"}, '
-        f'"in_consensus": {"true" if member else "false"}}}\n'
-        for i, (loss, post, flag, member) in enumerate(rows)))
+    write_rows(fh, '{"sample": {}, "loss": {}, "posterior": {}, "flag": {}, '
+                   '"in_consensus": {}}\n',
+               range(n), np.asarray(losses, dtype=np.float64),
+               np.asarray(posteriors, dtype=np.float64), np.asarray(flags, dtype=bool),
+               in_consensus)

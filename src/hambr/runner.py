@@ -53,7 +53,7 @@ from .partition import (
     fit_gmm_1d,
 )
 from .sampler import SamplerConfig, VirtualOutlierSet, dump_outliers, synthesize_outliers
-from .synthgen import DatasetSpec, dump_dataset, make_dataset, make_ood_set
+from .synthgen import DatasetSpec, dataset_arrays, dump_dataset, make_ood_set
 
 
 class ConfigError(ValueError):
@@ -138,6 +138,17 @@ _JSON_TYPES = {
 }
 
 
+def _fits_float(value) -> bool:
+    """False for a JSON integer, alone or in (nested) lists, too large for a float."""
+    if isinstance(value, list):
+        return all(map(_fits_float, value))
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _parse(path: str, hint, value, seed: int, seed_wins: bool):
     """`value` checked against the field type `hint`, or ConfigError naming `path`.
 
@@ -153,6 +164,8 @@ def _parse(path: str, hint, value, seed: int, seed_wins: bool):
         check, what = _JSON_TYPES[kind]
         if not check(value):
             raise ConfigError(f"{path} must be {what}, got {value!r}")
+        if kind not in (bool, int, str) and not _fits_float(value):
+            raise ConfigError(f"{path} must fit in a float, got an integer too large for one")
         if path.endswith("seed") and value < 0:
             raise ConfigError(f"{path} must be >= 0, got {value!r}")
         return value
@@ -161,7 +174,7 @@ def _parse(path: str, hint, value, seed: int, seed_wins: bool):
     hints, names = _type_hints(kind), [f.name for f in fields(kind)]
     unknown = set(value) - set(names)
     if unknown:
-        raise ConfigError(f"unknown {path or 'config'} keys: {sorted(unknown)}")
+        raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
     if "seed" in names and (seed_wins or "seed" not in value):
         value = {**value, "seed": seed}
     kwargs = {}
@@ -245,23 +258,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     config.json (resolved) and dataset.jsonl first; each epoch's partition.jsonl,
     metrics.csv and metrics.jsonl rows when it ends, line-buffered, so a failed
-    run keeps them; bank.jsonl and outliers.jsonl (final epoch) last. Returns the
-    train state, metric records and output path.
+    run keeps them; bank.jsonl and outliers.jsonl (final epoch; empty when
+    weights.lambda_hambr is 0, since no term then uses outliers) last. Returns
+    the train state, metric records and output path.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("bank.jsonl", "outliers.jsonl"):  # an earlier run's final epoch
         (out_dir / name).unlink(missing_ok=True)
 
-    points = make_dataset(cfg.dataset)
+    x, y_true, y_obs = dataset_arrays(cfg.dataset)
     (out_dir / "config.json").write_text(
         json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
     with open(out_dir / "dataset.jsonl", "w") as fh:
-        dump_dataset(points, fh)
-    x = np.array([p.feature.coords for p in points])
-    y_obs = np.array([p.observed_label for p in points], dtype=np.int64)
-    y_true = np.array([p.true_label for p in points], dtype=np.int64)
-    del points
+        dump_dataset(x, y_true, y_obs, fh)
     noise_mask = y_obs != y_true
     n, _ = x.shape
     n_classes = cfg.dataset.n_classes
@@ -324,8 +334,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             state.prototypes = proto_set
             p_fresh = _fill_prototypes(proto_set, obs_means)
 
-            # (6) virtual outliers between prototype pairs
-            if proto_set is not None and len(proto_set) >= 2:
+            # (6) virtual outliers between prototype pairs, for the one term that uses them
+            if w.lambda_hambr > 0 and proto_set is not None and len(proto_set) >= 2:
                 samp_cfg = replace(cfg.sampler, seed=sampler_seed)
                 oset = synthesize_outliers(bank, proto_set.directions, cfg.energy, samp_cfg)
             else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsonl import float_texts, list_texts
+from ._jsonl import write_rows
 from .energy import EnergyParams, EmptyBank, global_potential, riemannian_grad_U
 from .sphere import (
     ANTIPODAL_TOL,
@@ -185,6 +185,5 @@ def synthesize_outliers(bank, prototypes, params: EnergyParams,
 
 def dump_outliers(oset: VirtualOutlierSet, fh) -> None:
     """One row per chain, json.dumps's text of {"chain": i, "outlier": [...], "potential": u}."""
-    fh.write("".join(
-        f'{{"chain": {i}, "outlier": {z}, "potential": {u}}}\n' for i, (z, u)
-        in enumerate(zip(list_texts(oset.outliers), float_texts(oset.potentials)))))
+    write_rows(fh, '{"chain": {}, "outlier": {}, "potential": {}}\n',
+               range(len(oset)), oset.outliers, oset.potentials)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonl import list_texts
+from ._jsonl import write_rows
 from .sphere import UnitVector, normalize
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
@@ -190,20 +190,30 @@ def inject_noise(labels, noise: NoiseSpec | None, n_classes: int,
     return out
 
 
-def make_dataset(spec: DatasetSpec) -> list[LabeledPoint]:
-    """Full labeled dataset for the spec; deterministic in spec.seed."""
+def dataset_arrays(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(features (n, d), true labels (n,), observed labels (n,)) for the spec,
+    class by class; deterministic in spec.seed.
+
+    Each feature row is divided by its norm taken as `sphere.normalize` takes
+    it, so the rows are bitwise those of normalize(row).coords.
+    """
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_classes + 1)
     means = spec.class_means()
-    feats = [sample_vmf(means[c], spec.kappa[c], spec.n_per_class,
-                        np.random.default_rng(children[c]))
-             for c in range(spec.n_classes)]
-    true = np.repeat(np.arange(spec.n_classes), spec.n_per_class)
+    feats = np.concatenate([sample_vmf(means[c], spec.kappa[c], spec.n_per_class,
+                                       np.random.default_rng(children[c]))
+                            for c in range(spec.n_classes)])
+    feats /= np.array([math.sqrt(f.dot(f)) for f in feats])[:, None]
+    true = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.n_per_class)
     observed = inject_noise(true, spec.noise, spec.n_classes,
                             np.random.default_rng(children[spec.n_classes]))
-    points = []
-    for f, t, o in zip(np.concatenate(feats), true, observed):
-        points.append(LabeledPoint(normalize(f), int(t), int(o)))
-    return points
+    return feats, true, observed
+
+
+def make_dataset(spec: DatasetSpec) -> list[LabeledPoint]:
+    """`dataset_arrays`' rows as one LabeledPoint per sample."""
+    feats, true, observed = dataset_arrays(spec)
+    return [LabeledPoint(UnitVector(f), t, o)
+            for f, t, o in zip(feats, true.tolist(), observed.tolist())]
 
 
 def make_ood_set(spec: DatasetSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -230,9 +240,9 @@ def make_ood_set(spec: DatasetSpec, rng: np.random.Generator) -> tuple[np.ndarra
     return np.concatenate(feats), np.array(means)
 
 
-def dump_dataset(points, fh) -> None:
+def dump_dataset(features, true_labels, observed_labels, fh) -> None:
     """One row per sample, json.dumps's text of {"feature": [...], "true": t, "observed": o}."""
-    fh.write("".join(
-        f'{{"feature": {f}, "true": {int(p.true_label)}, '
-        f'"observed": {int(p.observed_label)}}}\n'
-        for f, p in zip(list_texts([point.feature.coords for point in points]), points)))
+    write_rows(fh, '{"feature": {}, "true": {}, "observed": {}}\n',
+               np.asarray(features, dtype=np.float64),
+               np.asarray(true_labels, dtype=np.int64),
+               np.asarray(observed_labels, dtype=np.int64))

@@ -83,6 +83,16 @@ class TestUsage:
         assert capsys.readouterr().err.startswith(f"error: {name} must be")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    def test_integer_too_large_for_a_float_fails_before_any_output(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text('{"output_dir": "run", "dataset": {"kappa": 1%s}}' % ("0" * 400))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dataset.kappa must fit in a float, got an integer too large for one\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
 
 class TestEvalOod:
     def test_perfect_separation(self, tmp_path, capsys):
@@ -130,6 +140,18 @@ class TestGenData:
         assert len(rows) == 30
         assert set(rows[0]) == {"feature", "true", "observed"}
 
+    def test_writes_the_dataset_bytes_a_run_writes(self, tmp_path):
+        cfg = tmp_path / "exp.json"
+        run_dir = tmp_path / "run"
+        cfg.write_text(json.dumps({"dataset": {"n_per_class": 12, "noise": {"rate": 0.3}},
+                                   "epochs": 2, "warmup_epochs": 1, "seed": 6,
+                                   "output_dir": str(run_dir)}))
+        out = tmp_path / "dataset.jsonl"
+        assert cli_main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        assert len(out.read_text().splitlines()) == 36
+        assert out.read_bytes() == (run_dir / "dataset.jsonl").read_bytes()
+
     def test_bare_dataset_config_needs_integers(self, tmp_path, capsys):
         cfg = tmp_path / "data.json"
         cfg.write_text(json.dumps({"n_per_class": 15.5}))
@@ -150,7 +172,7 @@ class TestGenData:
         cfg.write_text(json.dumps({"epochs": 8, "n_per_class": 15}))
         out = tmp_path / "dataset.jsonl"
         assert cli_main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: unknown config keys: ['n_per_class']\n"
+        assert capsys.readouterr().err == "error: config: unknown keys ['n_per_class']\n"
         assert not out.exists()
 
     def test_invalid_json_is_reported_as_run_reports_it(self, tmp_path, capsys):

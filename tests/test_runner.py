@@ -222,7 +222,7 @@ class TestConfigPlumbing:
         ({"dataset": []}, "dataset must be an object"),
         ({"energy": "ab"}, "energy must be an object"),
         ({"sampler": [["n_chains", 4]]}, "sampler must be an object"),
-        ({"epoch": 3}, "unknown config keys: ['epoch']"),
+        ({"epoch": 3}, "config: unknown keys ['epoch']"),
         # section level
         ({"sampler": {"noise_per_step": "false"}},
          "sampler.noise_per_step must be true or false"),
@@ -236,12 +236,12 @@ class TestConfigPlumbing:
         ({"dataset": {"kappa": "20"}}, "dataset.kappa must be a number or a list of numbers"),
         ({"dataset": {"means": [[1.0, "0"]]}}, "dataset.means must be"),
         ({"dataset": {"noise": []}}, "dataset.noise must be an object"),
-        ({"weights": {"lambda": 1.0}}, "unknown weights keys: ['lambda']"),
+        ({"weights": {"lambda": 1.0}}, "weights: unknown keys ['lambda']"),
         # dataset.noise level
         ({"dataset": {"noise": {"mode": 1}}}, "dataset.noise.mode must be a string"),
         ({"dataset": {"noise": {"rate": True}}}, "dataset.noise.rate must be a number"),
         ({"dataset": {"noise": {"rate": None}}}, "dataset.noise.rate must be a number"),
-        ({"dataset": {"noise": {"kind": "x"}}}, "unknown dataset.noise keys: ['kind']"),
+        ({"dataset": {"noise": {"kind": "x"}}}, "dataset.noise: unknown keys ['kind']"),
         # nesting: kappa is flat, means one level deeper
         ({"dataset": {"kappa": [[1.0, 2.0]]}},
          "dataset.kappa must be a number or a list of numbers"),
@@ -252,6 +252,22 @@ class TestConfigPlumbing:
     def test_value_of_the_wrong_json_type_rejected(self, doc, message):
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"learn_rate": 10 ** 400}, "learn_rate"),
+        ({"sampler": {"step_size": 10 ** 400}}, "sampler.step_size"),
+        ({"dataset": {"kappa": 10 ** 400}}, "dataset.kappa"),
+        ({"dataset": {"kappa": [1.0, -10 ** 400, 2.0]}}, "dataset.kappa"),
+        ({"dataset": {"means": [[1.0] + [0.0] * 7, [0.0, 10 ** 400] + [0.0] * 6,
+                                [0.0, 0.0, 1.0] + [0.0] * 5]}}, "dataset.means"),
+    ])
+    def test_integer_too_large_for_a_float_rejected(self, doc, path):
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path} must fit in a float, got an integer too large for one") + "$"):
+            config_from_dict(doc)
+
+    def test_large_integer_that_fits_a_float_accepted(self):
+        assert config_from_dict({"learn_rate": 10 ** 300}).learn_rate == 10 ** 300
 
     def test_noise_null_omitted_or_partial(self):
         assert config_from_dict({"dataset": {"noise": None}}).dataset.noise is None
@@ -337,22 +353,31 @@ class TestRunExperiment:
         assert a == b
 
     def test_ablation_equals_forced_empty_outliers(self, tmp_path, monkeypatch):
+        calls = []
+
+        def empty_outliers(bank, protos, *args):
+            calls.append(len(protos))
+            return VirtualOutlierSet(np.empty((0, protos.shape[1])), np.empty(0))
+
+        monkeypatch.setattr("hambr.runner.synthesize_outliers", empty_outliers)
+        # the ablation synthesizes nothing: no term would use the outliers
         cfg_off = small_config(tmp_path / "off", seed=17)
         cfg_off = replace(cfg_off,
                           weights=replace(cfg_off.weights, lambda_hambr=0.0))
         run_experiment(cfg_off)
+        assert calls == []
+        assert (tmp_path / "off" / "outliers.jsonl").read_bytes() == b""
 
         # full weights, but outlier synthesis forced to return nothing:
         # the attract/repel term must contribute exactly zero gradient
-        monkeypatch.setattr("hambr.runner.synthesize_outliers",
-                            lambda bank, protos, *a: VirtualOutlierSet(
-                                np.empty((0, protos.shape[1])), np.empty(0)))
         cfg_on = small_config(tmp_path / "on", seed=17)
         run_experiment(cfg_on)
+        assert len(calls) > 0
 
-        off = (tmp_path / "off" / "metrics.csv").read_bytes()
-        on = (tmp_path / "on" / "metrics.csv").read_bytes()
-        assert off == on
+        for name in ("metrics.csv", "metrics.jsonl", "partition.jsonl", "bank.jsonl"):
+            off = (tmp_path / "off" / name).read_bytes()
+            on = (tmp_path / "on" / name).read_bytes()
+            assert off == on, name
 
     def test_failed_run_keeps_the_epochs_it_finished(self, tmp_path, monkeypatch):
         full, out = tmp_path / "full", tmp_path / "failed"

@@ -13,13 +13,14 @@ from hambr.synthgen import (
     LabeledPoint,
     NoiseSpec,
     PlacementFailure,
+    dataset_arrays,
     dump_dataset,
     inject_noise,
     make_dataset,
     make_ood_set,
     sample_vmf,
 )
-from hambr.sphere import UnitVector
+from hambr.sphere import normalize
 
 
 def e(i, d=8):
@@ -209,30 +210,51 @@ class TestMakeOodSet:
             make_ood_set(spec, np.random.default_rng(8))
 
 
+class TestDatasetArrays:
+    def test_rows_are_make_datasets_points_bitwise(self):
+        spec = DatasetSpec(n_per_class=50, noise=NoiseSpec(rate=0.3), seed=8)
+        feats, true, observed = dataset_arrays(spec)
+        points = make_dataset(spec)
+        assert feats.shape == (150, 8) and true.shape == observed.shape == (150,)
+        assert true.dtype == observed.dtype == np.int64
+        assert feats.tobytes() == np.array([p.feature.coords for p in points]).tobytes()
+        assert true.tolist() == [p.true_label for p in points]
+        assert observed.tolist() == [p.observed_label for p in points]
+
+    def test_rows_are_normalized_draws(self):
+        spec = DatasetSpec(n_per_class=20, kappa=(5.0, 0.0, 50.0), seed=2)
+        feats, true, _ = dataset_arrays(spec)
+        children = np.random.SeedSequence(spec.seed).spawn(spec.n_classes + 1)
+        for c in range(spec.n_classes):
+            draws = sample_vmf(spec.class_means()[c], spec.kappa[c], spec.n_per_class,
+                               np.random.default_rng(children[c]))
+            want = np.array([normalize(row).coords for row in draws])
+            assert feats[true == c].tobytes() == want.tobytes()
+
+
 class TestSerialization:
     def test_line_schema(self):
-        points = make_dataset(DatasetSpec(n_per_class=2, seed=5))
         buf = io.StringIO()
-        dump_dataset(points, buf)
+        dump_dataset(*dataset_arrays(DatasetSpec(n_per_class=2, seed=5)), buf)
         row = json.loads(buf.getvalue().splitlines()[0])
         assert set(row) == {"feature", "true", "observed"}
 
     def test_bytes_match_per_row_json_dumps(self):
-        points = make_dataset(DatasetSpec(n_per_class=30, seed=6,
-                                          noise=NoiseSpec(rate=0.3)))
+        feats, true, observed = dataset_arrays(DatasetSpec(n_per_class=30, seed=6,
+                                                           noise=NoiseSpec(rate=0.3)))
         coords = np.zeros(8)
         coords[:3] = -0.0, 1.0, 1e-300
-        points.append(LabeledPoint(UnitVector(coords), 1, 2))
+        feats = np.vstack([feats, coords])
+        true, observed = np.append(true, 1), np.append(observed, 2)
         buf = io.StringIO()
-        dump_dataset(points, buf)
+        dump_dataset(feats, true, observed, buf)
         expected = "".join(
-            json.dumps({"feature": [float(x) for x in p.feature.coords],
-                        "true": int(p.true_label),
-                        "observed": int(p.observed_label)}) + "\n"
-            for p in points)
+            json.dumps({"feature": [float(x) for x in f], "true": int(t),
+                        "observed": int(o)}) + "\n"
+            for f, t, o in zip(feats, true, observed))
         assert buf.getvalue() == expected
 
     def test_empty(self):
         buf = io.StringIO()
-        dump_dataset([], buf)
+        dump_dataset(np.empty((0, 8)), [], [], buf)
         assert buf.getvalue() == ""
