@@ -20,6 +20,7 @@ from .sphere import NORM_TOL, TangentVector, UnitVector, check_unit_rows, projec
 
 DEFAULT_CAPACITY = 256
 _BLOCK_SIMS = 1 << 16  # elements a row-blocked kernel's widest temporary holds
+_BOUND_SLACK = 1e-9  # `_candidates`' rounding allowance per unit of 1 + tau + |point|
 
 
 def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
@@ -350,17 +351,77 @@ def riemannian_grad_U(z: UnitVector, bank,
     return (snap._recall(z, params) or _scan(z, snap, params))[4]
 
 
+def _bound_offsets(snap: BankSnapshot, classes, params: EnergyParams):
+    """(least, most), one value per class of `classes`, each with entries and
+    only positive weights: the class's energy at a point whose largest
+    similarity to it is s lies in [-s - most, -s - least].
+
+    The energy is -s - tau ln sum_j w_j exp((s_j - s) / tau) over the
+    point's `_top_k` selection.  The top entry is always selected, so the
+    sum is at least w_min, and none of its min(K, m_c) terms exceeds w_max.
+    """
+    tau, k = params.tau_energy, params.k_neighbors
+    weights = [snap.weights(c) for c in classes]
+    return (tau * np.log([w.min() for w in weights]),
+            tau * np.log([min(k, w.size) * w.max() for w in weights]))
+
+
+def _candidates(points: np.ndarray, snap: BankSnapshot, params: EnergyParams) -> np.ndarray:
+    """(n, C) mask of the classes that can hold each point's minimum energy.
+
+    A class with entries and only positive weights is dropped at a point
+    where its `_bound_offsets` lower bound exceeds another such class's
+    upper bound by more than a rounding slack, so its energy is above the
+    point's minimum.  Classes with no entries or a zero weight are kept at
+    every point.  One matmul per row block against the bounded classes'
+    features (no padding) gives each point's largest similarity to each;
+    when the first block drops nothing (as on a bank whose floored weights
+    make the bounds wide), the later blocks are not bounded.
+    """
+    n = points.shape[0]
+    keep = np.ones((n, len(snap.classes)), dtype=bool)
+    bounded = [j for j, c in enumerate(snap.classes)
+               if snap.size(c) and snap.weights(c).min() > 0]
+    if len(bounded) < 2:
+        return keep
+    classes = [snap.classes[j] for j in bounded]
+    least, most = _bound_offsets(snap, classes, params)
+    feats = np.concatenate([snap.features(c) for c in classes])
+    starts = np.cumsum([0] + [snap.size(c) for c in classes[:-1]])
+    # the computed energies round by amounts that scale with tau and |point|,
+    # which is at most sqrt(d) times the largest coordinate
+    norm = max(points.max(initial=0.0), -points.min(initial=0.0)) * math.sqrt(snap.dim)
+    slack = _BOUND_SLACK * (1.0 + params.tau_energy + norm)
+    blocks = _row_blocks(n, feats.shape[0])
+    buf = np.empty((max(stop - r for r, stop in blocks), feats.shape[0]))
+    for r, stop in blocks:
+        sims = np.matmul(points[r:stop], feats.T, out=buf[:stop - r])
+        top = np.maximum.reduceat(sims, starts, axis=1)
+        # lower bound -top - most above the least upper bound min(-top - least) + slack
+        skip = top + most < (top + least).max(axis=1, keepdims=True) - slack
+        if r == 0 and not skip.any():
+            break
+        keep[r:stop, bounded] = ~skip
+    return keep
+
+
 def potential_batch(points: np.ndarray, bank,
                     params: EnergyParams = EnergyParams()) -> np.ndarray:
     """Global potential for each row of `points` (n, d); same math as global_potential.
 
-    Each class scores `points` in the row blocks of `_row_blocks(n, m_c)`,
-    into one similarity buffer per class, so every temporary (similarities,
-    the top-K mask and gathers) holds about _BLOCK_SIMS elements, 0.5 MB of
+    Each class scores only the points where `_candidates` says it can hold
+    the minimum; the classes it drops there have energies above the
+    minimum, and `_kept_sims` computes each kept row's similarities in the
+    row block of `_row_blocks(n, m_c)` that scoring every class uses, so
+    the returned values are those of scoring every class, bit for bit.
+    Every temporary (a block's similarities, a batch of kept rows, the
+    top-K mask and gathers) holds about _BLOCK_SIMS elements, 0.5 MB of
     float64, whatever the number of points.  Only the (n, C) energies grow
-    with n.  A row's energy does not depend on the other rows of its block.
-    Every class is checked for mass in class order: each block's selection,
-    or with no points each class's whole weight vector.
+    with n.  A row's energy does not depend on the other rows of its
+    block.  Classes that can raise (no entries, or a zero weight) score
+    every point, in class order, so the first of them to fail raises as
+    when every class is scored; with no points each class's whole weight
+    vector is checked.
     `points` that are not finite and (n, d) with the bank's d raise ValueError.
     """
     snap = bank.snapshot()
@@ -379,16 +440,53 @@ def potential_batch(points: np.ndarray, bank,
         # ranked by weight, a class's K heaviest entries hold mass iff any does
         _soft_min(snap._stack_weights + snap._stack_bias, snap._stack_weights,
                   params, snap, snap.classes)
-    energies = np.empty((n, len(snap.classes)))
+    keep = _candidates(points, snap, params)
+    energies = np.full((n, len(snap.classes)), np.inf)
     for j, c in enumerate(snap.classes):
-        feats = snap.features(c)
-        blocks = _row_blocks(n, feats.shape[0])
-        buf = np.empty((max(stop - r for r, stop in blocks), feats.shape[0]))
-        for r, stop in blocks:
-            sims = np.matmul(points[r:stop], feats.T, out=buf[:stop - r])
-            energies[r:stop, j] = _soft_min(sims, snap.weights(c), params, snap,
-                                            [c] * (stop - r))[0]
+        for rows, sims in _kept_sims(points, snap.features(c), keep[:, j]):
+            energies[rows, j] = _soft_min(sims, snap.weights(c), params, snap,
+                                          [c] * len(sims))[0]
     return np.min(energies, axis=1)
+
+
+def _kept_sims(points: np.ndarray, feats: np.ndarray, kept: np.ndarray):
+    """Yield (rows, similarities to `feats`) for the rows of `points` where
+    `kept` holds, in batches of at most one block.
+
+    Each row's similarities come from the matmul of the row block of
+    `_row_blocks(n, m)` that holds it, as when every row is scored, since
+    the rounding of a matrix product depends on its shape.  A block whose
+    rows are all kept is yielded as it is (rows a slice), the kept rows of
+    other blocks are gathered into batches, and a block with no kept row is
+    not multiplied.  The next batch reuses the arrays yielded.
+    """
+    blocks = _row_blocks(points.shape[0], feats.shape[0])
+    height = max(stop - r for r, stop in blocks)
+    block = np.empty((height, feats.shape[0]))
+    batch = ids = None  # made once a block leaves rows out, never on a bank scored in full
+    size = 0
+    kept_rows = kept.nonzero()[0]
+    # kept_rows[edges[i]:edges[i + 1]] are the kept rows of block i
+    edges = kept_rows.searchsorted([r for r, _ in blocks] + [points.shape[0]]).tolist()
+    for (r, stop), lo, hi in zip(blocks, edges, edges[1:]):
+        if lo == hi:
+            continue
+        sims = np.matmul(points[r:stop], feats.T, out=block[:stop - r])
+        if hi - lo == stop - r:
+            yield slice(r, stop), sims
+            continue
+        rows = kept_rows[lo:hi]
+        if batch is None:
+            batch, ids = np.empty_like(block), np.empty(height, dtype=np.intp)
+        elif size + rows.size > height:
+            yield ids[:size], batch[:size]
+            size = 0
+        # mode="clip" writes straight into `out` (rows are in range)
+        np.take(sims, rows - r, axis=0, out=batch[size:size + rows.size], mode="clip")
+        ids[size:size + rows.size] = rows
+        size += rows.size
+    if size:
+        yield ids[:size], batch[:size]
 
 
 def dump_bank(bank, fh) -> None:

@@ -166,8 +166,11 @@ def _parse(path: str, hint, value, seed: int, seed_wins: bool):
             raise ConfigError(f"{path} must be {what}, got {value!r}")
         if kind not in (bool, int, str) and not _fits_float(value):
             raise ConfigError(f"{path} must fit in a float, got an integer too large for one")
-        if path.endswith("seed") and value < 0:
-            raise ConfigError(f"{path} must be >= 0, got {value!r}")
+        if path.endswith("seed"):  # seeds are entropy, of any size
+            if value < 0:
+                raise ConfigError(f"{path} must be >= 0, got {value!r}")
+        elif kind is int and not -2 ** 63 <= value < 2 ** 63:
+            raise ConfigError(f"{path} must fit in a 64-bit integer, got {value!r}")
         return value
     if not isinstance(value, dict):
         raise ConfigError(f"{path} must be an object, got {value!r}")
@@ -280,7 +283,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     root = np.random.SeedSequence(cfg.seed)
     ood_child, epochs_parent = root.spawn(2)
-    epoch_children = epochs_parent.spawn(cfg.epochs)
     ood_feats, _ = make_ood_set(cfg.dataset, np.random.default_rng(ood_child))
 
     state = TrainState(embeddings=x, bank=BankSnapshot({}),
@@ -294,7 +296,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         csv_fh.write(csv_header() + "\n")
         for epoch in range(cfg.epochs):
             warmup = epoch < cfg.warmup_epochs
-            aug_ss, samp_ss = epoch_children[epoch].spawn(2)
+            # one child as each epoch starts; children are numbered in spawn
+            # order, so the keys are those of spawn(cfg.epochs) up front
+            aug_ss, samp_ss = epochs_parent.spawn(1)[0].spawn(2)
             aug_rng = np.random.default_rng(aug_ss)
             sampler_seed = int(np.random.default_rng(samp_ss).integers(0, 2 ** 63 - 1))
 

@@ -93,6 +93,24 @@ class TestUsage:
             "error: dataset.kappa must fit in a float, got an integer too large for one\n")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("doc, path", [
+        ('{"epochs": 1%s}' % ("0" * 30), "epochs"),
+        ('{"sampler": {"n_chains": %d}}' % 2 ** 63, "sampler.n_chains"),
+        ('{"dataset": {"n_per_class": -%d}}' % (2 ** 63 + 1), "dataset.n_per_class"),
+    ])
+    def test_integer_too_large_for_64_bits_fails_before_any_output(self, tmp_path, capsys,
+                                                                   monkeypatch, doc, path):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(doc)
+        assert cli_main(["run", "--config", str(config), "--out", "run"]) == 1
+        value = json.loads(doc)
+        for name in path.split("."):
+            value = value[name]
+        assert capsys.readouterr().err == (
+            f"error: {path} must fit in a 64-bit integer, got {value}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
 
 class TestEvalOod:
     def test_perfect_separation(self, tmp_path, capsys):

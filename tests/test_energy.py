@@ -26,6 +26,7 @@ from hambr.energy import (
     _top_k,
 )
 from hambr.sphere import UnitVector, geodesic_step, normalize, project_tangent
+from hambr.synthgen import sample_vmf
 
 # frozen constants recomputed by tests/oracles/energy_constants.py
 E_HALF_WEIGHT = -0.30685281944005466   # k=z, w=0.5, tau=1 -> ln 2 - 1
@@ -477,6 +478,41 @@ def raised(fn, *args):
     return type(info.value), str(info.value)
 
 
+def cluster_centers(d, n_classes):
+    """Unit centres at least 90 degrees apart: e_0, e_1, ... then -e_0, -e_1, ..."""
+    return np.concatenate([np.eye(d), -np.eye(d)])[:n_classes]
+
+
+def clustered_bank(rng, d, sizes):
+    """One tight vMF cluster (kappa 25 d) of sizes[c] entries per class
+    around cluster_centers, weights in [0.1, 1]: classes far from a point
+    can be bounded away from its minimum."""
+    centers = cluster_centers(d, len(sizes))
+    return BankSnapshot({c: (sample_vmf(centers[c], 25.0 * d, m, rng),
+                             rng.uniform(0.1, 1.0, size=m)) for c, m in enumerate(sizes)})
+
+
+def clustered_points(rng, d, counts):
+    """counts[c] points drawn as clustered_bank draws class c, classes interleaved."""
+    centers = cluster_centers(d, len(counts))
+    points = np.concatenate([sample_vmf(centers[c], 25.0 * d, m, rng)
+                             for c, m in enumerate(counts)])
+    return points[rng.permutation(len(points))]
+
+
+def rows_scored(monkeypatch, *args):
+    """potential_batch(*args) and the number of rows it passed to _soft_min."""
+    rows = []
+    soft_min = energy._soft_min
+
+    def spy(sims, *rest):
+        rows.append(sims.shape[0])
+        return soft_min(sims, *rest)
+
+    monkeypatch.setattr(energy, "_soft_min", spy)
+    return potential_batch(*args), sum(rows)
+
+
 class TestBlockedPotentialBatch:
     # block heights under the 2^16-similarity budget: 32 rows for a 2000-entry
     # class, 218 for 300, and the floor of 2 for 70,000 (larger than the budget)
@@ -595,6 +631,145 @@ class TestBlockedPotentialBatch:
         class1 = unblocked_potential_batch(np.eye(d)[:1], BankSnapshot(
             {1: (snap.features(1), snap.weights(1))}), params)
         assert got[5] == min(class0[0], class1[0])
+
+    # the cases below skip the (point, class) pairs the bounds rule out
+    def assert_matches_reference(self, points, snap, params):
+        got = potential_batch(points, snap, params)
+        ref = unblocked_potential_batch(points, snap, params)
+        if points.shape[1] == 8:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-15
+
+    # class 1 is smaller than K; n = 0, 1 and 2 reach the smallest blocks
+    @pytest.mark.parametrize("d,n_classes", [(8, 3), (8, 10), (32, 3), (32, 10)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 97, 1001])
+    def test_matches_unblocked_reference_where_most_classes_skip(self, d, n_classes, n):
+        rng = np.random.default_rng([d, n_classes, n])
+        sizes = [300, 9] + [int(m) for m in rng.integers(20, 400, size=n_classes - 2)]
+        snap = clustered_bank(rng, d, sizes)
+        points = clustered_points(rng, d, rng.multinomial(n, np.ones(n_classes) / n_classes))
+        params = EnergyParams()
+        assert params.k_neighbors > snap.size(1)
+        self.assert_matches_reference(points, snap, params)
+        if n >= 97:
+            keep = energy._candidates(points, snap, params)
+            assert keep.any(axis=1).all() and keep.mean() < 0.4
+
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_class_with_one_surviving_point(self, d):
+        rng = np.random.default_rng(20 + d)
+        snap = clustered_bank(rng, d, (300, 40, 200))
+        points = clustered_points(rng, d, (60, 60, 1))
+        params = EnergyParams()
+        assert energy._candidates(points, snap, params)[:, 2].sum() == 1
+        self.assert_matches_reference(points, snap, params)
+
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["empty", "massless"])
+    def test_class_that_can_raise_raises_as_the_reference(self, kind, position):
+        # the extra class sits at a centre no point is near, so its bounds
+        # would rule it out everywhere if it had any
+        rng = np.random.default_rng(30 + position)
+        d = 8
+        base = clustered_bank(rng, d, (200, 9, 150, 60))
+        groups = {c: (base.features(c), base.weights(c)) for c in base.classes}
+        far = sample_vmf(-np.eye(d)[4], 200.0, 30, rng)
+        groups[position] = (np.empty((0, d)), np.empty(0)) if kind == "empty" \
+            else (far, np.zeros(30))
+        snap = BankSnapshot(groups)
+        points = clustered_points(rng, d, (40, 40, 40, 40))
+        expected = raised(unblocked_potential_batch, points, snap, EnergyParams())
+        assert raised(potential_batch, points, snap) == expected
+        assert expected == ((EmptyClass, f"class {position} has no entries") if kind == "empty"
+                            else (ZeroMass, f"all selected weights are zero for class {position}"))
+
+    def test_class_with_a_zero_weight_is_scored_at_every_point(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        d = 8
+        snap = clustered_bank(rng, d, (200, 150, 60))
+        weights = snap.weights(2).copy()
+        weights[::7] = 0.0
+        snap = BankSnapshot({0: (snap.features(0), snap.weights(0)),
+                             1: (snap.features(1), snap.weights(1)),
+                             2: (snap.features(2), weights)})
+        points = clustered_points(rng, d, (100, 100, 0))
+        keep = energy._candidates(points, snap, EnergyParams())
+        assert keep[:, 2].all() and not keep[:, :2].all()
+        got, rows = rows_scored(monkeypatch, points, snap)
+        assert np.array_equal(got, unblocked_potential_batch(points, snap, EnergyParams()))
+        assert rows == keep.sum()
+
+    def test_soft_min_sees_few_of_the_rows(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        d = 8
+        snap = clustered_bank(rng, d, (256, 256, 256))
+        points = clustered_points(rng, d, (700, 700, 700))
+        got, rows = rows_scored(monkeypatch, points, snap)
+        assert rows <= 0.4 * points.shape[0] * len(snap.classes)
+        assert np.array_equal(got, unblocked_potential_batch(points, snap, EnergyParams()))
+
+    def test_floored_weights_score_every_row(self, monkeypatch):
+        # a fallback-like bank: every point against itself, weights floored
+        # at 1e-6, so no class can be ruled out
+        rng = np.random.default_rng(60)
+        d = 8
+        points = clustered_points(rng, d, (300, 300, 300))
+        labels = np.argmax(points @ cluster_centers(d, 3).T, axis=1)
+        weights = np.maximum(rng.uniform(-0.5, 1.0, size=len(points)), 1e-6)
+        snap = BankSnapshot.from_arrays(points, weights, labels)
+        got, rows = rows_scored(monkeypatch, points, snap)
+        assert rows == points.shape[0] * len(snap.classes)
+        assert np.array_equal(got, unblocked_potential_batch(points, snap, EnergyParams()))
+
+    def test_classes_within_rounding_of_the_minimum_are_kept(self):
+        # with K = 1 and unit weights both bounds are -s, so the two classes'
+        # energies at e_0 differ by the 5e-15 their similarities differ by,
+        # which another block shape could round the other way
+        d = 8
+        near = np.eye(d)[0] + 1e-7 * np.eye(d)[1]
+        snap = BankSnapshot({0: (np.eye(d)[:1], np.ones(1)),
+                             1: ((near / np.linalg.norm(near))[None, :], np.ones(1)),
+                             2: (-np.eye(d)[:1], np.ones(1))})
+        params = EnergyParams(k_neighbors=1)
+        keep = energy._candidates(np.eye(d)[:2], snap, params)
+        assert keep[0].tolist() == [True, True, False]
+        assert np.array_equal(potential_batch(np.eye(d)[:2], snap, params),
+                              unblocked_potential_batch(np.eye(d)[:2], snap, params))
+
+
+class TestEnergyBounds:
+    """The bounds `_candidates` skips by hold for the reference energies."""
+
+    @pytest.mark.parametrize("tau", [0.05, 1.0])
+    @pytest.mark.parametrize("d,n_classes", [(8, 3), (8, 10), (32, 3), (32, 10)])
+    def test_reference_energies_lie_within_the_bounds(self, d, n_classes, tau):
+        rng = np.random.default_rng([d, n_classes, int(tau * 100)])
+        params = EnergyParams(tau_energy=tau, k_neighbors=16)
+        groups = {}
+        for c in range(n_classes):
+            m = int(rng.choice([1, 5, 16, 40, 200]))
+            w = rng.uniform(1e-6, 1.0, size=m)
+            w[rng.random(m) < 0.2] = 1.0
+            groups[c] = (unit_rows(rng, m, d), w)
+        # class 0 holds 2K exact copies of e_0, so points near e_0 tie
+        copies = np.tile(np.eye(d)[0], (2 * params.k_neighbors, 1))
+        groups[0] = (np.concatenate([groups[0][0], copies]),
+                     np.concatenate([groups[0][1], rng.uniform(1e-3, 1.0, size=len(copies))]))
+        snap = BankSnapshot(groups)
+        near_e0 = np.eye(d)[0] + 0.01 * rng.standard_normal((20, d))
+        points = np.concatenate([unit_rows(rng, 300, d), np.eye(d)[:1],
+                                 near_e0 / np.linalg.norm(near_e0, axis=1)[:, None],
+                                 *(snap.features(c) for c in snap.classes)])
+        for c in snap.classes:
+            feats, w = snap.features(c), snap.weights(c)
+            sims = points @ feats.T
+            selected = stable_top_k(sims, w, min(params.k_neighbors, len(w)))
+            ref = soft_min_reference(selected[0], selected[1], tau)
+            (least,), (most,) = energy._bound_offsets(snap, [c], params)
+            top = sims.max(axis=1)
+            assert np.all(-top - most <= ref + 1e-12)
+            assert np.all(ref <= -top - least + 1e-12)
 
 
 class TestMassErrors:

@@ -92,6 +92,10 @@ def at(doc, path):
 NON_DEFAULTS = [(path, other_value(path, default))
                 for path, default in leaf_paths(ExperimentConfig())]
 NON_DEFAULTS.append(("dataset.noise", None))
+INTEGER_PATHS = [path for path, default in leaf_paths(ExperimentConfig())
+                 if isinstance(default, int) and not isinstance(default, bool)]
+SEED_PATHS = [path for path in INTEGER_PATHS if path.endswith("seed")]
+COUNT_PATHS = [path for path in INTEGER_PATHS if not path.endswith("seed")]
 
 
 class TestConfigPlumbing:
@@ -266,6 +270,27 @@ class TestConfigPlumbing:
                 f"{path} must fit in a float, got an integer too large for one") + "$"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [2 ** 63, 10 ** 30, -2 ** 63 - 1])
+    @pytest.mark.parametrize("path", COUNT_PATHS)
+    def test_integer_too_large_for_64_bits_rejected(self, path, value):
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path} must fit in a 64-bit integer, got {value}") + "$"):
+            config_from_dict(nested(path, value))
+
+    def test_integer_fields_take_the_64_bit_extremes(self):
+        # builds the config only: no run starts with these counts
+        assert config_from_dict({"epochs": 2 ** 63 - 1}).epochs == 2 ** 63 - 1
+        assert config_from_dict(nested("sampler.n_chains", 2 ** 63 - 1)).sampler.n_chains \
+            == 2 ** 63 - 1
+        assert {"dataset.dim", "epochs", "energy.k_neighbors", "t_filter"} <= set(COUNT_PATHS)
+
+    def test_seeds_are_not_bounded(self):
+        cfg = config_from_dict({"seed": 10 ** 30, "dataset": {"seed": 10 ** 40},
+                                "sampler": {"seed": 2 ** 64}})
+        assert (cfg.seed, cfg.dataset.seed, cfg.sampler.seed) == (10 ** 30, 10 ** 40, 2 ** 64)
+        assert sorted(SEED_PATHS) == ["dataset.seed", "sampler.seed", "seed"]
+        assert config_from_dict({}, seed_override=10 ** 30).sampler.seed == 10 ** 30
+
     def test_large_integer_that_fits_a_float_accepted(self):
         assert config_from_dict({"learn_rate": 10 ** 300}).learn_rate == 10 ** 300
 
@@ -351,6 +376,28 @@ class TestRunExperiment:
         a = (tmp_path / "a" / "metrics.csv").read_bytes()
         b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert a == b
+
+    def test_epoch_seeds_are_spawned_as_each_epoch_starts(self, tmp_path, monkeypatch):
+        spawned = []  # (entropy, parent key, child keys) of every spawn call
+
+        class SpawnSpy(np.random.SeedSequence):
+            def spawn(self, n_children):
+                children = super().spawn(n_children)
+                spawned.append((self.entropy, self.spawn_key,
+                                [child.spawn_key for child in children]))
+                return children
+
+        monkeypatch.setattr(np.random, "SeedSequence", SpawnSpy)
+        cfg = small_config(tmp_path / "run", seed=19)
+        run_experiment(cfg)
+        runs = [(parent, keys) for entropy, parent, keys in spawned if entropy == cfg.seed]
+        assert ((), [(0,), (1,)]) in runs  # the OOD child and the epochs parent
+        # one child at each epoch's start, keyed as spawn(cfg.epochs) keys them
+        epochs = [keys for parent, keys in runs if parent == (1,)]
+        assert epochs == [[(1, epoch)] for epoch in range(cfg.epochs)]
+        # each epoch child spawns its augmentation and sampler streams
+        assert [keys for parent, keys in runs if len(parent) == 2] == [
+            [(1, epoch, 0), (1, epoch, 1)] for epoch in range(cfg.epochs)]
 
     def test_ablation_equals_forced_empty_outliers(self, tmp_path, monkeypatch):
         calls = []
