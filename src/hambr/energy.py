@@ -40,10 +40,6 @@ class EmptyClass(ValueError):
     """Requested class has no bank entries."""
 
 
-class ZeroMass(ValueError):
-    """All selected neighbors carry zero weight."""
-
-
 class EmptyBank(ValueError):
     """Bank has no entries at all."""
 
@@ -55,8 +51,8 @@ class BankEntry:
     class_id: int
 
     def __post_init__(self):
-        if not (0.0 <= self.weight <= 1.0):
-            raise ValueError(f"weight must be in [0, 1], got {self.weight!r}")
+        if not 0.0 < self.weight <= 1.0:  # NaN fails every comparison
+            raise ValueError(f"weight must be in (0, 1], got {self.weight!r}")
         if self.class_id < 0:
             raise ValueError("class_id must be non-negative")
 
@@ -94,13 +90,25 @@ class BankSnapshot:
 
     Adding the bias to the stacked similarities sends every padding slot to
     -inf, so padding never wins a top-K selection over a real entry; it is
-    selected only when a class has fewer than K entries, and then its zero
-    weight drops it from the log-sum-exp.
+    selected only when a class has fewer than K entries, and then its term
+    0 * exp(-inf) is exactly 0 in the log-sum-exp.
+
+    Every class in `groups` must hold at least one entry and every weight
+    must lie in (0, 1], so each class has mass wherever it is queried;
+    ValueError naming the first bad class otherwise.
     """
 
     def __init__(self, groups: dict[int, tuple[np.ndarray, np.ndarray]]):
-        self._groups = groups
         self.classes = sorted(groups)
+        for c in self.classes:
+            w = groups[c][1]
+            if w.size == 0:
+                raise ValueError(f"class {c} has no entries")
+            bad = np.flatnonzero(~((w > 0.0) & (w <= 1.0)))
+            if bad.size:
+                raise ValueError(f"weight must be in (0, 1], got {float(w[bad[0]])} "
+                                 f"at entry {bad[0]} of class {c}")
+        self._groups = groups
         sizes = [self.size(c) for c in self.classes]
         m_max = max(sizes, default=0)
         self.dim = d = groups[self.classes[0]][0].shape[1] if self.classes else 0
@@ -127,7 +135,7 @@ class BankSnapshot:
 
         Every row must pass what `UnitVector` and `BankEntry` check one entry
         at a time: features (n, d) with d >= 2, each row finite and unit-norm
-        to NORM_TOL, each weight finite and in [0, 1], each label >= 0, and
+        to NORM_TOL, each weight in (0, 1], each label >= 0, and
         one weight and label per row; ValueError otherwise.  With a cap, each
         class keeps its last `capacity_per_class` rows in input order, the
         entries a FeatureBank of that capacity keeps after adding the rows one
@@ -142,9 +150,9 @@ class BankSnapshot:
             raise ValueError(f"{feats.shape[0]} features need as many weights and "
                              f"labels, got {weights.shape} and {labels.shape}")
         check_unit_rows(feats, "row")
-        bad = np.flatnonzero(~((weights >= 0.0) & (weights <= 1.0)))
+        bad = np.flatnonzero(~((weights > 0.0) & (weights <= 1.0)))
         if bad.size:
-            raise ValueError(f"weight must be in [0, 1], got {float(weights[bad[0]])} "
+            raise ValueError(f"weight must be in (0, 1], got {float(weights[bad[0]])} "
                              f"at row {bad[0]}")
         if labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0):
             raise ValueError("labels must be non-negative integers")
@@ -262,28 +270,18 @@ def _top_k(sims: np.ndarray, weights: np.ndarray, k: int):
     return sims.ravel()[flat].reshape(rows, k), w, cols
 
 
-def _soft_min(sims: np.ndarray, weights: np.ndarray, params: EnergyParams,
-              snap: BankSnapshot, classes) -> tuple:
+def _soft_min(sims: np.ndarray, weights: np.ndarray, params: EnergyParams) -> tuple:
     """-tau * log sum_j w_j exp(s_j / tau) over each row's `_top_k` selection.
 
-    Row i of `sims` scores class `classes[i]`; `weights` is as for `_top_k`.
-    Returns the (rows,) energies, the terms w_j exp((s_j - max) / tau), whose
-    normalisation is the gradient's softmax, and `_top_k`'s columns.  The
-    first row whose selection holds no positive weight raises EmptyClass if
-    its class has no entries, else ZeroMass.
+    Each row of `sims` scores one class, so it holds a finite similarity
+    with a positive weight; `weights` is as for `_top_k`.  Returns the
+    (rows,) energies, the terms w_j exp((s_j - max) / tau), whose
+    normalisation is the gradient's softmax, and `_top_k`'s columns.
     """
     sims, weights, cols = _top_k(sims, weights, params.k_neighbors)
-    live = weights > 0
-    has_mass = live.any(axis=-1)
-    if not has_mass.all():
-        c = classes[int(has_mass.argmin())]
-        if snap.size(c) == 0:
-            raise EmptyClass(f"class {c} has no entries")
-        raise ZeroMass(f"all selected weights are zero for class {c}")
     tau = params.tau_energy
-    masked = np.where(live, sims, -np.inf)  # exp(-inf) = 0
-    m = masked.max(axis=-1, keepdims=True)
-    terms = weights * np.exp((masked - m) / tau)
+    m = sims.max(axis=-1, keepdims=True)
+    terms = weights * np.exp((sims - m) / tau)  # padding: 0 * exp(-inf) = 0
     return -(m[..., 0] + tau * np.log(terms.sum(axis=-1))), terms, cols
 
 
@@ -294,7 +292,7 @@ def class_free_energy(z: UnitVector, bank, class_id: int,
     if class_id not in snap:
         raise EmptyClass(f"class {class_id} has no entries")
     sims = (snap.features(class_id) @ z.coords)[None, :]
-    energies, _, _ = _soft_min(sims, snap.weights(class_id), params, snap, [class_id])
+    energies, _, _ = _soft_min(sims, snap.weights(class_id), params)
     return float(energies[0])
 
 
@@ -308,7 +306,7 @@ def _scan(z: UnitVector, snap: BankSnapshot, params: EnergyParams) -> tuple:
     stack = snap._stack_bias.shape
     sims = (snap._stack_feats @ z.coords).reshape(stack)
     sims += snap._stack_bias
-    energies, terms, cols = _soft_min(sims, snap._stack_weights, params, snap, snap.classes)
+    energies, terms, cols = _soft_min(sims, snap._stack_weights, params)
     best = int(energies.argmin())
     c = snap.classes[best]
     # a class smaller than K also selects padding, whose columns come last
@@ -352,9 +350,9 @@ def riemannian_grad_U(z: UnitVector, bank,
 
 
 def _bound_offsets(snap: BankSnapshot, classes, params: EnergyParams):
-    """(least, most), one value per class of `classes`, each with entries and
-    only positive weights: the class's energy at a point whose largest
-    similarity to it is s lies in [-s - most, -s - least].
+    """(least, most), one value per class of `classes`: the class's energy
+    at a point whose largest similarity to it is s lies in
+    [-s - most, -s - least].
 
     The energy is -s - tau ln sum_j w_j exp((s_j - s) / tau) over the
     point's `_top_k` selection.  The top entry is always selected, so the
@@ -369,25 +367,21 @@ def _bound_offsets(snap: BankSnapshot, classes, params: EnergyParams):
 def _candidates(points: np.ndarray, snap: BankSnapshot, params: EnergyParams) -> np.ndarray:
     """(n, C) mask of the classes that can hold each point's minimum energy.
 
-    A class with entries and only positive weights is dropped at a point
-    where its `_bound_offsets` lower bound exceeds another such class's
-    upper bound by more than a rounding slack, so its energy is above the
-    point's minimum.  Classes with no entries or a zero weight are kept at
-    every point.  One matmul per row block against the bounded classes'
-    features (no padding) gives each point's largest similarity to each;
-    when the first block drops nothing (as on a bank whose floored weights
-    make the bounds wide), the later blocks are not bounded.
+    A class is dropped at a point where its `_bound_offsets` lower bound
+    exceeds another class's upper bound by more than a rounding slack, so
+    its energy is above the point's minimum.  One matmul per row block
+    against every class's features (no padding) gives each point's largest
+    similarity to each; when the first block drops nothing (as on a bank
+    whose floored weights make the bounds wide), the later blocks are not
+    bounded.
     """
     n = points.shape[0]
     keep = np.ones((n, len(snap.classes)), dtype=bool)
-    bounded = [j for j, c in enumerate(snap.classes)
-               if snap.size(c) and snap.weights(c).min() > 0]
-    if len(bounded) < 2:
+    if len(snap.classes) < 2:
         return keep
-    classes = [snap.classes[j] for j in bounded]
-    least, most = _bound_offsets(snap, classes, params)
-    feats = np.concatenate([snap.features(c) for c in classes])
-    starts = np.cumsum([0] + [snap.size(c) for c in classes[:-1]])
+    least, most = _bound_offsets(snap, snap.classes, params)
+    feats = np.concatenate([snap.features(c) for c in snap.classes])
+    starts = np.cumsum([0] + [snap.size(c) for c in snap.classes[:-1]])
     # the computed energies round by amounts that scale with tau and |point|,
     # which is at most sqrt(d) times the largest coordinate
     norm = max(points.max(initial=0.0), -points.min(initial=0.0)) * math.sqrt(snap.dim)
@@ -401,7 +395,7 @@ def _candidates(points: np.ndarray, snap: BankSnapshot, params: EnergyParams) ->
         skip = top + most < (top + least).max(axis=1, keepdims=True) - slack
         if r == 0 and not skip.any():
             break
-        keep[r:stop, bounded] = ~skip
+        keep[r:stop] = ~skip
     return keep
 
 
@@ -418,11 +412,8 @@ def potential_batch(points: np.ndarray, bank,
     top-K mask and gathers) holds about _BLOCK_SIMS elements, 0.5 MB of
     float64, whatever the number of points.  Only the (n, C) energies grow
     with n.  A row's energy does not depend on the other rows of its
-    block.  Classes that can raise (no entries, or a zero weight) score
-    every point, in class order, so the first of them to fail raises as
-    when every class is scored; with no points each class's whole weight
-    vector is checked.
-    `points` that are not finite and (n, d) with the bank's d raise ValueError.
+    block.  `points` that are not finite and (n, d) with the bank's d
+    raise ValueError.
     """
     snap = bank.snapshot()
     if not snap.classes:
@@ -435,17 +426,11 @@ def potential_batch(points: np.ndarray, bank,
                          f"the bank's features have dimension {snap.dim}")
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
-    n = points.shape[0]
-    if n == 0:
-        # ranked by weight, a class's K heaviest entries hold mass iff any does
-        _soft_min(snap._stack_weights + snap._stack_bias, snap._stack_weights,
-                  params, snap, snap.classes)
     keep = _candidates(points, snap, params)
-    energies = np.full((n, len(snap.classes)), np.inf)
+    energies = np.full((points.shape[0], len(snap.classes)), np.inf)
     for j, c in enumerate(snap.classes):
         for rows, sims in _kept_sims(points, snap.features(c), keep[:, j]):
-            energies[rows, j] = _soft_min(sims, snap.weights(c), params, snap,
-                                          [c] * len(sims))[0]
+            energies[rows, j] = _soft_min(sims, snap.weights(c), params)[0]
     return np.min(energies, axis=1)
 
 
@@ -515,8 +500,8 @@ def _bank_row(line: str, d: int | None):
         raise ValueError(f"class labels must be non-negative integers, got {label!r}")
     if isinstance(weight, bool) or not isinstance(weight, (int, float)):
         raise ValueError(f"weight must be a number, got {weight!r}")
-    if not 0.0 <= weight <= 1.0:  # NaN fails every comparison
-        raise ValueError(f"weight must be in [0, 1], got {weight!r}")
+    if not 0.0 < weight <= 1.0:  # NaN fails every comparison
+        raise ValueError(f"weight must be in (0, 1], got {weight!r}")
     feature = np.asarray(values)
     # numpy reads true and false in a list of numbers as 1.0 and 0.0
     if feature.ndim != 1 or feature.dtype.kind not in "iuf" or bool in map(type, values):

@@ -264,7 +264,7 @@ class PrototypeSet:
     """Unit prototypes of the bank's usable classes, as arrays.
 
     Row i of `directions` (k, d) is the prototype of class `classes[i]`
-    (classes ascending) and `support[i]` counts its positive-weight entries.
+    (classes ascending) and `support[i]` counts its entries.
     """
 
     classes: np.ndarray
@@ -276,10 +276,9 @@ class PrototypeSet:
 
 
 def compute_prototypes(bank) -> PrototypeSet:
-    """Weighted mean direction per non-empty class, renormalized.
+    """Weighted mean direction per class, renormalized.
 
-    Zero-weight entries contribute nothing; a class whose weighted sum has no
-    usable direction carries no prototype.
+    A class whose weighted sum has no usable direction carries no prototype.
     """
     snap = bank.snapshot()
     classes, directions, support = [], [], []
@@ -291,7 +290,7 @@ def compute_prototypes(bank) -> PrototypeSet:
             continue
         classes.append(c)
         directions.append(s / norm)
-        support.append(int(np.count_nonzero(w > 0)))
+        support.append(w.size)
     return PrototypeSet(np.array(classes, dtype=np.int64),
                         np.array(directions).reshape(len(classes), snap.dim),
                         np.array(support, dtype=np.int64))

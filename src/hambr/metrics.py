@@ -171,12 +171,15 @@ class MetricsRecord:
                         for c, v in zip(CSV_COLUMNS, vals))
 
     def json_line(self) -> str:
-        doc = {c: float(getattr(self, c)) for c in CSV_COLUMNS}
+        """The record as one JSON object; a NaN or infinite value is null."""
+        doc = {c: _finite_or_none(float(getattr(self, c))) for c in CSV_COLUMNS}
         doc["epoch"] = int(self.epoch)
-        doc["log_singular_values"] = [
-            v if math.isfinite(v) else None for v in self.log_singular_values
-        ]
-        return json.dumps(doc)
+        doc["log_singular_values"] = list(map(_finite_or_none, self.log_singular_values))
+        return json.dumps(doc, allow_nan=False)
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def csv_header() -> str:

@@ -34,6 +34,7 @@ from .losses import (
     PROB_CLAMP,
 )
 from .metrics import (
+    MIN_ID_SCORES,
     MetricsRecord,
     auroc,
     csv_header,
@@ -263,8 +264,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     metrics.csv and metrics.jsonl rows when it ends, line-buffered, so a failed
     run keeps them; bank.jsonl and outliers.jsonl (final epoch; empty when
     weights.lambda_hambr is 0, since no term then uses outliers) last. Returns
-    the train state, metric records and output path.
+    the train state, metric records and output path.  A dataset of fewer than
+    MIN_ID_SCORES samples raises ConfigError before anything is written.
     """
+    n_samples = cfg.dataset.n_per_class * cfg.dataset.n_classes
+    if n_samples < MIN_ID_SCORES:  # fpr95 takes one ID score per sample
+        raise ConfigError(f"dataset.n_per_class * dataset.n_classes must be >= "
+                          f"{MIN_ID_SCORES}, the ID scores fpr95 needs, got {n_samples}")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("bank.jsonl", "outliers.jsonl"):  # an earlier run's final epoch
@@ -326,11 +332,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
             # (4) bank rebuilt from the consensus set only: the last
             # DEFAULT_CAPACITY consensus ids of each class, in id order
-            if window_ready:
-                bank = BankSnapshot.from_arrays(x[consensus], posteriors[consensus],
-                                                y_obs[consensus], DEFAULT_CAPACITY)
-            else:
-                bank = BankSnapshot({})
+            # (no rows, so the empty bank, until the window is full)
+            bank = BankSnapshot.from_arrays(x[consensus], posteriors[consensus],
+                                            y_obs[consensus], DEFAULT_CAPACITY)
             state.bank = bank
 
             # (5) fresh prototypes from the bank
@@ -359,8 +363,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             sel_p, sel_r, sel_f = selection_f1(np.flatnonzero(labeled_mask), noise_mask)
             intra, inter = geometry_metrics(x, y_true, p_fresh)
             score_bank = bank if len(bank) else _fallback_bank(x, y_obs, posteriors)
-            u_id = potential_batch(x, score_bank, cfg.energy)
-            u_ood = potential_batch(ood_feats, score_bank, cfg.energy)
+            u_id, u_ood = np.split(potential_batch(np.concatenate([x, ood_feats]),
+                                                   score_bank, cfg.energy), [n])
             rec = MetricsRecord(
                 epoch=epoch, loss_x=terms.x, loss_u=terms.u, loss_reg=terms.reg,
                 loss_con=terms.con, loss_hambr=terms.hambr,

@@ -7,7 +7,8 @@ import pytest
 
 from hambr import __version__
 from hambr.cli import cli_main
-from hambr.energy import BankEntry, FeatureBank, dump_bank
+from hambr.energy import BankEntry, FeatureBank, dump_bank, load_bank
+from hambr.runner import load_config, run_experiment
 from hambr.sphere import UnitVector
 
 
@@ -228,15 +229,40 @@ class TestSynthesize:
         for row in rows:
             assert np.isclose(np.linalg.norm(row["outlier"]), 1.0, atol=1e-9)
 
+    def test_a_runs_bank_loads_back_and_feeds_synthesize(self, tmp_path):
+        run_dir = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"n_per_class": 30},
+            "sampler": {"n_chains": 6, "n_rounds": 2, "steps_per_round": 2},
+            "epochs": 5, "warmup_epochs": 2, "t_filter": 2, "seed": 3,
+            "output_dir": str(run_dir)}))
+        bank = run_experiment(load_config(cfg))["state"].bank
+        with open(run_dir / "bank.jsonl") as fh:
+            loaded = load_bank(fh)
+        assert len(loaded) == len(bank) > 0 and loaded.classes == bank.classes
+        for c in bank.classes:
+            assert loaded.features(c).tobytes() == bank.features(c).tobytes()
+            assert loaded.weights(c).tobytes() == bank.weights(c).tobytes()
+        out = tmp_path / "outliers.jsonl"
+        assert cli_main(["synthesize", "--bank", str(run_dir / "bank.jsonl"),
+                         "--config", str(run_dir / "config.json"), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["chain"] for row in rows] == list(range(6))
+        assert all(np.isfinite(row["potential"]) for row in rows)
+
     @pytest.mark.parametrize("text, message", [
         ('{"class": 0, "weight": 1.0, "feature": [1.0, 1.0]}\n',
          "error: bank line 1: feature is not unit norm: |v| = 1.4142135623730951\n"),
         ('{"class": 0, "weight": 1.5, "feature": [1.0, 0.0]}\n',
-         "error: bank line 1: weight must be in [0, 1], got 1.5\n"),
+         "error: bank line 1: weight must be in (0, 1], got 1.5\n"),
+        ('{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]}\n'
+         '{"class": 1, "weight": 0.0, "feature": [0.0, 1.0]}\n',
+         "error: bank line 2: weight must be in (0, 1], got 0.0\n"),
         ('{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]}\n'
          '{"class": 1, "weight": 1.0, "feature": [0.0, 1.0, 0.0]}\n', "error: "),
         ("", "error: cannot synthesize against an empty bank"),
-    ], ids=["non-unit-row", "weight-1.5", "ragged-features", "empty-file"])
+    ], ids=["non-unit-row", "weight-1.5", "weight-0", "ragged-features", "empty-file"])
     def test_bad_bank_file_is_an_error(self, tmp_path, capsys, text, message):
         bank_path = tmp_path / "bank.jsonl"
         bank_path.write_text(text)
@@ -265,7 +291,7 @@ class TestSynthesize:
         ('{"class": 1, "weight": 1.0, "feature": [-Infinity, 0.0]}',
          "feature is not unit norm: |v| = inf"),
         ('{"class": 1, "weight": -0.5, "feature": [0.0, 1.0]}',
-         "weight must be in [0, 1], got -0.5"),
+         "weight must be in (0, 1], got -0.5"),
         ('{"class": 1, "weight": 1.0, "feature": [true, 0.0]}',
          "feature must be a list of numbers"),
     ], ids=["missing-feature", "ragged", "bool-class", "bool-weight", "bad-json",
@@ -297,6 +323,18 @@ class TestRunCommand:
             assert cli_main([*command, "--config", str(cfg)]) == 1
             assert capsys.readouterr().err == f"error: dataset: {message}\n"
             assert not out.exists()
+
+    def test_dataset_too_small_for_fpr95_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": {"n_per_class": 5}}))
+        assert cli_main(["run", "--out", str(out), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: dataset.n_per_class * dataset.n_classes must be >= 20")
+        assert not out.exists()
+        # gen-data writes a dataset of any size
+        assert cli_main(["gen-data", "--out", str(out), "--config", str(cfg)]) == 0
+        assert len(out.read_text().splitlines()) == 15
 
     def test_end_to_end_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -16,7 +16,6 @@ from hambr.energy import (
     EmptyClass,
     EnergyParams,
     FeatureBank,
-    ZeroMass,
     class_free_energy,
     dump_bank,
     global_potential,
@@ -58,6 +57,10 @@ class TestBankEntry:
         with pytest.raises(ValueError):
             BankEntry(e(0), 1.5, 0)
 
+    def test_zero_weight_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("weight must be in (0, 1], got 0.0")):
+            BankEntry(e(0), 0.0, 0)
+
     def test_negative_class(self):
         with pytest.raises(ValueError):
             BankEntry(e(0), 0.5, -1)
@@ -90,7 +93,7 @@ class TestFeatureBank:
         rng = np.random.default_rng(21)
         bank = random_bank(rng, 8, 400, n_classes=3)
         for feature in bank.snapshot().features(1)[:5]:
-            bank.add(BankEntry(UnitVector(feature), 0.0, 1))
+            bank.add(BankEntry(UnitVector(feature), float(rng.uniform(0.1, 1.0)), 1))
         via_bank, via_snap = io.StringIO(), io.StringIO()
         dump_bank(bank, via_bank)
         dump_bank(bank.snapshot(), via_snap)
@@ -112,21 +115,21 @@ class TestFeatureBank:
         assert loaded.weights(0).tolist() == bank.snapshot().weights(0).tolist()
 
     def test_load_dump_round_trip_is_bit_exact(self):
-        # a 300-entry class, a 1-entry class and 20% zero weights, through
+        # a 300-entry class, a 1-entry class and 20% unit weights, through
         # JSON text: every feature and weight comes back bit for bit
         rng = np.random.default_rng(17)
         labels = np.concatenate([np.zeros(300, dtype=np.int64), [4], rng.integers(1, 3, 57)])
         feats = rng.standard_normal((labels.size, 7))
         feats /= np.linalg.norm(feats, axis=1)[:, None]
         weights = rng.uniform(0.0, 1.0, labels.size)
-        weights[rng.random(labels.size) < 0.2] = 0.0
+        weights[rng.random(labels.size) < 0.2] = 1.0
         snap = BankSnapshot.from_arrays(feats, weights, labels)
         buf = io.StringIO()
         dump_bank(snap, buf)
         buf.seek(0)
         loaded = load_bank(buf)
         assert loaded.classes == snap.classes == [0, 1, 2, 4]
-        assert loaded.size(0) == 300 and np.count_nonzero(loaded.weights(0) == 0) > 0
+        assert loaded.size(0) == 300 and np.count_nonzero(loaded.weights(0) == 1) > 0
         for c in snap.classes:
             assert loaded.features(c).tobytes() == snap.features(c).tobytes()
             assert loaded.weights(c).tobytes() == snap.weights(c).tobytes()
@@ -139,12 +142,14 @@ class TestFeatureBank:
 
     @pytest.mark.parametrize("rows, match", [
         ([{"class": 0, "weight": 1.0, "feature": [1.0, 1.0]}], "not unit norm"),
-        ([{"class": 0, "weight": 1.5, "feature": [1.0, 0.0]}], r"weight must be in \[0, 1\]"),
+        ([{"class": 0, "weight": 1.5, "feature": [1.0, 0.0]}], r"weight must be in \(0, 1\]"),
+        ([{"class": 0, "weight": 0.0, "feature": [1.0, 0.0]}], r"weight must be in \(0, 1\]"),
         ([{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]},
           {"class": 0, "weight": 1.0, "feature": [1.0, 0.0, 0.0]}], None),  # ragged
         ([{"class": 0.5, "weight": 1.0, "feature": [1.0, 0.0]}], "non-negative integers"),
         ([{"class": -1, "weight": 1.0, "feature": [1.0, 0.0]}], "non-negative integers"),
-    ], ids=["non-unit-row", "weight-1.5", "ragged-features", "float-class", "negative-class"])
+    ], ids=["non-unit-row", "weight-1.5", "weight-0", "ragged-features", "float-class",
+            "negative-class"])
     def test_load_rejects_bad_rows(self, rows, match):
         text = "".join(json.dumps(row) + "\n" for row in rows)
         with pytest.raises(ValueError, match=match):
@@ -172,13 +177,19 @@ class TestFeatureBank:
         ('{"class": 1, "weight": "1.0", "feature": [0.0, 1.0]}',
          "weight must be a number, got '1.0'"),
         ('{"class": 1, "weight": 1.5, "feature": [0.0, 1.0]}',
-         "weight must be in [0, 1], got 1.5"),
+         "weight must be in (0, 1], got 1.5"),
         ('{"class": 1, "weight": -0.0001, "feature": [0.0, 1.0]}',
-         "weight must be in [0, 1], got -0.0001"),
+         "weight must be in (0, 1], got -0.0001"),
+        ('{"class": 1, "weight": 0.0, "feature": [0.0, 1.0]}',
+         "weight must be in (0, 1], got 0.0"),
+        ('{"class": 1, "weight": 0, "feature": [0.0, 1.0]}',
+         "weight must be in (0, 1], got 0"),
+        ('{"class": 1, "weight": -0.0, "feature": [0.0, 1.0]}',
+         "weight must be in (0, 1], got -0.0"),
         ('{"class": 1, "weight": NaN, "feature": [0.0, 1.0]}',
-         "weight must be in [0, 1], got nan"),
+         "weight must be in (0, 1], got nan"),
         ('{"class": 1, "weight": Infinity, "feature": [0.0, 1.0]}',
-         "weight must be in [0, 1], got inf"),
+         "weight must be in (0, 1], got inf"),
         ('{"class": 1, "weight": 1.0, "feature": [1.0, 1.0]}',
          "feature is not unit norm: |v| = 1.4142135623730951"),
         ('{"class": 1, "weight": 1.0, "feature": [1.0, NaN]}',
@@ -200,7 +211,7 @@ class TestFeatureBank:
 
     def test_dump_rows_are_json_dumps_text(self):
         snap = BankSnapshot.from_arrays(np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]]),
-                                        [0.1, 1.0, 0.0], [2, 0, 2])
+                                        [0.1, 1.0, 0.5], [2, 0, 2])
         buf = io.StringIO()
         dump_bank(snap, buf)
         want = [json.dumps({"class": c, "weight": float(w), "feature": f.tolist()})
@@ -229,10 +240,9 @@ class TestClassFreeEnergy:
         with pytest.raises(EmptyClass):
             class_free_energy(e(0), bank, 0)
 
-    def test_zero_mass_raises(self):
-        bank = single_entry_bank(e(0), weight=0.0)
-        with pytest.raises(ZeroMass):
-            class_free_energy(e(0), bank, 0)
+    def test_zero_weight_rejected_before_any_query(self):
+        with pytest.raises(ValueError, match=re.escape("weight must be in (0, 1], got 0.0")):
+            single_entry_bank(e(0), weight=0.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -341,17 +351,14 @@ def per_class_potential(z, bank, params):
     return best
 
 
-def uneven_bank(rng, d, n_classes, k, massless=()):
-    """Uneven classes, class 1 smaller than k, and every 5th weight zero.
-
-    Classes in `massless` get zero weight throughout.
-    """
+def uneven_bank(rng, d, n_classes, k):
+    """Uneven classes, class 1 smaller than k, weights in [0.1, 1]."""
     bank = FeatureBank(capacity_per_class=6 * k)
     sizes = rng.integers(k + 1, 6 * k, size=n_classes)
     sizes[1] = k // 2
     for c, m in enumerate(sizes):
-        for j in range(m):
-            w = 0.0 if c in massless or j % 5 == 0 else float(rng.uniform(0.1, 1.0))
+        for _ in range(m):
+            w = float(rng.uniform(0.1, 1.0))
             bank.add(BankEntry(normalize(rng.standard_normal(d)), w, c))
     return bank
 
@@ -376,16 +383,14 @@ class TestFusedPotential:
         assert len(argmins) > 1
 
     @pytest.mark.parametrize("massless", [(0,), (2,), (1, 2)])
-    def test_zero_mass_names_the_same_class(self, massless):
+    def test_massless_class_is_rejected_where_the_bank_is_built(self, massless):
         rng = np.random.default_rng(77)
-        params = EnergyParams(k_neighbors=16)
-        bank = uneven_bank(rng, 8, 3, params.k_neighbors, massless=massless)
-        z = normalize(rng.standard_normal(8))
-        with pytest.raises(ZeroMass) as ref:
-            per_class_potential(z, bank, params)
-        with pytest.raises(ZeroMass, match=f"class {min(massless)}$") as fused:
-            global_potential(z, bank, params)
-        assert str(fused.value) == str(ref.value)
+        snap = uneven_bank(rng, 8, 3, 16).snapshot()
+        groups = {c: (snap.features(c), np.zeros(snap.size(c)) if c in massless
+                      else snap.weights(c)) for c in snap.classes}
+        with pytest.raises(ValueError, match=re.escape(
+                f"weight must be in (0, 1], got 0.0 at entry 0 of class {min(massless)}")):
+            BankSnapshot(groups)
 
 
 def one_class_gradient(z, snap, params):
@@ -402,15 +407,14 @@ def one_class_gradient(z, snap, params):
 
 
 def tied_bank(rng, d, n_classes, k):
-    """`uneven_bank` with 2k copies of e_0 (every third weightless) among
-    class 0's entries: any point's similarity to them ties exactly, so near
-    e_0 more than k entries tie at class 0's k-th largest value."""
+    """`uneven_bank` with 2k copies of e_0 among class 0's entries: any
+    point's similarity to them ties exactly, so near e_0 more than k entries
+    tie at class 0's k-th largest value."""
     snap = uneven_bank(rng, d, n_classes, k).snapshot()
     groups = {c: (snap.features(c), snap.weights(c)) for c in snap.classes}
     feats, weights = groups[0]
     copies = np.tile(np.eye(d)[0], (2 * k, 1))
     copy_weights = rng.uniform(0.1, 1.0, size=2 * k)
-    copy_weights[::3] = 0.0
     groups[0] = (np.concatenate([feats[:5], copies, feats[5:]]),
                  np.concatenate([weights[:5], copy_weights, weights[5:]]))
     return BankSnapshot(groups)
@@ -451,18 +455,13 @@ def soft_min_reference(sims, weights, tau):
 
 def unblocked_potential_batch(points, snap, params):
     """Reference for potential_batch: each class, in class order, scored in
-    one (n, m_c) slab.  A class must have entries and some positive weight,
-    and each point's K nearest entries (a stable sort) must keep some; a
-    masked log-sum-exp over them gives the class energy."""
+    one (n, m_c) slab.  A masked log-sum-exp over each point's K nearest
+    entries (a stable sort) gives the class energy."""
     energies = np.empty((points.shape[0], len(snap.classes)))
     for j, c in enumerate(snap.classes):
         feats, w = snap.features(c), snap.weights(c)
-        if feats.shape[0] == 0:
-            raise EmptyClass(f"class {c} has no entries")
         sims, weights, _ = stable_top_k(points @ feats.T, w,
                                         min(params.k_neighbors, feats.shape[0]))
-        if not (w > 0).any() or not (weights > 0).any(axis=1).all():
-            raise ZeroMass(f"all selected weights are zero for class {c}")
         energies[:, j] = soft_min_reference(sims, weights, params.tau_energy)
     return np.min(energies, axis=1)
 
@@ -470,12 +469,6 @@ def unblocked_potential_batch(points, snap, params):
 def unit_rows(rng, n, d):
     x = rng.standard_normal((n, d))
     return x / np.linalg.norm(x, axis=1)[:, None]
-
-
-def raised(fn, *args):
-    with pytest.raises((EmptyClass, ZeroMass)) as info:
-        fn(*args)
-    return type(info.value), str(info.value)
 
 
 def cluster_centers(d, n_classes):
@@ -519,15 +512,9 @@ class TestBlockedPotentialBatch:
     SMALL = (2000, 9, 300)
     LARGE = (2000, 70_000, 9)
 
-    def snapshot(self, rng, d, sizes, massless=()):
-        groups = {}
-        for c, m in enumerate(sizes):
-            w = rng.uniform(0.1, 1.0, size=m)
-            w[::5] = 0.0
-            if c in massless:
-                w[:] = 0.0
-            groups[c] = (unit_rows(rng, m, d), w)
-        return BankSnapshot(groups)
+    def snapshot(self, rng, d, sizes):
+        return BankSnapshot({c: (unit_rows(rng, m, d), rng.uniform(0.1, 1.0, size=m))
+                             for c, m in enumerate(sizes)})
 
     # n = 33 and 1001 are no multiple of 32; the reference's (n, m_c) slabs
     # stay under 20 MB
@@ -565,37 +552,22 @@ class TestBlockedPotentialBatch:
         # one (4000, 2000) slab of similarities alone would be 64 MB
         assert max(peaks) < 4 * 2 ** 20
 
-    def test_no_points_still_checks_every_class(self):
+    def test_no_points_give_no_values(self):
         rng = np.random.default_rng(6)
         d = 8
-        snap = BankSnapshot({0: (unit_rows(rng, 40, d), np.ones(40)),
-                             1: (np.empty((0, d)), np.empty(0))})
         none = np.empty((0, d))
-        assert raised(potential_batch, none, snap) == (EmptyClass, "class 1 has no entries")
-        massless = self.snapshot(rng, d, (40, 9), massless=(1,))
-        expected = raised(unblocked_potential_batch, none, massless, EnergyParams())
-        assert raised(potential_batch, none, massless) == expected == (
-            ZeroMass, "all selected weights are zero for class 1")
-        # a massless class of more than K entries: no points select none of
-        # its weights, and it raises as it does for three points
-        large = self.snapshot(rng, d, (9, 40), massless=(1,))
-        assert raised(potential_batch, none, large) == raised(
-            potential_batch, unit_rows(rng, 3, d), large) == (
-            ZeroMass, "all selected weights are zero for class 1")
-        # a class whose one weighted entry is the last of 40 holds mass
-        w = np.zeros(40)
-        w[-1] = 0.5
-        last = BankSnapshot({0: (unit_rows(rng, 9, d), np.ones(9)), 1: (unit_rows(rng, 40, d), w)})
-        assert potential_batch(none, last).shape == (0,)
+        for sizes in ((40,), (40, 9), (9, 40, 300)):
+            assert potential_batch(none, self.snapshot(rng, d, sizes)).shape == (0,)
 
     @pytest.mark.parametrize("massless", [(0,), (2,), (1, 3)])
-    def test_zero_mass_names_the_reference_class(self, massless):
+    def test_massless_class_is_rejected_in_class_order(self, massless):
         rng = np.random.default_rng(8)
-        snap = self.snapshot(rng, 8, (2000, 40, 9, 300), massless=massless)
-        points = unit_rows(rng, 100, 8)
-        expected = raised(unblocked_potential_batch, points, snap, EnergyParams())
-        assert raised(potential_batch, points, snap) == expected
-        assert expected[1].endswith(f"class {min(massless)}")
+        snap = self.snapshot(rng, 8, (2000, 40, 9, 300))
+        groups = {c: (snap.features(c), np.zeros(snap.size(c)) if c in massless
+                      else snap.weights(c)) for c in reversed(snap.classes)}
+        with pytest.raises(ValueError, match=re.escape(
+                f"weight must be in (0, 1], got 0.0 at entry 0 of class {min(massless)}")):
+            BankSnapshot(groups)
 
     @pytest.mark.parametrize("points,message", [
         (np.ones(8) / np.sqrt(8), r"points must be an \(n, d\) array, got shape \(8,\)"),
@@ -667,9 +639,7 @@ class TestBlockedPotentialBatch:
 
     @pytest.mark.parametrize("position", [0, 1, 3])
     @pytest.mark.parametrize("kind", ["empty", "massless"])
-    def test_class_that_can_raise_raises_as_the_reference(self, kind, position):
-        # the extra class sits at a centre no point is near, so its bounds
-        # would rule it out everywhere if it had any
+    def test_class_without_mass_is_rejected_where_the_bank_is_built(self, kind, position):
         rng = np.random.default_rng(30 + position)
         d = 8
         base = clustered_bank(rng, d, (200, 9, 150, 60))
@@ -677,28 +647,22 @@ class TestBlockedPotentialBatch:
         far = sample_vmf(-np.eye(d)[4], 200.0, 30, rng)
         groups[position] = (np.empty((0, d)), np.empty(0)) if kind == "empty" \
             else (far, np.zeros(30))
-        snap = BankSnapshot(groups)
-        points = clustered_points(rng, d, (40, 40, 40, 40))
-        expected = raised(unblocked_potential_batch, points, snap, EnergyParams())
-        assert raised(potential_batch, points, snap) == expected
-        assert expected == ((EmptyClass, f"class {position} has no entries") if kind == "empty"
-                            else (ZeroMass, f"all selected weights are zero for class {position}"))
+        message = (f"class {position} has no entries" if kind == "empty"
+                   else f"weight must be in (0, 1], got 0.0 at entry 0 of class {position}")
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            BankSnapshot(groups)
 
-    def test_class_with_a_zero_weight_is_scored_at_every_point(self, monkeypatch):
+    def test_class_with_a_zero_weight_is_rejected(self):
         rng = np.random.default_rng(40)
-        d = 8
-        snap = clustered_bank(rng, d, (200, 150, 60))
+        snap = clustered_bank(rng, 8, (200, 150, 60))
         weights = snap.weights(2).copy()
         weights[::7] = 0.0
-        snap = BankSnapshot({0: (snap.features(0), snap.weights(0)),
-                             1: (snap.features(1), snap.weights(1)),
-                             2: (snap.features(2), weights)})
-        points = clustered_points(rng, d, (100, 100, 0))
-        keep = energy._candidates(points, snap, EnergyParams())
-        assert keep[:, 2].all() and not keep[:, :2].all()
-        got, rows = rows_scored(monkeypatch, points, snap)
-        assert np.array_equal(got, unblocked_potential_batch(points, snap, EnergyParams()))
-        assert rows == keep.sum()
+        weights[0] = 0.5
+        with pytest.raises(ValueError, match=re.escape(
+                "weight must be in (0, 1], got 0.0 at entry 7 of class 2")):
+            BankSnapshot({0: (snap.features(0), snap.weights(0)),
+                          1: (snap.features(1), snap.weights(1)),
+                          2: (snap.features(2), weights)})
 
     def test_soft_min_sees_few_of_the_rows(self, monkeypatch):
         rng = np.random.default_rng(50)
@@ -773,24 +737,29 @@ class TestEnergyBounds:
 
 
 class TestMassErrors:
-    @pytest.mark.parametrize("size,weight,error", [
-        (0, 1.0, (EmptyClass, "class 1 has no entries")),
-        (9, 0.0, (ZeroMass, "all selected weights are zero for class 1")),
-        (40, 0.0, (ZeroMass, "all selected weights are zero for class 1")),
+    @pytest.mark.parametrize("size,weight,message", [
+        (0, 1.0, "class 1 has no entries"),
+        (9, 0.0, "weight must be in (0, 1], got 0.0 at entry 0 of class 1"),
+        (40, 0.0, "weight must be in (0, 1], got 0.0 at entry 0 of class 1"),
     ], ids=["empty", "massless-under-k", "massless-over-k"])
-    def test_every_query_raises_alike(self, size, weight, error):
+    def test_every_bank_builder_rejects_alike(self, size, weight, message):
         rng = np.random.default_rng(14)
         d = 8
-        snap = BankSnapshot({0: (unit_rows(rng, 30, d), np.ones(30)),
-                             1: (unit_rows(rng, size, d), np.full(size, weight)),
-                             2: (unit_rows(rng, 20, d), np.ones(20))})
-        z = normalize(rng.standard_normal(d))
-        params = EnergyParams()
-        assert raised(class_free_energy, z, snap, 1, params) == error
-        assert raised(global_potential, z, snap, params) == error
-        assert raised(riemannian_grad_U, z, snap, params) == error
-        assert raised(potential_batch, unit_rows(rng, 5, d), snap, params) == error
-        assert snap._memo is None
+        feats = [unit_rows(rng, 30, d), unit_rows(rng, size, d), unit_rows(rng, 20, d)]
+        weights = [np.ones(30), np.full(size, weight), np.ones(20)]
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            BankSnapshot(dict(enumerate(zip(feats, weights))))
+        if size:  # rows carry no empty class: the first zero weight is row 30
+            with pytest.raises(ValueError, match=re.escape("got 0.0 at row 30")):
+                BankSnapshot.from_arrays(np.concatenate(feats), np.concatenate(weights),
+                                         np.repeat([0, 1, 2], [30, size, 20]))
+            with pytest.raises(ValueError, match=re.escape("got 0.0")):
+                BankEntry(UnitVector(feats[1][0]), weight, 1)
+
+    def test_query_for_a_class_the_bank_lacks_raises(self):
+        snap = BankSnapshot({0: (np.array([e(0).coords]), np.ones(1))})
+        with pytest.raises(EmptyClass, match="^class 1 has no entries$"):
+            class_free_energy(e(0), snap, 1)
 
 
 def stable_top_k(sims, weights, k):
@@ -965,20 +934,19 @@ class TestQueryMemo:
                          riemannian_grad_U(z, fresh(snap), other).coords)
 
     def test_failed_query_is_not_remembered(self):
-        # with k=1 class 0 at z selects only its zero-weight entry e(0); with
-        # k=2 it also selects the unit-weight entry e(1)
+        # a point of the wrong dimension fails the scan's matvec
         feats = np.array([e(0).coords, e(1).coords, e(2).coords])
-        snap = BankSnapshot.from_arrays(feats, [0.0, 1.0, 1.0], [0, 0, 1])
-        z = normalize([1.0, 0.2, 0.1])
-        one, two = EnergyParams(k_neighbors=1), EnergyParams(k_neighbors=2)
+        snap = BankSnapshot.from_arrays(feats, [0.5, 1.0, 1.0], [0, 0, 1])
+        z, wrong = normalize([1.0, 0.2, 0.1]), normalize([1.0, 0.2, 0.1, 0.3])
+        two = EnergyParams(k_neighbors=2)
         for query in (global_potential, riemannian_grad_U):
-            with pytest.raises(ZeroMass):
-                query(z, snap, one)
+            with pytest.raises(ValueError):
+                query(wrong, snap, two)
             assert snap._memo is None
         good = riemannian_grad_U(z, snap, two)
-        with pytest.raises(ZeroMass):
-            riemannian_grad_U(z, snap, one)
-        assert snap._recall(z, one) is None
+        with pytest.raises(ValueError):
+            riemannian_grad_U(wrong, snap, two)
+        assert snap._recall(wrong, two) is None and snap._recall(z, two) is not None
         assert same_bits(global_potential(z, snap, two), global_potential(z, fresh(snap), two))
         assert same_bits(good.coords, riemannian_grad_U(z, fresh(snap), two).coords)
 
@@ -997,13 +965,10 @@ class TestQueryMemo:
         assert same_bits(riemannian_grad_U(z, snap, params).coords, want.coords)
         assert snap._recall(z, params)[4].coords.tobytes() == want.coords.tobytes()
 
-    def test_empty_class_is_not_remembered(self):
-        snap = BankSnapshot({0: (np.array([e(0).coords]), np.ones(1)),
-                             1: (np.empty((0, 3)), np.empty(0))})
-        for query in (global_potential, riemannian_grad_U, global_potential):
-            with pytest.raises(EmptyClass):
-                query(e(0), snap, EnergyParams())
-            assert snap._memo is None
+    def test_empty_class_is_rejected_before_any_query(self):
+        with pytest.raises(ValueError, match="^class 1 has no entries$"):
+            BankSnapshot({0: (np.array([e(0).coords]), np.ones(1)),
+                          1: (np.empty((0, 3)), np.empty(0))})
 
     def test_interleaved_queries_match_fresh_snapshots(self):
         rng = np.random.default_rng(62)
@@ -1027,7 +992,7 @@ class TestBankFromArrays:
         labels = rng.permutation(np.repeat(list(self.SIZES), list(self.SIZES.values())))
         x = unit_rows(rng, labels.size, d)
         weights = rng.uniform(0.0, 1.0, labels.size)
-        weights[rng.random(labels.size) < 0.2] = 0.0
+        weights[rng.random(labels.size) < 0.2] = 1.0
         return x, weights, labels
 
     def per_sample_bank(self, x, weights, labels, capacity=DEFAULT_CAPACITY):
@@ -1048,7 +1013,7 @@ class TestBankFromArrays:
             assert got.weights(c).tobytes() == want.weights(c).tobytes()
             kept = np.flatnonzero(labels == c)[-DEFAULT_CAPACITY:]
             assert np.array_equal(got.weights(c), weights[kept])
-        assert (got.weights(0) == 0.0).any()
+        assert (got.weights(0) == 1.0).any()
         via_got, via_want = io.StringIO(), io.StringIO()
         dump_bank(got, via_got)
         dump_bank(want, via_want)
@@ -1089,6 +1054,7 @@ class TestBankFromArrays:
 
     @pytest.mark.parametrize("bad", ["non_unit_row", "nan_row", "inf_row",
                                      "weight_1.5", "nan_weight", "negative_weight",
+                                     "zero_weight",
                                      "label_-1", "float_labels", "short_weights",
                                      "short_labels", "vector_features", "d_1",
                                      "cap_0"])
@@ -1107,6 +1073,8 @@ class TestBankFromArrays:
             weights[7] = np.nan
         elif bad == "negative_weight":
             weights[7] = -0.1
+        elif bad == "zero_weight":
+            weights[7] = 0.0
         elif bad == "label_-1":
             labels[7] = -1
         elif bad == "float_labels":
@@ -1126,7 +1094,8 @@ class TestBankFromArrays:
 
     @pytest.mark.parametrize("bad, message", [
         ("feature", "row 1 is not unit norm: |v| = 1.4142135623730951"),
-        ("weight", "weight must be in [0, 1], got 1.5 at row 1"),
+        ("weight", "weight must be in (0, 1], got 1.5 at row 1"),
+        ("zero weight", "weight must be in (0, 1], got 0.0 at row 1"),
     ])
     def test_range_errors_print_plain_floats(self, bad, message):
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -1134,6 +1103,6 @@ class TestBankFromArrays:
         if bad == "feature":
             x[1, 0] = 1.0
         else:
-            weights[1] = 1.5
+            weights[1] = 1.5 if bad == "weight" else 0.0
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             BankSnapshot.from_arrays(x, weights, np.array([0, 1]))

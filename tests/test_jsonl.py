@@ -71,8 +71,8 @@ class TestWritersMatchPerRowJsonDumps:
         assert buf.getvalue() == want
 
     def test_bank(self, n):
-        # a bank holds weights in [0, 1]: -0.0 and 1e-300 are its edge values
-        feats, weights = unit_rows(n, 4), floats(n, 5, [-0.0, 1e-300, 5e-324, 1.0])
+        # a bank holds weights in (0, 1]: 5e-324 and 1.0 are its edge values
+        feats, weights = unit_rows(n, 4), floats(n, 5, [0.5, 1e-300, 5e-324, 1.0])
         labels = np.where(np.arange(n) < n // 3, 3, 1)
         snap = BankSnapshot.from_arrays(feats, weights, labels) if n else BankSnapshot({})
         want = lines({"class": int(c), "weight": float(w), "feature": f.tolist()}

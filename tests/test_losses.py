@@ -426,13 +426,11 @@ class TestComputePrototypes:
         assert protos.classes.tolist() == [1]
         assert np.array_equal(protos.directions, [e(2)])
 
-    def test_zero_weight_entry_excluded(self):
-        bank = FeatureBank()
-        bank.add(BankEntry(UnitVector(e(0)), 1.0, 0))
-        bank.add(BankEntry(UnitVector(e(1)), 0.0, 0))
-        protos = compute_prototypes(bank)
-        assert np.allclose(protos.directions[0], e(0))
-        assert protos.support.tolist() == [1]
+    def test_zero_weight_entry_rejected_before_the_prototypes(self):
+        with pytest.raises(ValueError, match=r"weight must be in \(0, 1\], got 0.0"):
+            BankEntry(UnitVector(e(1)), 0.0, 0)
+        with pytest.raises(ValueError, match=r"weight must be in \(0, 1\], got 0.0 at row 1"):
+            BankSnapshot.from_arrays([e(0), e(1)], [1.0, 0.0], [0, 0])
 
     def test_only_populated_classes_present(self):
         bank = FeatureBank()
@@ -446,8 +444,11 @@ class TestComputePrototypes:
         rng = np.random.default_rng(5)
         feats = unit_rows(rng, 90, 6)
         weights = rng.uniform(0.0, 1.0, 90)
-        labels = rng.choice([0, 2, 5, 7], size=90)
-        weights[labels == 7] = 0.0               # no mass: no prototype
+        labels = rng.choice([0, 2, 5], size=90)
+        # class 7: two opposite entries of equal weight, no direction: no prototype
+        feats = np.concatenate([feats, feats[:1], -feats[:1]])
+        weights = np.concatenate([weights, [0.5, 0.5]])
+        labels = np.concatenate([labels, [7, 7]])
         protos = compute_prototypes(BankSnapshot.from_arrays(feats, weights, labels))
         assert protos.classes.tolist() == [0, 2, 5]
         for i, c in enumerate(protos.classes):

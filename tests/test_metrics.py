@@ -270,3 +270,18 @@ class TestMetricsRecord:
         doc = json.loads(self.record().json_line())
         assert doc["log_singular_values"][-1] is None
         assert doc["epoch"] == 3
+
+    def test_json_line_writes_every_non_finite_float_as_null(self):
+        # a one-class run has no prototype pair, so its inter is nan
+        rec = self.record(inter=float("nan"), loss_x=float("inf"), fpr95=float("nan"),
+                          log_singular_values=(float("nan"), np.inf, 0.5))
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        doc = json.loads(rec.json_line(), parse_constant=reject)
+        assert doc["inter"] is None and doc["loss_x"] is None and doc["fpr95"] is None
+        assert doc["log_singular_values"] == [None, None, 0.5]
+        assert doc["intra"] == 0.9
+        assert rec.csv_row().split(",")[1] == "inf"
+        assert rec.csv_row().split(",")[CSV_COLUMNS.index("inter")] == "nan"

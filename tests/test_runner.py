@@ -327,6 +327,32 @@ class TestRunExperiment:
         assert len(outlier_rows) == cfg.sampler.n_chains
         assert len(result["records"]) == cfg.epochs
 
+    def test_dataset_too_small_for_fpr95_rejected_before_any_output(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = small_config(out, dataset=DatasetSpec(n_per_class=5, seed=11))
+        with pytest.raises(ConfigError, match=re.escape(
+                "dataset.n_per_class * dataset.n_classes must be >= 20, the ID scores "
+                "fpr95 needs, got 15")):
+            run_experiment(cfg)
+        assert not out.exists()
+        # 20 samples are enough
+        cfg = small_config(out, dataset=DatasetSpec(n_classes=4, n_per_class=5, seed=11))
+        assert len(run_experiment(cfg)["records"]) == cfg.epochs
+
+    def test_one_class_run_writes_strict_json(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(small_config(out, dataset=DatasetSpec(n_classes=1, noise=None,
+                                                             n_per_class=40, seed=11)))
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        rows = [json.loads(line, parse_constant=reject)
+                for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert [row["inter"] for row in rows] == [None] * len(rows)
+        csv_rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[10] for row in csv_rows} == {"nan"}
+
     def test_embeddings_stay_unit_norm(self, tmp_path):
         result = run_experiment(small_config(tmp_path / "run"))
         emb = result["state"].embeddings
@@ -492,6 +518,20 @@ class TestRunExperiment:
                 want = flags[e - cfg.t_filter + 1:e + 1].all(axis=0)
             got = np.array([row["in_consensus"] for row in block])
             assert np.array_equal(got, want), f"epoch {e}"
+
+
+def test_fallback_bank_floors_exact_zero_posteriors():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((50, 8))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    labels = rng.integers(0, 3, 50)
+    posteriors = rng.uniform(0.0, 1.0, 50)
+    posteriors[::4] = 0.0
+    for post in (posteriors, np.zeros(50)):
+        snap = _fallback_bank(x, labels, post)
+        weights = np.concatenate([snap.weights(c) for c in snap.classes])
+        assert len(snap) == 50 and weights.min() == 1e-6
+        assert np.count_nonzero(weights == 1e-6) == np.count_nonzero(post < 1e-6)
 
 
 def test_fallback_bank_scores_like_a_per_sample_feature_bank():
