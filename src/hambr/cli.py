@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -53,7 +52,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_scores(path: str) -> np.ndarray:
-    values = [float(line) for line in Path(path).read_text().split()]
+    """The scores in the file at `path`, one number per line, blank lines skipped."""
+    values = []
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise ValueError(f"{path} line {number}: expected one number, "
+                                     f"got {line.strip()!r}") from None
     return np.array(values)
 
 

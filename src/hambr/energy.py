@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._jsonl import write_rows
-from .sphere import NORM_TOL, TangentVector, UnitVector, check_unit_rows, project_tangent
+from ._rules import check_rules, rule
+from .sphere import NORM_TOL, TangentVector, UnitVector, _norm, check_unit_rows, project_tangent
 
 DEFAULT_CAPACITY = 256
 _BLOCK_SIMS = 1 << 16  # elements a row-blocked kernel's widest temporary holds
@@ -44,6 +46,16 @@ class EmptyBank(ValueError):
     """Bank has no entries at all."""
 
 
+def _check_entry(weight, label) -> None:
+    """ValueError unless `label` is a non-negative integer and `weight` a number in (0, 1]."""
+    if isinstance(label, bool) or not isinstance(label, numbers.Integral) or label < 0:
+        raise ValueError(f"class labels must be non-negative integers, got {label!r}")
+    if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+        raise ValueError(f"weight must be a number, got {weight!r}")
+    if not 0.0 < weight <= 1.0:  # NaN fails every comparison
+        raise ValueError(f"weight must be in (0, 1], got {weight!r}")
+
+
 @dataclass(frozen=True)
 class BankEntry:
     feature: UnitVector
@@ -51,10 +63,7 @@ class BankEntry:
     class_id: int
 
     def __post_init__(self):
-        if not 0.0 < self.weight <= 1.0:  # NaN fails every comparison
-            raise ValueError(f"weight must be in (0, 1], got {self.weight!r}")
-        if self.class_id < 0:
-            raise ValueError("class_id must be non-negative")
+        _check_entry(self.weight, self.class_id)
 
 
 class BankSnapshot:
@@ -228,14 +237,10 @@ class FeatureBank:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    tau_energy: float = 0.1
-    k_neighbors: int = 16  # capped at class size when the class is smaller
+    tau_energy: float = rule("positive and finite", 0.1)
+    k_neighbors: int = rule(">= 1", 16)  # capped at class size when the class is smaller
 
-    def __post_init__(self):
-        if not 0 < self.tau_energy < np.inf:  # NaN fails every comparison
-            raise ValueError("tau_energy must be positive and finite")
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
+    __post_init__ = check_rules
 
 
 def _top_k(sims: np.ndarray, weights: np.ndarray, k: int):
@@ -496,12 +501,7 @@ def _bank_row(line: str, d: int | None):
     if missing:
         raise ValueError(f"missing key {missing[0]!r}")
     label, weight, values = row["class"], row["weight"], row["feature"]
-    if isinstance(label, bool) or not isinstance(label, int) or label < 0:
-        raise ValueError(f"class labels must be non-negative integers, got {label!r}")
-    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-        raise ValueError(f"weight must be a number, got {weight!r}")
-    if not 0.0 < weight <= 1.0:  # NaN fails every comparison
-        raise ValueError(f"weight must be in (0, 1], got {weight!r}")
+    _check_entry(weight, label)
     feature = np.asarray(values)
     # numpy reads true and false in a list of numbers as 1.0 and 0.0
     if feature.ndim != 1 or feature.dtype.kind not in "iuf" or bool in map(type, values):
@@ -510,10 +510,11 @@ def _bank_row(line: str, d: int | None):
         raise ValueError(f"feature has {feature.size} values, at least 2 are needed")
     if d is not None and feature.size != d:
         raise ValueError(f"feature has {feature.size} values, the first row's has {d}")
-    norm = math.hypot(*values)
+    feature = feature.astype(np.float64, copy=False)
+    norm = _norm(feature)  # the norm `from_arrays` checks the stacked rows by
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN and inf coordinates fail too
         raise ValueError(f"feature is not unit norm: |v| = {norm!r}")
-    return feature.astype(np.float64, copy=False), weight, label
+    return feature, weight, label
 
 
 def load_bank(fh) -> BankSnapshot:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import check_rules, rule
 from .energy import _row_blocks
 
 PROB_CLAMP = 1e-9  # predicted probabilities are clamped to [1e-9, 1 - 1e-9] before logs
@@ -27,24 +28,16 @@ class InsufficientBatch(ValueError):
 
 @dataclass(frozen=True)
 class LossWeights:
-    lambda_u: float = 1.0
-    lambda_reg: float = 1.0
-    lambda_c: float = 0.1
-    lambda_hambr: float = 0.5
-    tau_loss: float = 0.1    # hambr softmax temperature
-    tau_con: float = 0.5     # contrastive temperature
-    sharpen_T: float = 0.5
-    gce_q: float = 0.7
+    lambda_u: float = rule("non-negative and finite", 1.0)
+    lambda_reg: float = rule("non-negative and finite", 1.0)
+    lambda_c: float = rule("non-negative and finite", 0.1)
+    lambda_hambr: float = rule("non-negative and finite", 0.5)
+    tau_loss: float = rule("positive and finite", 0.1)  # hambr softmax temperature
+    tau_con: float = rule("positive and finite", 0.5)  # contrastive temperature
+    sharpen_T: float = rule("positive and finite", 0.5)
+    gce_q: float = rule("in (0, 1]", 0.7)
 
-    def __post_init__(self):
-        for name in ("lambda_u", "lambda_reg", "lambda_c", "lambda_hambr"):
-            if not 0 <= getattr(self, name) < np.inf:  # NaN fails every comparison
-                raise ValueError(f"{name} must be non-negative and finite")
-        for name in ("tau_loss", "tau_con", "sharpen_T"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < self.gce_q <= 1.0:
-            raise ValueError("gce_q must be in (0, 1]")
+    __post_init__ = check_rules
 
 
 @dataclass(frozen=True)

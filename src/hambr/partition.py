@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonl import write_rows
+from ._rules import check_rules, rule
 
 VARIANCE_FLOOR = 1e-6
 DEFAULT_CLEAN_THRESHOLD = 0.5
@@ -134,15 +135,12 @@ def clean_posterior(model: GmmModel, losses) -> np.ndarray:
 class ConsensusWindow:
     """Per-sample run length: how many of the latest epochs in a row flagged it clean."""
 
-    t_filter: int
-    n_samples: int
+    t_filter: int = rule(">= 1")
+    n_samples: int = rule(">= 1")
     run_lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.t_filter < 1:
-            raise ValueError("t_filter must be >= 1")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        check_rules(self)
         self.run_lengths = np.zeros(self.n_samples, dtype=np.int64)
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._rules import check_rules, rule
 from .energy import (
     DEFAULT_CAPACITY,
     BankSnapshot,
@@ -67,31 +68,20 @@ class ExperimentConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     energy: EnergyParams = field(default_factory=EnergyParams)
     weights: LossWeights = field(default_factory=LossWeights)
-    clean_threshold: float = DEFAULT_CLEAN_THRESHOLD
-    t_filter: int = DEFAULT_T_FILTER
-    epochs: int = 30
+    clean_threshold: float = rule("in (0, 1)", DEFAULT_CLEAN_THRESHOLD)
+    t_filter: int = rule(">= 1", DEFAULT_T_FILTER)
+    epochs: int = rule(">= 1", 30)
     warmup_epochs: int = 5
-    learn_rate: float = 0.05
-    classifier_temperature: float = 0.1
-    aug_sigma: float = 0.05
+    learn_rate: float = rule("positive and finite", 0.05)
+    classifier_temperature: float = rule("positive and finite", 0.1)
+    aug_sigma: float = rule("non-negative and finite", 0.05)
     output_dir: str = "runs/default"
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.clean_threshold < 1.0:
-            raise ConfigError("clean_threshold must be in (0, 1)")
-        if self.t_filter < 1:
-            raise ConfigError("t_filter must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        check_rules(self, ConfigError)
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ConfigError("need 0 <= warmup_epochs < epochs")
-        if not 0 < self.learn_rate < np.inf:  # NaN fails every comparison
-            raise ConfigError("learn_rate must be positive and finite")
-        if not 0 < self.classifier_temperature < np.inf:
-            raise ConfigError("classifier_temperature must be positive and finite")
-        if not 0 <= self.aug_sigma < np.inf:
-            raise ConfigError("aug_sigma must be non-negative and finite")
 
 
 @dataclass

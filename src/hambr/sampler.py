@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonl import write_rows
+from ._rules import check_rules, rule
 from .energy import EnergyParams, EmptyBank, global_potential, riemannian_grad_U
 from .sphere import (
     ANTIPODAL_TOL,
@@ -37,28 +38,17 @@ class InsufficientPrototypes(ValueError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    step_size: float = 0.01
-    friction: float = 0.95
-    n_rounds: int = 5        # momentum noise is redrawn once per round
-    steps_per_round: int = 3
-    n_chains: int = 32
-    dyn_temperature: float = 0.01
-    integrator_variant: str = "exponential"  # "exponential" | "euler"
+    step_size: float = rule("positive and finite", 0.01)
+    friction: float = rule("non-negative and finite", 0.95)
+    n_rounds: int = rule(">= 1", 5)  # momentum noise is redrawn once per round
+    steps_per_round: int = rule(">= 1", 3)
+    n_chains: int = rule(">= 1", 32)
+    dyn_temperature: float = rule("positive and finite", 0.01)
+    integrator_variant: str = rule(VARIANTS, "exponential")
     noise_per_step: bool = False
     seed: int = 0
 
-    def __post_init__(self):
-        if not 0 < self.step_size < np.inf:  # NaN fails every comparison
-            raise ValueError("step_size must be positive and finite")
-        if not 0 <= self.friction < np.inf:
-            raise ValueError("friction must be non-negative and finite")
-        for name in ("n_rounds", "steps_per_round", "n_chains"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0 < self.dyn_temperature < np.inf:
-            raise ValueError("dyn_temperature must be positive and finite")
-        if self.integrator_variant not in VARIANTS:
-            raise ValueError(f"integrator_variant must be one of {VARIANTS}")
+    __post_init__ = check_rules
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,9 @@ class AntipodalTransport(ValueError):
 
 
 def _norm(v: np.ndarray) -> float:
-    """|v| of a 1-d float vector by np.linalg.norm's own formula, so bitwise
-    the same, without its dispatch.  The primitives below run a few times per
-    sampler step on short vectors, so they also take dots as `a.dot(b)` and
-    cos/sin of floats through `math`."""
+    """|v| of a 1-d float vector as np.linalg.norm computes it, the norm of every
+    unit-norm check.  The primitives below run a few times per sampler step on
+    short vectors, so they also take dots as `a.dot(b)` and cos/sin via `math`."""
     return math.sqrt(v.dot(v))
 
 
@@ -85,8 +84,9 @@ class TangentVector:
 
 def check_unit_rows(x: np.ndarray, what: str) -> None:
     """Raise ValueError naming the first row of the (n, d) array `x` whose norm
-    is not 1 to NORM_TOL; rows with NaN or inf coordinates fail."""
-    norms = np.linalg.norm(x, axis=1)
+    is not 1 to NORM_TOL (NaN or inf fail), as `UnitVector` would reject it."""
+    x = np.ascontiguousarray(x, dtype=np.float64)  # strided rows round otherwise
+    norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])  # each _norm(row), bitwise
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:
         raise ValueError(f"{what} {bad[0]} is not unit norm: |v| = {float(norms[bad[0]])}")

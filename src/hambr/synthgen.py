@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonl import write_rows
+from ._rules import check_rules, rule
 from .sphere import UnitVector, normalize
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
@@ -28,33 +29,24 @@ class PlacementFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    mode: str = "symmetric"
-    rate: float = 0.0
+    mode: str = rule(NOISE_MODES, "symmetric")
+    rate: float = rule("in [0, 1]", 0.0)
 
-    def __post_init__(self):
-        if self.mode not in NOISE_MODES:
-            raise ValueError(f"mode must be one of {NOISE_MODES}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
+    __post_init__ = check_rules
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    dim: int = 8
-    n_classes: int = 3
-    n_per_class: int = 200
+    dim: int = rule(">= 2", 8)
+    n_classes: int = rule(">= 1", 3)
+    n_per_class: int = rule(">= 1", 200)
     kappa: tuple = (20.0,)          # scalar broadcasts to every class
     means: tuple[tuple[float, ...], ...] | None = None  # one direction per class; None -> basis
     noise: NoiseSpec | None = field(default_factory=lambda: NoiseSpec("symmetric", 0.4))
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if self.n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
-        if self.n_per_class < 1:
-            raise ValueError("n_per_class must be >= 1")
+        check_rules(self)
         kappa = tuple(map(float, np.atleast_1d(self.kappa)))
         if len(kappa) == 1:
             kappa = kappa * self.n_classes

@@ -130,6 +130,28 @@ class TestEvalOod:
                          "--ood-scores", str(ood_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        id_path, ood_path = tmp_path / "id.txt", tmp_path / "ood.txt"
+        id_path.write_text("\n".join(str(v) for v in np.linspace(0.0, 1.0, 25)) + "\n\n")
+        ood_path.write_text("\n2.0\n  \n2.5\n")
+        assert cli_main(["eval-ood", "--id-scores", str(id_path),
+                         "--ood-scores", str(ood_path)]) == 0
+        assert capsys.readouterr().out.strip() == '{"auroc":1.0,"fpr95":0.0}'
+
+    @pytest.mark.parametrize("text, number, got", [
+        ("2.0\n0.1 0.2\n", 2, "'0.1 0.2'"),
+        ("\nabc\n", 2, "'abc'"),
+        ("2.0\n\n3.0,\n", 3, "'3.0,'"),
+    ], ids=["two-numbers", "word", "comma"])
+    def test_line_that_is_not_one_number_is_named(self, tmp_path, capsys, text, number, got):
+        id_path, ood_path = tmp_path / "id.txt", tmp_path / "ood.txt"
+        write_scores(id_path, np.linspace(0.0, 1.0, 25))
+        ood_path.write_text(text)
+        assert cli_main(["eval-ood", "--id-scores", str(id_path),
+                         "--ood-scores", str(ood_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ood_path} line {number}: expected one number, got {got}\n")
+
     def test_nan_score_is_an_error(self, tmp_path, capsys):
         id_path, ood_path = tmp_path / "id.txt", tmp_path / "ood.txt"
         write_scores(id_path, np.linspace(0.0, 1.0, 25))
@@ -307,6 +329,23 @@ class TestSynthesize:
                          "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: bank line 2: {message}")
         assert not out.exists()
+
+
+    def test_edge_norm_feature_on_line_2_synthesizes(self, tmp_path):
+        # |v| is 1 + NORM_TOL to within rounding (see test_energy.EDGE_FEATURE):
+        # the line check and the bank's row check take the same norm, so both pass
+        bank_path = tmp_path / "bank.jsonl"
+        bank_path.write_text(
+            "\n"
+            '{"class": 0, "weight": 1.0, "feature": '
+            "[0.7499048544990807, -0.43527052428377805, 0.498178965722598]}\n"
+            '{"class": 1, "weight": 1.0, "feature": [0.0, 1.0, 0.0]}\n')
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampler": {"n_chains": 2}}))
+        out = tmp_path / "outliers.jsonl"
+        assert cli_main(["synthesize", "--bank", str(bank_path),
+                         "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
 
 
 class TestRunCommand:

@@ -65,6 +65,49 @@ class TestBankEntry:
         with pytest.raises(ValueError):
             BankEntry(e(0), 0.5, -1)
 
+    # the rules load_bank applies to a bank line's class and weight
+    @pytest.mark.parametrize("weight, class_id, message", [
+        (1.0, True, "class labels must be non-negative integers, got True"),
+        (1.0, 1.5, "class labels must be non-negative integers, got 1.5"),
+        (1.0, -1, "class labels must be non-negative integers, got -1"),
+        (1.0, "1", "class labels must be non-negative integers, got '1'"),
+        (True, 0, "weight must be a number, got True"),
+        ("1.0", 0, "weight must be a number, got '1.0'"),
+        (float("nan"), 0, "weight must be in (0, 1], got nan"),
+        (1.5, 0, "weight must be in (0, 1], got 1.5"),
+    ])
+    def test_rejects_what_a_bank_line_may_not_hold(self, weight, class_id, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            BankEntry(e(0), weight, class_id)
+        line = json.dumps({"class": class_id, "weight": weight, "feature": [1.0, 0.0, 0.0]})
+        with pytest.raises(ValueError, match="^" + re.escape(f"bank line 1: {message}") + "$"):
+            load_bank(io.StringIO(line))
+
+    def test_numpy_numbers_accepted(self):
+        bank = FeatureBank()
+        bank.add(BankEntry(e(0), np.float64(0.5), np.int64(2)))
+        bank.add(BankEntry(e(1), np.float32(1.0), np.uint8(0)))
+        snap = bank.snapshot()
+        assert snap.classes == [0, 2]
+        assert snap.weights(2).tolist() == [0.5] and snap.weights(0).tolist() == [1.0]
+
+
+# |v| = 1 + NORM_TOL to within rounding: math.hypot gives 1.0000000009999999
+# and np.linalg.norm(axis=1) 1.000000001, on either side of the tolerance;
+# sqrt(v . v), the one norm every check takes, gives 1.0000000009999999
+EDGE_FEATURE = [0.7499048544990807, -0.43527052428377805, 0.498178965722598]
+
+
+class TestEdgeOfTheNormTolerance:
+    def test_bank_entry_of_an_edge_vector_snapshots(self):
+        bank = FeatureBank()
+        bank.add(BankEntry(UnitVector(EDGE_FEATURE), 1.0, 0))
+        assert bank.snapshot().features(0).tolist() == [EDGE_FEATURE]
+
+    def test_bank_file_with_an_edge_vector_on_line_2_loads(self):
+        text = "\n" + json.dumps({"class": 0, "weight": 1.0, "feature": EDGE_FEATURE}) + "\n"
+        assert load_bank(io.StringIO(text)).features(0).tolist() == [EDGE_FEATURE]
+
 
 class TestFeatureBank:
     def test_fifo_eviction(self):

@@ -1,13 +1,20 @@
 """Geometry primitive tests: unit vectors, tangent spaces, geodesics, transport."""
 
+import io
+import json
+import re
+
 import numpy as np
 import pytest
 
+from hambr.energy import load_bank
 from hambr.sphere import (
+    NORM_TOL,
     AntipodalTransport,
     DegenerateVector,
     TangentVector,
     UnitVector,
+    check_unit_rows,
     geodesic_step,
     normalize,
     project_tangent,
@@ -96,6 +103,66 @@ class TestNorms:
     def test_non_finite_norm_is_what_linalg_gives(self, bad):
         v = np.array([1.0, bad, 0.0])
         assert np.array_equal(_norm(v), np.linalg.norm(v), equal_nan=True)
+
+
+def edge_rows(d, n=200):
+    """n rows whose norms sit within a few ulps of 1 - NORM_TOL and 1 + NORM_TOL,
+    where the tolerance alone decides."""
+    rng = np.random.default_rng([d, 9])
+    rows = rng.standard_normal((n, d))
+    rows /= np.array([_norm(v) for v in rows])[:, None]
+    edges = np.where(np.arange(n) % 2, 1.0 + NORM_TOL, 1.0 - NORM_TOL)
+    return rows * (edges + rng.integers(-40, 40, n) * 2.0 ** -52)[:, None]
+
+
+def unit_vector_accepts(v) -> bool:
+    try:
+        UnitVector(v)
+    except ValueError:
+        return False
+    return True
+
+
+class TestOneNormRule:
+    """`UnitVector`, `check_unit_rows` and `load_bank` take one norm, so they
+    accept exactly the same vectors."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 32])
+    def test_check_unit_rows_accepts_what_unit_vector_accepts(self, d):
+        rows = edge_rows(d)
+        accepted = np.array([unit_vector_accepts(v) for v in rows])
+        assert 0 < accepted.sum() < len(rows)
+        good = rows[accepted]
+        for order in "CF":
+            check_unit_rows(np.array(good, order=order), "row")
+            for v in rows[~accepted]:
+                pair = np.array([good[0], v], order=order)
+                with pytest.raises(ValueError, match="^" + re.escape(
+                        f"row 1 is not unit norm: |v| = {_norm(v)}") + "$"):
+                    check_unit_rows(pair, "row")
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 32])
+    def test_load_bank_accepts_what_unit_vector_accepts(self, d):
+        for v in edge_rows(d):
+            line = json.dumps({"class": 0, "weight": 1.0, "feature": v.tolist()})
+            if unit_vector_accepts(v):
+                assert load_bank(io.StringIO(line)).features(0).tobytes() == v.tobytes()
+            else:
+                with pytest.raises(ValueError, match="^" + re.escape(
+                        f"bank line 1: feature is not unit norm: |v| = {_norm(v)}") + "$"):
+                    load_bank(io.StringIO(line))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 32, 64])
+    def test_check_unit_rows_norm_is_norm_bitwise(self, d, order):
+        # rows of norm 1.5 to 3 all fail, and the message gives each row's norm
+        rng = np.random.default_rng([d, 10])
+        rows = rng.standard_normal((100, d))
+        rows *= rng.uniform(1.5, 3.0, (100, 1)) / np.linalg.norm(rows, axis=1)[:, None]
+        for v in rows:
+            pair = np.array([v, rows[0]], order=order)
+            with pytest.raises(ValueError, match=re.escape(f"|v| = {_norm(v)}") + "$"):
+                check_unit_rows(pair, "row")
 
 
 class TestNormalize:
