@@ -102,17 +102,24 @@ class BankSnapshot:
     selected only when a class has fewer than K entries, and then its term
     0 * exp(-inf) is exactly 0 in the log-sum-exp.
 
-    Every class in `groups` must hold at least one entry and every weight
-    must lie in (0, 1], so each class has mass wherever it is queried;
-    ValueError naming the first bad class otherwise.
+    Each class in `groups` maps to (features, weights) as `from_arrays`
+    checks them: features (m, d) with d >= 2 and one d for every class, each
+    row unit-norm to NORM_TOL, one weight per row, m >= 1 and every weight in
+    (0, 1], so each class has mass wherever it is queried; ValueError naming
+    the first bad class otherwise.
     """
 
     def __init__(self, groups: dict[int, tuple[np.ndarray, np.ndarray]]):
         self.classes = sorted(groups)
+        self.dim = d = groups[self.classes[0]][0].shape[-1] if self.classes else 0
         for c in self.classes:
-            w = groups[c][1]
+            f, w = groups[c]
             if w.size == 0:
                 raise ValueError(f"class {c} has no entries")
+            if f.ndim != 2 or f.shape[1] != d or d < 2 or w.shape != f.shape[:1]:
+                raise ValueError(f"class {c} needs features (m, d) with d >= 2, one d for "
+                                 f"every class, and m weights, got {f.shape} and {w.shape}")
+            check_unit_rows(f, f"class {c} entry")
             bad = np.flatnonzero(~((w > 0.0) & (w <= 1.0)))
             if bad.size:
                 raise ValueError(f"weight must be in (0, 1], got {float(w[bad[0]])} "
@@ -120,7 +127,6 @@ class BankSnapshot:
         self._groups = groups
         sizes = [self.size(c) for c in self.classes]
         m_max = max(sizes, default=0)
-        self.dim = d = groups[self.classes[0]][0].shape[1] if self.classes else 0
         feats = np.zeros((len(sizes), m_max, d))
         weights = np.zeros((len(sizes), m_max))
         bias = np.full((len(sizes), m_max), -np.inf)

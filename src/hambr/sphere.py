@@ -32,6 +32,14 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """`_norm` of each row of the (n, d) array `x`, bitwise, in one batched
+    product: the (1, d) @ (d, 1) product of each row with itself rounds as
+    `row.dot(row)` does once the rows are contiguous float64."""
+    x = np.ascontiguousarray(x, dtype=np.float64)  # strided rows round otherwise
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
 def _as_float_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
@@ -85,8 +93,7 @@ class TangentVector:
 def check_unit_rows(x: np.ndarray, what: str) -> None:
     """Raise ValueError naming the first row of the (n, d) array `x` whose norm
     is not 1 to NORM_TOL (NaN or inf fail), as `UnitVector` would reject it."""
-    x = np.ascontiguousarray(x, dtype=np.float64)  # strided rows round otherwise
-    norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])  # each _norm(row), bitwise
+    norms = _row_norms(x)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:
         raise ValueError(f"{what} {bad[0]} is not unit norm: |v| = {float(norms[bad[0]])}")

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonl import write_rows
-from ._rules import check_rules, rule
-from .sphere import UnitVector, normalize
+from ._rules import _TESTS, check_rules, rule
+from .sphere import UnitVector, _row_norms, normalize
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
 OOD_CLUSTERS = 3
@@ -21,6 +21,7 @@ OOD_PER_CLUSTER = 100
 OOD_THETA_MIN = math.pi / 3.0  # least angle from an OOD mean to every class mean
 
 NOISE_MODES = ("symmetric", "asymmetric")
+_KAPPA_RULE = "non-negative and finite"
 
 
 class PlacementFailure(RuntimeError):
@@ -52,13 +53,10 @@ class DatasetSpec:
             kappa = kappa * self.n_classes
         if len(kappa) != self.n_classes:
             raise ValueError("kappa must be scalar or one value per class")
-        if not all(0 <= k < np.inf for k in kappa):  # NaN fails every comparison
-            raise ValueError("kappa must be non-negative and finite")
         for k in kappa:
             _vmf_envelope(k, self.dim)  # raises for a kappa sample_vmf cannot draw at
         object.__setattr__(self, "kappa", kappa)
-        if self.noise is not None and self.noise.rate > 0 and self.n_classes < 2:
-            raise ValueError(f"noise flips labels, so needs n_classes >= 2, got {self.n_classes}")
+        _check_flippable(self.noise, self.n_classes)
         if self.means is not None:
             means = [normalize(m).coords for m in self.means]
             if len(means) != self.n_classes:
@@ -102,8 +100,12 @@ def _uniform_sphere(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _vmf_envelope(kappa: float, d: int) -> tuple[float, float, float]:
     """b, x0 and c of the beta-envelope rejection scheme that draws a vMF's
-    radial component on S^(d-1).  ValueError when they are not finite: above
-    a kappa of a few 1e16 at d=8, x0 rounds to 1 and no draw is accepted."""
+    radial component on S^(d-1).  ValueError for a negative, NaN or infinite
+    kappa, and when they are not finite: above a kappa of a few 1e16 at d=8,
+    x0 rounds to 1 and no draw is accepted.  `DatasetSpec` and `sample_vmf`
+    check kappa here and nowhere else."""
+    if not _TESTS[_KAPPA_RULE](kappa):
+        raise ValueError(f"kappa must be {_KAPPA_RULE}")
     m = d - 1.0
     with np.errstate(over="ignore", divide="ignore"):  # kappa ** 2 = inf, log(0)
         b = m / (np.sqrt(4.0 * np.float64(kappa) ** 2 + m ** 2) + 2.0 * kappa)
@@ -119,20 +121,20 @@ def sample_vmf(mu, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray
     (kappa=0: uniform).
 
     Radial component by the usual beta-envelope rejection scheme; tangential
-    component uniform on the subsphere orthogonal to mu.
+    component uniform on the subsphere orthogonal to mu.  ValueError unless
+    mu passes `UnitVector`'s checks, kappa `_vmf_envelope`'s and n >= 0.
     """
-    mu = np.asarray(mu, dtype=np.float64)
+    mu = UnitVector(mu).coords
     d = mu.size
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    if n < 1:
+    b, x0, c = _vmf_envelope(kappa, d)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n!r}")
+    if n == 0:
         return np.empty((0, d))
     if kappa == 0.0:
         return _uniform_sphere(d, n, rng)
 
     m = d - 1.0
-    b, x0, c = _vmf_envelope(kappa, d)
-
     w = np.empty(n)
     filled = 0
     while filled < n:
@@ -160,19 +162,29 @@ def sample_vmf(mu, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
+def _check_flippable(noise: NoiseSpec | None, n_classes: int) -> None:
+    """ValueError when `noise` would flip labels among fewer than 2 classes."""
+    if noise is not None and noise.rate > 0 and n_classes < 2:
+        raise ValueError(f"noise flips labels, so needs n_classes >= 2, got {n_classes}")
+
+
 def inject_noise(labels, noise: NoiseSpec | None, n_classes: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Flip each label with probability noise.rate; never to itself.
 
     Symmetric mode draws uniformly over the other classes, asymmetric maps
-    c -> (c+1) mod n_classes.
+    c -> (c+1) mod n_classes.  ValueError for a label outside [0, n_classes),
+    or for noise that flips labels among fewer than 2 classes.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    _check_flippable(noise, n_classes)
+    bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
+    if bad.size:
+        raise ValueError(f"labels must be in [0, {n_classes}), "
+                         f"got {labels[bad[0]]} at index {bad[0]}")
     out = labels.copy()
     if noise is None or noise.rate == 0.0:
         return out
-    if n_classes < 2:
-        raise ValueError("label noise needs at least 2 classes")
     flip = rng.random(labels.size) < noise.rate
     if noise.mode == "symmetric":
         offsets = rng.integers(1, n_classes, size=labels.size)
@@ -187,14 +199,15 @@ def dataset_arrays(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
     class by class; deterministic in spec.seed.
 
     Each feature row is divided by its norm taken as `sphere.normalize` takes
-    it, so the rows are bitwise those of normalize(row).coords.
+    it (`sphere._row_norms`, all rows at once), so the rows are bitwise those
+    of normalize(row).coords.
     """
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_classes + 1)
     means = spec.class_means()
     feats = np.concatenate([sample_vmf(means[c], spec.kappa[c], spec.n_per_class,
                                        np.random.default_rng(children[c]))
                             for c in range(spec.n_classes)])
-    feats /= np.array([math.sqrt(f.dot(f)) for f in feats])[:, None]
+    feats /= _row_norms(feats)[:, None]
     true = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.n_per_class)
     observed = inject_noise(true, spec.noise, spec.n_classes,
                             np.random.default_rng(children[spec.n_classes]))

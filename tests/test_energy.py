@@ -1149,3 +1149,34 @@ class TestBankFromArrays:
             weights[1] = 1.5 if bad == "weight" else 0.0
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             BankSnapshot.from_arrays(x, weights, np.array([0, 1]))
+
+
+class TestBankSnapshotGroups:
+    """`BankSnapshot(groups)` checks each class's rows by `from_arrays`' rule."""
+
+    SHAPE = "class 1 needs features (m, d) with d >= 2, one d for every class, and m weights, got "
+
+    def test_off_norm_row_rejected(self):
+        # accepted once, and then potential_batch scored -3.0 at e0
+        with pytest.raises(ValueError, match=re.escape(
+                "class 0 entry 0 is not unit norm: |v| = 5.0") + "$"):
+            BankSnapshot({0: (np.array([[3.0, 4.0]]), np.ones(1))})
+
+    @pytest.mark.parametrize("features, weights, message", [
+        (np.array([[1.0, 0.0], [1.0, 1.0]]), np.ones(2),
+         "class 1 entry 1 is not unit norm: |v| = 1.4142135623730951"),
+        (np.array([[1.0, 0.0], [np.nan, 0.0]]), np.ones(2),
+         "class 1 entry 1 is not unit norm: |v| = nan"),
+        (np.array([1.0, 0.0]), np.ones(1), SHAPE + "(2,) and (1,)"),
+        (np.ones((1, 1)), np.ones(1), SHAPE + "(1, 1) and (1,)"),
+        (np.eye(2), np.ones(1), SHAPE + "(2, 2) and (1,)"),
+        (np.eye(2), np.ones((2, 1)), SHAPE + "(2, 2) and (2, 1)"),
+        (np.eye(3), np.ones(3), SHAPE + "(3, 3) and (3,)"),
+        (np.empty((0, 2)), np.empty(0), "class 1 has no entries"),
+        (np.eye(2), np.array([1.0, 0.0]),
+         "weight must be in (0, 1], got 0.0 at entry 1 of class 1"),
+    ])
+    def test_rejects_what_from_arrays_rejects(self, features, weights, message):
+        groups = {0: (np.eye(2), np.ones(2)), 1: (features, weights)}
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            BankSnapshot(groups)

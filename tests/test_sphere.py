@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from hambr.energy import load_bank
+from hambr.energy import BankSnapshot, load_bank
 from hambr.sphere import (
     NORM_TOL,
     AntipodalTransport,
@@ -22,6 +22,7 @@ from hambr.sphere import (
     sample_tangent_gaussian,
     transport,
 )
+from hambr.synthgen import sample_vmf
 
 
 def e(i, d=3):
@@ -123,9 +124,45 @@ def unit_vector_accepts(v) -> bool:
     return True
 
 
+# every entry point that takes unit vectors, called with the one vector v
+UNIT_ENTRY_POINTS = {
+    "UnitVector": UnitVector,
+    "check_unit_rows": lambda v: check_unit_rows(v[None], "row"),
+    "sample_vmf": lambda v: sample_vmf(v, 1.0, 1, np.random.default_rng(0)),
+    "BankSnapshot": lambda v: BankSnapshot({0: (v[None], np.ones(1))}),
+    "from_arrays": lambda v: BankSnapshot.from_arrays(v[None], [1.0], [0]),
+    "load_bank": lambda v: load_bank(io.StringIO(json.dumps(
+        {"class": 0, "weight": 1.0, "feature": v.tolist()}))),
+}
+
+
+def accepts(entry, v) -> bool:
+    try:
+        UNIT_ENTRY_POINTS[entry](v)
+    except ValueError:
+        return False
+    return True
+
+
 class TestOneNormRule:
-    """`UnitVector`, `check_unit_rows` and `load_bank` take one norm, so they
+    """Every entry point that takes unit vectors takes one norm, so they all
     accept exactly the same vectors."""
+
+    @pytest.mark.parametrize("entry", UNIT_ENTRY_POINTS)
+    @pytest.mark.parametrize("d", [2, 3, 8, 32])
+    def test_entry_point_accepts_what_unit_vector_accepts(self, entry, d):
+        rows = edge_rows(d, n=60)
+        want = [unit_vector_accepts(v) for v in rows]
+        assert 0 < sum(want) < len(rows)
+        assert [accepts(entry, v) for v in rows] == want
+
+    @pytest.mark.parametrize("entry", UNIT_ENTRY_POINTS)
+    @pytest.mark.parametrize("v", [
+        [2.0, 0.0, 0.0], [3.0, 4.0], [0.0, 0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0],
+        [1.0 + 2 * NORM_TOL, 0.0], [1.0 - 2 * NORM_TOL, 0.0, 0.0],
+    ], ids=repr)
+    def test_entry_point_rejects_off_norm_vectors(self, entry, v):
+        assert not accepts(entry, np.array(v))
 
     @pytest.mark.parametrize("d", [2, 3, 8, 32])
     def test_check_unit_rows_accepts_what_unit_vector_accepts(self, d):

@@ -4,10 +4,12 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from hambr.runner import config_from_dict
 from hambr.synthgen import (
     DatasetSpec,
     LabeledPoint,
@@ -60,6 +62,18 @@ class TestSampleVmf:
         with pytest.raises(ValueError):
             sample_vmf(e(0, 3), -1.0, 10, np.random.default_rng(0))
 
+    def test_mean_must_be_a_unit_vector(self):
+        # a mean of norm 2 used to draw a tighter cluster than kappa asks for
+        with pytest.raises(ValueError, match=r"^not unit norm: \|v\| = 2\.0$"):
+            sample_vmf(2.0 * e(0), 20.0, 100, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^dimension must be >= 2$"):
+            sample_vmf([1.0], 20.0, 100, np.random.default_rng(0))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -3$"):
+            sample_vmf(e(0, 3), 20.0, -3, np.random.default_rng(0))
+        assert sample_vmf(e(0, 3), 20.0, 0, np.random.default_rng(0)).shape == (0, 3)
+
     @pytest.mark.parametrize("kappa", [1e17, 1e20, 1e200])
     def test_kappa_without_a_finite_envelope_rejected(self, kappa):
         # x0 rounds to 1, so the rejection loop would never accept a draw
@@ -70,6 +84,33 @@ class TestSampleVmf:
     def test_largest_samplable_kappa_draws_at_the_mean(self):
         draws = sample_vmf(e(0), 1e16, 10, np.random.default_rng(0))
         assert np.allclose(draws, e(0), atol=1e-6)
+
+
+# every entry point that takes a class kappa, called with the one kappa k
+KAPPA_ENTRY_POINTS = {
+    "DatasetSpec": lambda k: DatasetSpec(kappa=k),
+    "DatasetSpec per class": lambda k: DatasetSpec(kappa=(20.0, k, 20.0)),
+    "sample_vmf": lambda k: sample_vmf(e(0), k, 10, np.random.default_rng(0)),
+    "sample_vmf n=0": lambda k: sample_vmf(e(0), k, 0, np.random.default_rng(0)),
+    "config_from_dict": lambda k: config_from_dict({"dataset": {"kappa": k}}),
+}
+
+
+class TestKappaRule:
+    """One kappa rule, `_vmf_envelope`'s, with one message from every entry point."""
+
+    @pytest.mark.parametrize("entry", KAPPA_ENTRY_POINTS)
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_rejected_with_one_message_and_no_warning(self, entry, kappa):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^(dataset: )?kappa must be "
+                                                 r"non-negative and finite$"):
+                KAPPA_ENTRY_POINTS[entry](kappa)
+
+    @pytest.mark.parametrize("entry", KAPPA_ENTRY_POINTS)
+    def test_zero_accepted(self, entry):
+        KAPPA_ENTRY_POINTS[entry](0.0)
 
 
 class TestInjectNoise:
@@ -114,6 +155,26 @@ class TestInjectNoise:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec("salty", 0.1)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    @pytest.mark.parametrize("labels, message", [
+        ([5, 1, 2], "labels must be in [0, 3), got 5 at index 0"),
+        ([0, -1, 2], "labels must be in [0, 3), got -1 at index 1"),
+        ([0, 1, 3], "labels must be in [0, 3), got 3 at index 2"),
+    ])
+    def test_label_outside_the_classes_rejected(self, labels, message, rate):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            inject_noise(labels, NoiseSpec("asymmetric", rate), 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("entry", [
+        lambda: DatasetSpec(n_classes=1),
+        lambda: inject_noise([0, 0], NoiseSpec("symmetric", 0.4), 1, np.random.default_rng(0)),
+        lambda: config_from_dict({"dataset": {"n_classes": 1}}),
+    ], ids=["DatasetSpec", "inject_noise", "config_from_dict"])
+    def test_two_class_rule_has_one_message(self, entry):
+        with pytest.raises(ValueError, match="^(dataset: )?noise flips labels, so needs "
+                                             "n_classes >= 2, got 1$"):
+            entry()
 
 
 class TestDatasetSpec:
@@ -221,8 +282,12 @@ class TestDatasetArrays:
         assert true.tolist() == [p.true_label for p in points]
         assert observed.tolist() == [p.observed_label for p in points]
 
-    def test_rows_are_normalized_draws(self):
-        spec = DatasetSpec(n_per_class=20, kappa=(5.0, 0.0, 50.0), seed=2)
+    @pytest.mark.parametrize("n_per_class, dim, n_classes, kappa", [
+        (20, 8, 3, (5.0, 0.0, 50.0)), (200, 8, 3, 20.0), (2000, 8, 3, 20.0),
+        (256, 32, 10, 20.0)])
+    def test_rows_are_normalized_draws(self, n_per_class, dim, n_classes, kappa):
+        spec = DatasetSpec(dim=dim, n_classes=n_classes, n_per_class=n_per_class,
+                           kappa=kappa, seed=2)
         feats, true, _ = dataset_arrays(spec)
         children = np.random.SeedSequence(spec.seed).spawn(spec.n_classes + 1)
         for c in range(spec.n_classes):
