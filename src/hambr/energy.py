@@ -102,14 +102,17 @@ class BankSnapshot:
     selected only when a class has fewer than K entries, and then its term
     0 * exp(-inf) is exactly 0 in the log-sum-exp.
 
-    Each class in `groups` maps to (features, weights) as `from_arrays`
-    checks them: features (m, d) with d >= 2 and one d for every class, each
-    row unit-norm to NORM_TOL, one weight per row, m >= 1 and every weight in
-    (0, 1], so each class has mass wherever it is queried; ValueError naming
-    the first bad class otherwise.
+    Each class in `groups` maps to (features, weights), taken as float64
+    arrays and checked as `from_arrays` takes and checks them: features
+    (m, d) with d >= 2 and one d for every class, each row unit-norm to
+    NORM_TOL, one weight per row, m >= 1 and every weight in (0, 1], so each
+    class has mass wherever it is queried; ValueError naming the first bad
+    class otherwise.
     """
 
     def __init__(self, groups: dict[int, tuple[np.ndarray, np.ndarray]]):
+        groups = {c: (np.asarray(f, dtype=np.float64), np.asarray(w, dtype=np.float64))
+                  for c, (f, w) in groups.items()}
         self.classes = sorted(groups)
         self.dim = d = groups[self.classes[0]][0].shape[-1] if self.classes else 0
         for c in self.classes:

@@ -173,10 +173,13 @@ def inject_noise(labels, noise: NoiseSpec | None, n_classes: int,
     """Flip each label with probability noise.rate; never to itself.
 
     Symmetric mode draws uniformly over the other classes, asymmetric maps
-    c -> (c+1) mod n_classes.  ValueError for a label outside [0, n_classes),
-    or for noise that flips labels among fewer than 2 classes.
+    c -> (c+1) mod n_classes.  ValueError for labels that are not 1-d, for a
+    label outside [0, n_classes), or for noise that flips labels among fewer
+    than 2 classes.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a 1-d array, got shape {labels.shape}")
     _check_flippable(noise, n_classes)
     bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
     if bad.size:

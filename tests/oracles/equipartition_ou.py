@@ -13,19 +13,26 @@ import math
 import random
 
 
-def main() -> None:
+FRICTION, EPS, TEMP = 1.0, 0.05, 1.3
+
+
+def per_coordinate_moment() -> float:
+    """Long-run mean v^2 of the scalar OU map, whose target is TEMP."""
     rng = random.Random(123)
-    friction, eps, temp = 1.0, 0.05, 1.3
-    a = math.exp(-friction * eps)
-    sigma = math.sqrt((1.0 - a * a) * temp)
+    a = math.exp(-FRICTION * EPS)
+    sigma = math.sqrt((1.0 - a * a) * TEMP)
     v, acc, n = 0.0, 0.0, 300_000
     for i in range(n + 5_000):
         v = a * v + sigma * rng.gauss(0.0, 1.0)
         if i >= 5_000:
             acc += v * v
-    print("per-coordinate moment:", acc / n, " target:", temp)
+    return acc / n
+
+
+def main() -> None:
+    print("per-coordinate moment:", per_coordinate_moment(), " target:", TEMP)
     for d in (3, 8):
-        print(f"d={d}: (d-1)*T =", (d - 1) * temp)
+        print(f"d={d}: (d-1)*T =", (d - 1) * TEMP)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,8 @@ def potential(theta: float) -> float:
     return -TAU * (m + math.log1p(math.exp(-2.0 * m)))
 
 
-def main() -> None:
+def bin_masses() -> list:
+    """The N_BINS target masses over [-pi, pi), summing to 1."""
     width = 2.0 * math.pi / N_BINS
     masses = []
     for b in range(N_BINS):
@@ -39,8 +40,12 @@ def main() -> None:
             total += wgt * math.exp(-potential(theta) / DYN_T)
         masses.append(total)
     z = sum(masses)
-    for b, m in enumerate(masses):
-        print(f"bin {b:2d}  mass {m / z:.10f}")
+    return [m / z for m in masses]
+
+
+def main() -> None:
+    for b, m in enumerate(bin_masses()):
+        print(f"bin {b:2d}  mass {m:.10f}")
 
 
 if __name__ == "__main__":

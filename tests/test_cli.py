@@ -1,5 +1,6 @@
 """CLI tests, driven through cli_main so exit codes are observable."""
 
+import io
 import json
 
 import numpy as np
@@ -8,8 +9,14 @@ import pytest
 from hambr import __version__
 from hambr.cli import cli_main
 from hambr.energy import BankEntry, FeatureBank, dump_bank, load_bank
-from hambr.runner import load_config, run_experiment
+from hambr.runner import ConfigError, config_from_dict, load_config, run_experiment
 from hambr.sphere import UnitVector
+from reference import (
+    BAD_BANK_FILES,
+    BAD_BANK_LINES,
+    BAD_LINE_PREFIX,
+    REJECTED_CONFIGS,
+)
 
 
 def write_scores(path, values):
@@ -34,82 +41,17 @@ class TestUsage:
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_nan_config_value_fails_before_the_first_epoch(self, tmp_path, capsys):
-        # JSON's NaN literal parses; the config must reject it, not train on it
-        out = tmp_path / "run"
+    # every document config_from_dict rejects, as test_runner.py runs them
+    @pytest.mark.parametrize("doc", REJECTED_CONFIGS)
+    def test_rejected_config_fails_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                     doc):
+        with pytest.raises(ConfigError) as rejected:
+            config_from_dict(doc)
+        monkeypatch.chdir(tmp_path)  # where the default output_dir would go
         path = tmp_path / "cfg.json"
-        path.write_text('{"epochs": 3, "warmup_epochs": 1, '
-                        '"weights": {"lambda_reg": NaN}, "output_dir": "%s"}' % out)
+        path.write_text(json.dumps(doc))
         assert cli_main(["run", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "lambda_reg" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("doc, name", [
-        ({"seed": 1.5}, "seed"),
-        ({"t_filter": 2.0}, "t_filter"),
-        ({"sampler": {"n_chains": 2.5}}, "sampler.n_chains"),
-        ({"sampler": {"seed": -1}}, "sampler.seed"),
-    ])
-    def test_non_integer_config_value_fails_before_the_first_epoch(self, tmp_path,
-                                                                   capsys, doc, name):
-        out = tmp_path / "run"
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**doc, "output_dir": str(out)}))
-        assert cli_main(["run", "--config", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {name} must be")
-        assert not out.exists()
-
-
-    @pytest.mark.parametrize("doc, name", [
-        ({"sampler": {"noise_per_step": "false"}}, "sampler.noise_per_step"),
-        ({"learn_rate": True}, "learn_rate"),
-        ({"dataset": []}, "dataset"),
-        ({"sampler": [["n_chains", 4]]}, "sampler"),
-        ({"dataset": {"kappa": [1.0, True, 2]}}, "dataset.kappa"),
-        ({"output_dir": 5}, "output_dir"),
-        ({"dataset": None}, "dataset"),
-        ({"energy": "ab"}, "energy"),
-        ({"dataset": {"kappa": [[1.0, 2.0]]}}, "dataset.kappa"),
-        ({"dataset": {"means": [1.0, 0.0]}}, "dataset.means"),
-        ({"dataset": {"means": [[[1.0] + [0.0] * 7], [[0.0, 1.0] + [0.0] * 6],
-                                [[0.0, 0.0, 1.0] + [0.0] * 5]]}}, "dataset.means"),
-    ])
-    def test_wrong_json_type_fails_before_any_output(self, tmp_path, capsys,
-                                                     monkeypatch, doc, name):
-        monkeypatch.chdir(tmp_path)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"output_dir": "run", **doc}))
-        assert cli_main(["run", "--config", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {name} must be")
-        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-
-    def test_integer_too_large_for_a_float_fails_before_any_output(self, tmp_path, capsys,
-                                                                   monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        path = tmp_path / "cfg.json"
-        path.write_text('{"output_dir": "run", "dataset": {"kappa": 1%s}}' % ("0" * 400))
-        assert cli_main(["run", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: dataset.kappa must fit in a float, got an integer too large for one\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-
-    @pytest.mark.parametrize("doc, path", [
-        ('{"epochs": 1%s}' % ("0" * 30), "epochs"),
-        ('{"sampler": {"n_chains": %d}}' % 2 ** 63, "sampler.n_chains"),
-        ('{"dataset": {"n_per_class": -%d}}' % (2 ** 63 + 1), "dataset.n_per_class"),
-    ])
-    def test_integer_too_large_for_64_bits_fails_before_any_output(self, tmp_path, capsys,
-                                                                   monkeypatch, doc, path):
-        monkeypatch.chdir(tmp_path)
-        config = tmp_path / "cfg.json"
-        config.write_text(doc)
-        assert cli_main(["run", "--config", str(config), "--out", "run"]) == 1
-        value = json.loads(doc)
-        for name in path.split("."):
-            value = value[name]
-        assert capsys.readouterr().err == (
-            f"error: {path} must fit in a 64-bit integer, got {value}\n")
+        assert capsys.readouterr().err == f"error: {rejected.value}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -273,19 +215,13 @@ class TestSynthesize:
         assert [row["chain"] for row in rows] == list(range(6))
         assert all(np.isfinite(row["potential"]) for row in rows)
 
-    @pytest.mark.parametrize("text, message", [
-        ('{"class": 0, "weight": 1.0, "feature": [1.0, 1.0]}\n',
-         "error: bank line 1: feature is not unit norm: |v| = 1.4142135623730951\n"),
-        ('{"class": 0, "weight": 1.5, "feature": [1.0, 0.0]}\n',
-         "error: bank line 1: weight must be in (0, 1], got 1.5\n"),
-        ('{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]}\n'
-         '{"class": 1, "weight": 0.0, "feature": [0.0, 1.0]}\n',
-         "error: bank line 2: weight must be in (0, 1], got 0.0\n"),
-        ('{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]}\n'
-         '{"class": 1, "weight": 1.0, "feature": [0.0, 1.0, 0.0]}\n', "error: "),
-        ("", "error: cannot synthesize against an empty bank"),
-    ], ids=["non-unit-row", "weight-1.5", "weight-0", "ragged-features", "empty-file"])
-    def test_bad_bank_file_is_an_error(self, tmp_path, capsys, text, message):
+    # every bank file load_bank rejects, as test_energy.py runs them
+    @pytest.mark.parametrize("text, line, message", [
+        *(row[1:] for row in BAD_BANK_FILES),
+        *((BAD_LINE_PREFIX + line + "\n", 3, message) for line, message in BAD_BANK_LINES)])
+    def test_bad_bank_line_is_named(self, tmp_path, capsys, text, line, message):
+        with pytest.raises(ValueError) as rejected:
+            load_bank(io.StringIO(text))
         bank_path = tmp_path / "bank.jsonl"
         bank_path.write_text(text)
         cfg = tmp_path / "cfg.json"
@@ -293,43 +229,22 @@ class TestSynthesize:
         out = tmp_path / "outliers.jsonl"
         assert cli_main(["synthesize", "--bank", str(bank_path),
                          "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        assert err == f"error: {rejected.value}\n"
+        assert err.startswith(f"error: bank line {line}: {message}")
         assert not out.exists()
 
-
-    @pytest.mark.parametrize("row, message", [
-        ('{"class": 1, "weight": 1.0}', "missing key 'feature'"),
-        ('{"class": 1, "weight": 1.0, "feature": [0.0, 1.0, 0.0]}',
-         "feature has 3 values, the first row's has 2"),
-        ('{"class": true, "weight": 1.0, "feature": [0.0, 1.0]}',
-         "class labels must be non-negative integers, got True"),
-        ('{"class": 1, "weight": true, "feature": [0.0, 1.0]}',
-         "weight must be a number, got True"),
-        ('{"class": 1, "weight": 1.0, "feature": [0.0, 1.0]', "not valid JSON"),
-        ('{"class": 1, "weight": 1.0, "feature": [0.6, 0.6]}',
-         "feature is not unit norm: |v| = 0.848528137423857"),
-        ('{"class": 1, "weight": 1.0, "feature": [NaN, 1.0]}',
-         "feature is not unit norm: |v| = nan"),
-        ('{"class": 1, "weight": 1.0, "feature": [-Infinity, 0.0]}',
-         "feature is not unit norm: |v| = inf"),
-        ('{"class": 1, "weight": -0.5, "feature": [0.0, 1.0]}',
-         "weight must be in (0, 1], got -0.5"),
-        ('{"class": 1, "weight": 1.0, "feature": [true, 0.0]}',
-         "feature must be a list of numbers"),
-    ], ids=["missing-feature", "ragged", "bool-class", "bool-weight", "bad-json",
-            "non-unit", "nan-feature", "inf-feature", "negative-weight", "bool-in-feature"])
-    def test_bad_bank_line_is_named(self, tmp_path, capsys, row, message):
+    def test_empty_bank_file_is_an_error(self, tmp_path, capsys):
         bank_path = tmp_path / "bank.jsonl"
-        bank_path.write_text('{"class": 0, "weight": 1.0, "feature": [1.0, 0.0]}\n'
-                             + row + "\n")
+        bank_path.write_text("")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sampler": {"n_chains": 2}}))
         out = tmp_path / "outliers.jsonl"
         assert cli_main(["synthesize", "--bank", str(bank_path),
                          "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: bank line 2: {message}")
+        assert capsys.readouterr().err.startswith(
+            "error: cannot synthesize against an empty bank")
         assert not out.exists()
-
 
     def test_edge_norm_feature_on_line_2_synthesizes(self, tmp_path):
         # |v| is 1 + NORM_TOL to within rounding (see test_energy.EDGE_FEATURE):

@@ -39,7 +39,7 @@ SECTIONS = {
 
 # rule text -> values outside the rule
 POSITIVE = ("positive and finite", [0.0, -1.0, math.inf, math.nan])
-NON_NEGATIVE = ("non-negative and finite", [-1e-9, -math.inf, math.inf, math.nan])
+NON_NEGATIVE = ("non-negative and finite", [-1e-9, -0.1, -math.inf, math.inf, math.nan])
 AT_LEAST_1 = (">= 1", [0, -3])
 AT_LEAST_2 = (">= 2", [1, 0])
 OPEN_UNIT = ("in (0, 1)", [0.0, 1.0, -0.5, math.nan])
@@ -56,7 +56,7 @@ RULES = {
     (DatasetSpec, "dim"): AT_LEAST_2,
     (DatasetSpec, "n_classes"): AT_LEAST_1,
     (DatasetSpec, "n_per_class"): AT_LEAST_1,
-    (NoiseSpec, "mode"): ("one of ('symmetric', 'asymmetric')", ["uniform", ""]),
+    (NoiseSpec, "mode"): ("one of ('symmetric', 'asymmetric')", ["uniform", "", "salty"]),
     (NoiseSpec, "rate"): CLOSED_UNIT,
     (SamplerConfig, "step_size"): POSITIVE,
     (SamplerConfig, "friction"): NON_NEGATIVE,

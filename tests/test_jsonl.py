@@ -59,15 +59,17 @@ class TestWritersMatchPerRowJsonDumps:
                      for f, t, o in zip(feats, true, observed))
         assert written(dump_dataset, feats, true, observed) == want
 
-    def test_partition(self, n):
+    @pytest.mark.parametrize("empty", [False, True], ids=["consensus", "no-consensus"])
+    @pytest.mark.parametrize("columns", [np.asarray, np.ndarray.tolist], ids=["arrays", "lists"])
+    def test_partition(self, n, columns, empty):
         losses, posteriors = floats(n, 2), floats(n, 3, SPECIAL[::-1])
         flags = np.arange(n) % 3 == 0
-        consensus = np.flatnonzero(np.arange(n) % 4 == 1)
+        member = np.zeros(n, dtype=bool) if empty else np.arange(n) % 4 == 1
         want = lines({"sample": i, "loss": float(l), "posterior": float(p),
-                      "flag": bool(f), "in_consensus": i % 4 == 1}
-                     for i, (l, p, f) in enumerate(zip(losses, posteriors, flags)))
+                      "flag": bool(f), "in_consensus": bool(m)}
+                     for i, (l, p, f, m) in enumerate(zip(losses, posteriors, flags, member)))
         buf = io.StringIO()
-        dump_partition(buf, losses, posteriors, flags, consensus)
+        dump_partition(buf, *map(columns, (losses, posteriors, flags, np.flatnonzero(member))))
         assert buf.getvalue() == want
 
     def test_bank(self, n):

@@ -21,6 +21,7 @@ from hambr.metrics import (
     singular_spectrum,
 )
 from hambr.sphere import normalize
+from reference import reference_ranks, unit_rows
 
 
 def e(i, d=3):
@@ -66,21 +67,6 @@ class TestAuroc:
             auroc([0.1, 0.2], [bad])
         with pytest.raises(NonFiniteScore):
             auroc([bad, 0.1], [0.2])
-
-
-def reference_ranks(values):
-    """The tie-group loop _ranks_with_ties replaced."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 class TestRanksWithTies:
@@ -224,8 +210,7 @@ class TestGeometryMetrics:
         n_classes, n = 5, 3000
         protos = self.prototypes([normalize(rng.standard_normal(d)).coords
                                   for _ in range(n_classes)])
-        feats = rng.standard_normal((n, d))
-        feats /= np.linalg.norm(feats, axis=1)[:, None]
+        feats = unit_rows(rng, n, d)
         labels = rng.integers(0, n_classes, size=n)
         intra, _ = geometry_metrics(feats, labels, protos)
         assert intra == float(np.mean([feats[i] @ protos[c]

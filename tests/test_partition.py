@@ -194,24 +194,3 @@ class TestPartitionDump:
         assert [r["in_consensus"] for r in rows] == [False, False, True]
         assert set(rows[0]) == {"sample", "loss", "posterior", "flag",
                                 "in_consensus"}
-
-    @pytest.mark.parametrize("consensus", [[0, 5, 7], []])
-    @pytest.mark.parametrize("as_array", [False, True])
-    def test_bytes_match_per_row_json_dumps(self, as_array, consensus):
-        import io
-        import json
-
-        losses = [0.1, float("nan"), float("inf"), -float("inf"), -0.0, 1e-300,
-                  2.5e16, 1 / 3]
-        post = [0.99, 0.0, 1.0, 0.5, float("nan"), 5e-324, -0.0, 0.25]
-        flags = [True, False, True, False, True, True, False, False]
-        expected = "".join(
-            json.dumps({"sample": i, "loss": float(l), "posterior": float(p),
-                        "flag": bool(f), "in_consensus": i in consensus}) + "\n"
-            for i, (l, p, f) in enumerate(zip(losses, post, flags)))
-        if as_array:
-            losses, post = np.array(losses), np.array(post)
-            flags, consensus = np.array(flags), np.array(consensus, dtype=np.int64)
-        buf = io.StringIO()
-        dump_partition(buf, losses, post, flags, consensus)
-        assert buf.getvalue() == expected

@@ -11,6 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from dynamics_checks import two_pole_bank
+from reference import unit_rows
 
 from hambr import energy
 from hambr.energy import (
@@ -75,20 +76,6 @@ def small_bank():
 def random_chain_state(rng, d):
     z = normalize(rng.standard_normal(d))
     return ChainState(z, project_tangent(rng.standard_normal(d), z))
-
-
-class TestSamplerConfig:
-    def test_rejects_zero_step(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(step_size=0.0)
-
-    def test_rejects_negative_friction(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(friction=-0.1)
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(integrator_variant="leapfrog")
 
 
 class TestInitChains:
@@ -282,15 +269,6 @@ class TestSynthesizeOutliers:
         dump_outliers(empty, buf)
         assert buf.getvalue() == ""
 
-    def test_dump_rows_are_json_dumps_text(self):
-        oset = VirtualOutlierSet(np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
-                                 np.array([0.1, np.nan]))
-        buf = io.StringIO()
-        dump_outliers(oset, buf)
-        want = [json.dumps({"chain": i, "outlier": z.tolist(), "potential": float(u)})
-                for i, (z, u) in enumerate(zip(oset.outliers, oset.potentials))]
-        assert buf.getvalue() == "".join(row + "\n" for row in want)
-
     def test_dump_numbers_the_rows(self):
         oset = synthesize_outliers(small_bank(), rows(e(0), e(1)), EnergyParams(),
                                    SamplerConfig(n_chains=3, seed=5))
@@ -335,8 +313,7 @@ class TestQueryMemoInChains:
         rng = np.random.default_rng(91)
         sizes = (40, 5, 60)
         labels = np.repeat(np.arange(3), sizes)
-        x = rng.standard_normal((labels.size, 8))
-        x /= np.linalg.norm(x, axis=1)[:, None]
+        x = unit_rows(rng, labels.size, 8)
         return BankSnapshot.from_arrays(x, rng.uniform(0.1, 1.0, labels.size), labels)
 
     def test_steps_match_steps_without_the_memo(self):

@@ -148,19 +148,12 @@ class TestInjectNoise:
         out = inject_noise(labels, NoiseSpec("asymmetric", 0.5), 3, rng)
         assert set(np.unique(out)) <= {0, 2}
 
-    def test_rate_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec("symmetric", 1.1)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec("salty", 0.1)
-
     @pytest.mark.parametrize("rate", [0.0, 1.0])
     @pytest.mark.parametrize("labels, message", [
         ([5, 1, 2], "labels must be in [0, 3), got 5 at index 0"),
         ([0, -1, 2], "labels must be in [0, 3), got -1 at index 1"),
         ([0, 1, 3], "labels must be in [0, 3), got 3 at index 2"),
+        ([[0, 1], [2, 0]], "labels must be a 1-d array, got shape (2, 2)"),
     ])
     def test_label_outside_the_classes_rejected(self, labels, message, rate):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
@@ -303,21 +296,6 @@ class TestSerialization:
         dump_dataset(*dataset_arrays(DatasetSpec(n_per_class=2, seed=5)), buf)
         row = json.loads(buf.getvalue().splitlines()[0])
         assert set(row) == {"feature", "true", "observed"}
-
-    def test_bytes_match_per_row_json_dumps(self):
-        feats, true, observed = dataset_arrays(DatasetSpec(n_per_class=30, seed=6,
-                                                           noise=NoiseSpec(rate=0.3)))
-        coords = np.zeros(8)
-        coords[:3] = -0.0, 1.0, 1e-300
-        feats = np.vstack([feats, coords])
-        true, observed = np.append(true, 1), np.append(observed, 2)
-        buf = io.StringIO()
-        dump_dataset(feats, true, observed, buf)
-        expected = "".join(
-            json.dumps({"feature": [float(x) for x in f], "true": int(t),
-                        "observed": int(o)}) + "\n"
-            for f, t, o in zip(feats, true, observed))
-        assert buf.getvalue() == expected
 
     def test_empty(self):
         buf = io.StringIO()
