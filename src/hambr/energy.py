@@ -47,9 +47,12 @@ class EmptyBank(ValueError):
 
 
 def _check_entry(weight, label) -> None:
-    """ValueError unless `label` is a non-negative integer and `weight` a number in (0, 1]."""
+    """ValueError unless `label` is a non-negative integer that fits in 64 bits
+    and `weight` a number in (0, 1]."""
     if isinstance(label, bool) or not isinstance(label, numbers.Integral) or label < 0:
         raise ValueError(f"class labels must be non-negative integers, got {label!r}")
+    if label >= 2 ** 63:
+        raise ValueError(f"class labels must fit in a 64-bit integer, got {label!r}")
     if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
         raise ValueError(f"weight must be a number, got {weight!r}")
     if not 0.0 < weight <= 1.0:  # NaN fails every comparison
@@ -67,8 +70,17 @@ class BankEntry:
 
 
 class BankSnapshot:
-    """Immutable per-class view: feature matrices and weight vectors, plus a
-    memo of the last scalar query.
+    """Immutable class-keyed bank: row i of `features` with `weights[i]` in
+    class `labels[i]`, plus a memo of the last scalar query.
+
+    Every row is checked once, here: features (n, d) with d >= 2, each row
+    finite and unit-norm to NORM_TOL, one weight and one label per row, each
+    weight in (0, 1] and each label a non-negative integer that fits in 64
+    bits; ValueError naming the first bad row otherwise.  So every class
+    holds entries with mass wherever it is queried.  With a cap, each class
+    keeps its last `capacity_per_class` rows in input order, the entries a
+    FeatureBank of that capacity keeps after adding the rows one by one.  No
+    rows: the empty bank, with dim 0, which raises EmptyBank on every query.
 
     Energy queries run against snapshots so a concurrent writer cannot change
     the neighbor set mid-query.
@@ -87,78 +99,24 @@ class BankSnapshot:
     The memo is one tuple, read once and replaced whole, so threads that
     share a snapshot can make each other miss but never read a mixed entry.
 
-    The constructor also stacks every class into one padded layout, so that
-    the global potential scores all classes in one pass.  With C classes
-    (row c is ``classes[c]``), m_c entries in class c and m_max the largest
-    m_c:
+    The kept rows are stored once, in one padded layout, so that the global
+    potential scores all classes in one pass.  With C classes (row c is
+    ``classes[c]``), m_c entries in class c and m_max the largest m_c:
 
     - the feature stack is (C * m_max, d): class c fills rows
       c * m_max .. c * m_max + m_c - 1 and zero rows pad it to m_max;
     - the weight stack is (C, m_max), zero on padding;
     - the bias is (C, m_max), 0 on real entries and -inf on padding.
 
+    `features(c)` and `weights(c)` are read-only views of class c's rows of
+    the stacks, so a class's features are C-contiguous (m_c, d) rows.
     Adding the bias to the stacked similarities sends every padding slot to
     -inf, so padding never wins a top-K selection over a real entry; it is
     selected only when a class has fewer than K entries, and then its term
     0 * exp(-inf) is exactly 0 in the log-sum-exp.
-
-    Each class in `groups` maps to (features, weights), taken as float64
-    arrays and checked as `from_arrays` takes and checks them: features
-    (m, d) with d >= 2 and one d for every class, each row unit-norm to
-    NORM_TOL, one weight per row, m >= 1 and every weight in (0, 1], so each
-    class has mass wherever it is queried; ValueError naming the first bad
-    class otherwise.
     """
 
-    def __init__(self, groups: dict[int, tuple[np.ndarray, np.ndarray]]):
-        groups = {c: (np.asarray(f, dtype=np.float64), np.asarray(w, dtype=np.float64))
-                  for c, (f, w) in groups.items()}
-        self.classes = sorted(groups)
-        self.dim = d = groups[self.classes[0]][0].shape[-1] if self.classes else 0
-        for c in self.classes:
-            f, w = groups[c]
-            if w.size == 0:
-                raise ValueError(f"class {c} has no entries")
-            if f.ndim != 2 or f.shape[1] != d or d < 2 or w.shape != f.shape[:1]:
-                raise ValueError(f"class {c} needs features (m, d) with d >= 2, one d for "
-                                 f"every class, and m weights, got {f.shape} and {w.shape}")
-            check_unit_rows(f, f"class {c} entry")
-            bad = np.flatnonzero(~((w > 0.0) & (w <= 1.0)))
-            if bad.size:
-                raise ValueError(f"weight must be in (0, 1], got {float(w[bad[0]])} "
-                                 f"at entry {bad[0]} of class {c}")
-        self._groups = groups
-        sizes = [self.size(c) for c in self.classes]
-        m_max = max(sizes, default=0)
-        feats = np.zeros((len(sizes), m_max, d))
-        weights = np.zeros((len(sizes), m_max))
-        bias = np.full((len(sizes), m_max), -np.inf)
-        for row, c in enumerate(self.classes):
-            m = sizes[row]
-            feats[row, :m] = self.features(c)
-            weights[row, :m] = self.weights(c)
-            bias[row, :m] = 0.0
-        self._stack_feats = feats.reshape(len(sizes) * m_max, d)
-        self._stack_weights = weights
-        self._stack_bias = bias
-        for a in (self._stack_feats, weights, bias):
-            a.flags.writeable = False
-        # (point, params, potential, class, gradient)
-        self._memo = None
-
-    @classmethod
-    def from_arrays(cls, features, weights, labels,
-                    capacity_per_class: int | None = None) -> "BankSnapshot":
-        """Bank holding row i of `features` with `weights[i]` in class `labels[i]`.
-
-        Every row must pass what `UnitVector` and `BankEntry` check one entry
-        at a time: features (n, d) with d >= 2, each row finite and unit-norm
-        to NORM_TOL, each weight in (0, 1], each label >= 0, and
-        one weight and label per row; ValueError otherwise.  With a cap, each
-        class keeps its last `capacity_per_class` rows in input order, the
-        entries a FeatureBank of that capacity keeps after adding the rows one
-        by one.
-        """
+    def __init__(self, features, weights, labels, capacity_per_class: int | None = None):
         feats = np.asarray(features, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         labels = np.asarray(labels)
@@ -174,18 +132,32 @@ class BankSnapshot:
                              f"at row {bad[0]}")
         if labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0):
             raise ValueError("labels must be non-negative integers")
+        if labels.size and labels.max() >= 2 ** 63:  # a uint64 label load_bank would refuse
+            raise ValueError(f"labels must fit in a 64-bit integer, got {labels.max()}")
         if capacity_per_class is not None and capacity_per_class < 1:
             raise ValueError("capacity_per_class must be >= 1")
-        groups = {}
-        for c in np.unique(labels):
-            rows = np.flatnonzero(labels == c)
-            if capacity_per_class is not None:
-                rows = rows[-capacity_per_class:]
-            feats_c, weights_c = feats[rows], weights[rows]
-            feats_c.flags.writeable = False
-            weights_c.flags.writeable = False
-            groups[int(c)] = (feats_c, weights_c)
-        return cls(groups)
+        self.classes = np.unique(labels).tolist()
+        kept = [np.flatnonzero(labels == c) for c in self.classes]
+        if capacity_per_class is not None:
+            kept = [rows[-capacity_per_class:] for rows in kept]
+        self.dim = d = feats.shape[1] if kept else 0
+        m_max = max((rows.size for rows in kept), default=0)
+        stack = np.zeros((len(kept), m_max, d))
+        stack_weights = np.zeros((len(kept), m_max))
+        bias = np.full((len(kept), m_max), -np.inf)
+        for j, rows in enumerate(kept):
+            stack[j, :rows.size] = feats[rows]
+            stack_weights[j, :rows.size] = weights[rows]
+            bias[j, :rows.size] = 0.0
+        for a in (stack, stack_weights, bias):
+            a.flags.writeable = False  # and so every view made of them below
+        self._rows = {c: (stack[j, :rows.size], stack_weights[j, :rows.size])
+                      for j, (c, rows) in enumerate(zip(self.classes, kept))}
+        self._stack_feats = stack.reshape(len(kept) * m_max, d)
+        self._stack_weights = stack_weights
+        self._stack_bias = bias
+        # (point, params, potential, class, gradient)
+        self._memo = None
 
     def snapshot(self) -> "BankSnapshot":
         """A snapshot is its own snapshot, so banks and snapshots answer alike."""
@@ -199,19 +171,19 @@ class BankSnapshot:
         return None
 
     def features(self, class_id: int) -> np.ndarray:
-        return self._groups[class_id][0]
+        return self._rows[class_id][0]
 
     def weights(self, class_id: int) -> np.ndarray:
-        return self._groups[class_id][1]
+        return self._rows[class_id][1]
 
     def size(self, class_id: int) -> int:
-        return self._groups[class_id][0].shape[0]
+        return self._rows[class_id][1].size
 
     def __contains__(self, class_id: int) -> bool:
-        return class_id in self._groups
+        return class_id in self._rows
 
     def __len__(self) -> int:
-        return sum(g[0].shape[0] for g in self._groups.values())
+        return sum(w.size for _, w in self._rows.values())
 
 
 class FeatureBank:
@@ -238,9 +210,10 @@ class FeatureBank:
     def snapshot(self) -> BankSnapshot:
         if self._snapshot is None:
             entries = [e for g in self._groups.values() for e in g]
-            self._snapshot = BankSnapshot.from_arrays(
-                [e.feature.coords for e in entries], [e.weight for e in entries],
-                [e.class_id for e in entries]) if entries else BankSnapshot({})
+            # no entries: no rows, the empty bank, whose d is never read
+            self._snapshot = BankSnapshot(
+                [e.feature.coords for e in entries] or np.empty((0, 2)),
+                [e.weight for e in entries], [e.class_id for e in entries])
         return self._snapshot
 
 
@@ -520,7 +493,7 @@ def _bank_row(line: str, d: int | None):
     if d is not None and feature.size != d:
         raise ValueError(f"feature has {feature.size} values, the first row's has {d}")
     feature = feature.astype(np.float64, copy=False)
-    norm = _norm(feature)  # the norm `from_arrays` checks the stacked rows by
+    norm = _norm(feature)  # the norm the bank's constructor checks its rows by
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN and inf coordinates fail too
         raise ValueError(f"feature is not unit norm: |v| = {norm!r}")
     return feature, weight, label
@@ -529,9 +502,9 @@ def _bank_row(line: str, d: int | None):
 def load_bank(fh) -> BankSnapshot:
     """Read a `dump_bank` file back into a snapshot that keeps every entry.
 
-    Each line is checked as it is read, as `BankSnapshot.from_arrays` checks
-    a row, and the first bad one raises ValueError naming its 1-based number.
-    No rows: empty bank.
+    Each line is checked as it is read, as the `BankSnapshot` constructor
+    checks a row, and the first bad one raises ValueError naming its 1-based
+    number.  No rows: the empty bank.
     """
     feats, weights, labels = [], [], []
     for number, line in enumerate(fh, 1):
@@ -543,9 +516,7 @@ def load_bank(fh) -> BankSnapshot:
             feats.append(feature)
             weights.append(weight)
             labels.append(label)
-    if not feats:
-        return BankSnapshot({})
     # the parsed floats are dropped line by line and the row arrays once
     # stacked, so the checks and the grouping never run beside either
-    feats = np.array(feats)
-    return BankSnapshot.from_arrays(feats, weights, labels)
+    feats = np.array(feats) if feats else np.empty((0, 2))
+    return BankSnapshot(feats, weights, labels)

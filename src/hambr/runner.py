@@ -120,7 +120,6 @@ _type_hints = functools.cache(typing.get_type_hints)  # resolved once per sectio
 
 # what a value of each field type must be in JSON: (test, description)
 _JSON_TYPES = {
-    bool: (lambda v: isinstance(v, bool), "true or false"),
     int: (lambda v: _is_number(v) and isinstance(v, numbers.Integral), "an integer"),
     float: (_is_number, "a number"),
     str: (lambda v: isinstance(v, str), "a string"),
@@ -155,7 +154,7 @@ def _parse(path: str, hint, value, seed: int, seed_wins: bool):
         check, what = _JSON_TYPES[kind]
         if not check(value):
             raise ConfigError(f"{path} must be {what}, got {value!r}")
-        if kind not in (bool, int, str) and not _fits_float(value):
+        if kind not in (int, str) and not _fits_float(value):
             raise ConfigError(f"{path} must fit in a float, got an integer too large for one")
         if path.endswith("seed"):  # seeds are entropy, of any size
             if value < 0:
@@ -244,7 +243,7 @@ def _fill_prototypes(proto_set: PrototypeSet | None, fallback: np.ndarray) -> np
 
 def _fallback_bank(x: np.ndarray, labels: np.ndarray, posteriors: np.ndarray) -> BankSnapshot:
     """Scoring stopgap while the live bank is empty: every sample, floored weights."""
-    return BankSnapshot.from_arrays(x, np.maximum(posteriors, 1e-6), labels)
+    return BankSnapshot(x, np.maximum(posteriors, 1e-6), labels)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -281,7 +280,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     ood_child, epochs_parent = root.spawn(2)
     ood_feats, _ = make_ood_set(cfg.dataset, np.random.default_rng(ood_child))
 
-    state = TrainState(embeddings=x, bank=BankSnapshot({}),
+    state = TrainState(embeddings=x, bank=BankSnapshot(x[:0], [], []),
                        window=ConsensusWindow(cfg.t_filter, n),
                        prototypes=None)
 
@@ -323,8 +322,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             # (4) bank rebuilt from the consensus set only: the last
             # DEFAULT_CAPACITY consensus ids of each class, in id order
             # (no rows, so the empty bank, until the window is full)
-            bank = BankSnapshot.from_arrays(x[consensus], posteriors[consensus],
-                                            y_obs[consensus], DEFAULT_CAPACITY)
+            bank = BankSnapshot(x[consensus], posteriors[consensus], y_obs[consensus],
+                                DEFAULT_CAPACITY)
             state.bank = bank
 
             # (5) fresh prototypes from the bank

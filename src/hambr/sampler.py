@@ -45,7 +45,6 @@ class SamplerConfig:
     n_chains: int = rule(">= 1", 32)
     dyn_temperature: float = rule("positive and finite", 0.01)
     integrator_variant: str = rule(VARIANTS, "exponential")
-    noise_per_step: bool = False
     seed: int = 0
 
     __post_init__ = check_rules
@@ -92,11 +91,10 @@ def dshd_step(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
     """One split step of the dissipative dynamics.
 
     `noise` is a raw ambient Gaussian draw, projected onto the current tangent
-    space; `run_chain` reuses one draw for every step of a round unless
-    cfg.noise_per_step asks for fresh ones.  `bank=None` means a zero
-    potential, which the conservation and equipartition tests rely on.  The
-    bank's snapshot remembers the gradient at z_new, so when the next step
-    starts there it asks for that gradient at no cost.
+    space; `run_chain` reuses one draw for every step of a round.  `bank=None`
+    means a zero potential, which the conservation and equipartition tests
+    rely on.  The bank's snapshot remembers the gradient at z_new, so when
+    the next step starts there it asks for that gradient at no cost.
     """
     z, v = state.position, state.momentum
     eps, gam, temp = cfg.step_size, cfg.friction, cfg.dyn_temperature
@@ -125,14 +123,12 @@ def run_chain(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
     """Advance one chain for n_rounds * steps_per_round steps.
 
     The ambient noise vector is drawn once per round and re-projected at each
-    step of the round unless cfg.noise_per_step asks for fresh draws.
+    step of the round.
     """
     d = state.position.dim
     for _ in range(cfg.n_rounds):
-        xi = None
+        xi = rng.standard_normal(d)
         for _ in range(cfg.steps_per_round):
-            if xi is None or cfg.noise_per_step:
-                xi = rng.standard_normal(d)
             state = dshd_step(state, bank, params, cfg, noise=xi)
     return state
 

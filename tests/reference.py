@@ -15,6 +15,14 @@ def unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1)[:, None]
 
 
+def bank_rows(groups):
+    """The (features, weights, labels) rows of a bank given as {class id:
+    (features, weights)}, class after class in the dict's order."""
+    feats, weights = zip(*groups.values())
+    return (np.concatenate(feats), np.concatenate(weights),
+            np.repeat(list(groups), [len(w) for w in weights]))
+
+
 # -- the vMF soft-min free energy ---------------------------------------------
 
 def stable_top_k(sims, weights, k):
@@ -172,10 +180,9 @@ WRONG_JSON_TYPES = [
     ({"energy": "ab"}, "energy must be an object"),
     ({"sampler": [["n_chains", 4]]}, "sampler must be an object"),
     ({"epoch": 3}, "config: unknown keys ['epoch']"),
-    # section level
-    ({"sampler": {"noise_per_step": "false"}},
-     "sampler.noise_per_step must be true or false"),
-    ({"sampler": {"noise_per_step": 0}}, "sampler.noise_per_step must be true or false"),
+    # section level; noise_per_step is a removed option
+    ({"sampler": {"noise_per_step": "false"}}, "sampler: unknown keys ['noise_per_step']"),
+    ({"sampler": {"noise_per_step": 0}}, "sampler: unknown keys ['noise_per_step']"),
     ({"energy": {"k_neighbors": True}}, "energy.k_neighbors must be an integer"),
     ({"weights": {"gce_q": True}}, "weights.gce_q must be a number"),
     ({"sampler": {"integrator_variant": 1}},
@@ -274,6 +281,10 @@ BAD_BANK_LINES = [
      "class labels must be non-negative integers, got 1.0"),
     ('{"class": -1, "weight": 1.0, "feature": [0.0, 1.0]}',
      "class labels must be non-negative integers, got -1"),
+    ('{"class": 9223372036854775808, "weight": 1.0, "feature": [0.0, 1.0]}',
+     "class labels must fit in a 64-bit integer, got 9223372036854775808"),
+    ('{"class": 1000000000000000000000000000000, "weight": 1.0, "feature": [0.0, 1.0]}',
+     "class labels must fit in a 64-bit integer, got 1000000000000000000000000000000"),
     ('{"class": 1, "weight": true, "feature": [0.0, 1.0]}',
      "weight must be a number, got True"),
     ('{"class": 1, "weight": "1.0", "feature": [0.0, 1.0]}',

@@ -24,12 +24,13 @@ from hambr.energy import (
     riemannian_grad_U,
     _top_k,
 )
-from hambr.sphere import UnitVector, geodesic_step, normalize, project_tangent
+from hambr.sphere import UnitVector, _norm, geodesic_step, normalize, project_tangent
 from hambr.synthgen import sample_vmf
 from reference import (
     BAD_BANK_FILES,
     BAD_BANK_LINES,
     BAD_LINE_PREFIX,
+    bank_rows,
     reference_gradient,
     reference_potential,
     soft_min_reference,
@@ -85,6 +86,7 @@ class TestBankEntry:
         (1.0, 1.5, "class labels must be non-negative integers, got 1.5"),
         (1.0, -1, "class labels must be non-negative integers, got -1"),
         (1.0, "1", "class labels must be non-negative integers, got '1'"),
+        (1.0, 2 ** 63, "class labels must fit in a 64-bit integer, got 9223372036854775808"),
         (True, 0, "weight must be a number, got True"),
         ("1.0", 0, "weight must be a number, got '1.0'"),
         (float("nan"), 0, "weight must be in (0, 1], got nan"),
@@ -179,7 +181,7 @@ class TestFeatureBank:
         feats = unit_rows(rng, labels.size, 7)
         weights = rng.uniform(0.0, 1.0, labels.size)
         weights[rng.random(labels.size) < 0.2] = 1.0
-        snap = BankSnapshot.from_arrays(feats, weights, labels)
+        snap = BankSnapshot(feats, weights, labels)
         buf = io.StringIO()
         dump_bank(snap, buf)
         buf.seek(0)
@@ -293,10 +295,8 @@ class TestGlobalPotential:
         params = EnergyParams(tau_energy=0.1)
         base = random_bank(rng, 4, 8, n_classes=2)
         snap = base.snapshot()
-        scaled = BankSnapshot.from_arrays(
-            np.concatenate([snap.features(c) for c in snap.classes]),
-            0.37 * np.concatenate([snap.weights(c) for c in snap.classes]),
-            np.repeat(snap.classes, [snap.size(c) for c in snap.classes]))
+        feats, weights, labels = bank_rows(groups_of(snap))
+        scaled = BankSnapshot(feats, 0.37 * weights, labels)
         _, c_base = global_potential(z, base, params)
         _, c_scaled = global_potential(z, scaled, params)
         assert c_base == c_scaled
@@ -366,11 +366,13 @@ class TestFusedPotential:
     def test_massless_class_is_rejected_where_the_bank_is_built(self, massless):
         rng = np.random.default_rng(77)
         snap = uneven_bank(rng, 8, 3, 16).snapshot()
-        masses = {c: (f, np.zeros(f.shape[0]) if c in massless else w)
-                  for c, (f, w) in groups_of(snap).items()}
-        with pytest.raises(ValueError, match=re.escape(
-                f"weight must be in (0, 1], got 0.0 at entry 0 of class {min(massless)}")):
-            BankSnapshot(masses)
+        feats, weights, labels = bank_rows(
+            {c: (f, np.zeros(f.shape[0]) if c in massless else w)
+             for c, (f, w) in groups_of(snap).items()})
+        first = np.flatnonzero(labels == min(massless))[0]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"weight must be in (0, 1], got 0.0 at row {first}") + "$"):
+            BankSnapshot(feats, weights, labels)
 
 
 def tied_bank(rng, d, n_classes, k):
@@ -383,7 +385,7 @@ def tied_bank(rng, d, n_classes, k):
     copy_weights = rng.uniform(0.1, 1.0, size=2 * k)
     classes[0] = (np.concatenate([feats[:5], copies, feats[5:]]),
                   np.concatenate([weights[:5], copy_weights, weights[5:]]))
-    return BankSnapshot(classes)
+    return BankSnapshot(*bank_rows(classes))
 
 
 class TestFusedGradient:
@@ -422,8 +424,9 @@ def clustered_bank(rng, d, sizes):
     around cluster_centers, weights in [0.1, 1]: classes far from a point
     can be bounded away from its minimum."""
     centers = cluster_centers(d, len(sizes))
-    return BankSnapshot({c: (sample_vmf(centers[c], 25.0 * d, m, rng),
-                             rng.uniform(0.1, 1.0, size=m)) for c, m in enumerate(sizes)})
+    return BankSnapshot(*bank_rows({c: (sample_vmf(centers[c], 25.0 * d, m, rng),
+                                        rng.uniform(0.1, 1.0, size=m))
+                                    for c, m in enumerate(sizes)}))
 
 
 def clustered_points(rng, d, counts):
@@ -454,8 +457,8 @@ class TestBlockedPotentialBatch:
     LARGE = (2000, 70_000, 9)
 
     def snapshot(self, rng, d, sizes):
-        return BankSnapshot({c: (unit_rows(rng, m, d), rng.uniform(0.1, 1.0, size=m))
-                             for c, m in enumerate(sizes)})
+        return BankSnapshot(*bank_rows({c: (unit_rows(rng, m, d), rng.uniform(0.1, 1.0, size=m))
+                                        for c, m in enumerate(sizes)}))
 
     # n = 33 and 1001 are no multiple of 32; the reference's (n, m_c) slabs
     # stay under 20 MB
@@ -500,15 +503,17 @@ class TestBlockedPotentialBatch:
         for sizes in ((40,), (40, 9), (9, 40, 300)):
             assert potential_batch(none, self.snapshot(rng, d, sizes)).shape == (0,)
 
-    @pytest.mark.parametrize("massless", [(0,), (2,), (1, 3)])
-    def test_massless_class_is_rejected_in_class_order(self, massless):
+    # classes in reverse order, (300, 9, 40, 2000) rows: the first zero
+    # weight is in the massless class given first
+    @pytest.mark.parametrize("massless, row", [((0,), 349), ((2,), 300), ((1, 3), 0)])
+    def test_massless_class_is_rejected_at_its_first_row(self, massless, row):
         rng = np.random.default_rng(8)
         snap = self.snapshot(rng, 8, (2000, 40, 9, 300))
-        masses = {c: (f, np.zeros(f.shape[0]) if c in massless else w)
-                  for c, (f, w) in reversed(groups_of(snap).items())}
-        with pytest.raises(ValueError, match=re.escape(
-                f"weight must be in (0, 1], got 0.0 at entry 0 of class {min(massless)}")):
-            BankSnapshot(masses)
+        rows = bank_rows({c: (f, np.zeros(f.shape[0]) if c in massless else w)
+                          for c, (f, w) in reversed(groups_of(snap).items())})
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"weight must be in (0, 1], got 0.0 at row {row}") + "$"):
+            BankSnapshot(*rows)
 
     @pytest.mark.parametrize("points,message", [
         (np.ones(8) / np.sqrt(8), r"points must be an \(n, d\) array, got shape \(8,\)"),
@@ -530,8 +535,9 @@ class TestBlockedPotentialBatch:
         pos[:, 0] = np.abs(pos[:, 0])
         flat = unit_rows(rng, 20, d - 1)
         feats = np.concatenate([pos, np.hstack([np.zeros((20, 1)), flat])])
-        snap = BankSnapshot({0: (feats, rng.uniform(0.1, 1.0, size=30)),
-                             1: (unit_rows(rng, 40, d), rng.uniform(0.1, 1.0, size=40))})
+        snap = BankSnapshot(*bank_rows({
+            0: (feats, rng.uniform(0.1, 1.0, size=30)),
+            1: (unit_rows(rng, 40, d), rng.uniform(0.1, 1.0, size=40))}))
         params = EnergyParams()
         others = unit_rows(rng, 12, d)
         points = np.concatenate([others[:5], np.eye(d)[:1], others[5:]])
@@ -578,20 +584,18 @@ class TestBlockedPotentialBatch:
         assert energy._candidates(points, snap, params)[:, 2].sum() == 1
         self.assert_matches_reference(points, snap, params)
 
-    @pytest.mark.parametrize("position", [0, 1, 3])
-    @pytest.mark.parametrize("kind", ["empty", "massless"])
-    def test_class_without_mass_is_rejected_where_the_bank_is_built(self, kind, position):
+    # rows of the classes (200, 9, 150, 60), in class order
+    @pytest.mark.parametrize("position, row", [(0, 0), (1, 200), (3, 359)],
+                             ids=["massless-0", "massless-1", "massless-3"])
+    def test_class_without_mass_is_rejected_where_the_bank_is_built(self, position, row):
         rng = np.random.default_rng(30 + position)
         d = 8
         base = clustered_bank(rng, d, (200, 9, 150, 60))
         classes = groups_of(base)
-        far = sample_vmf(-np.eye(d)[4], 200.0, 30, rng)
-        classes[position] = (np.empty((0, d)), np.empty(0)) if kind == "empty" \
-            else (far, np.zeros(30))
-        message = (f"class {position} has no entries" if kind == "empty"
-                   else f"weight must be in (0, 1], got 0.0 at entry 0 of class {position}")
-        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            BankSnapshot(classes)
+        classes[position] = (sample_vmf(-np.eye(d)[4], 200.0, 30, rng), np.zeros(30))
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"weight must be in (0, 1], got 0.0 at row {row}") + "$"):
+            BankSnapshot(*bank_rows(classes))
 
     def test_class_with_a_zero_weight_is_rejected(self):
         rng = np.random.default_rng(40)
@@ -599,11 +603,10 @@ class TestBlockedPotentialBatch:
         weights = snap.weights(2).copy()
         weights[::7] = 0.0
         weights[0] = 0.5
-        with pytest.raises(ValueError, match=re.escape(
-                "weight must be in (0, 1], got 0.0 at entry 7 of class 2")):
-            BankSnapshot({0: (snap.features(0), snap.weights(0)),
-                          1: (snap.features(1), snap.weights(1)),
-                          2: (snap.features(2), weights)})
+        # class 2's rows start at row 200 + 150
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "weight must be in (0, 1], got 0.0 at row 357") + "$"):
+            BankSnapshot(*bank_rows({**groups_of(snap), 2: (snap.features(2), weights)}))
 
     def test_soft_min_sees_few_of_the_rows(self, monkeypatch):
         rng = np.random.default_rng(50)
@@ -622,7 +625,7 @@ class TestBlockedPotentialBatch:
         points = clustered_points(rng, d, (300, 300, 300))
         labels = np.argmax(points @ cluster_centers(d, 3).T, axis=1)
         weights = np.maximum(rng.uniform(-0.5, 1.0, size=len(points)), 1e-6)
-        snap = BankSnapshot.from_arrays(points, weights, labels)
+        snap = BankSnapshot(points, weights, labels)
         got, rows = rows_scored(monkeypatch, points, snap)
         assert rows == points.shape[0] * len(snap.classes)
         assert np.array_equal(got, reference_batch(points, snap, EnergyParams()))
@@ -633,9 +636,8 @@ class TestBlockedPotentialBatch:
         # which another block shape could round the other way
         d = 8
         near = np.eye(d)[0] + 1e-7 * np.eye(d)[1]
-        snap = BankSnapshot({0: (np.eye(d)[:1], np.ones(1)),
-                             1: ((near / np.linalg.norm(near))[None, :], np.ones(1)),
-                             2: (-np.eye(d)[:1], np.ones(1))})
+        feats = np.stack([np.eye(d)[0], near / np.linalg.norm(near), -np.eye(d)[0]])
+        snap = BankSnapshot(feats, np.ones(3), [0, 1, 2])
         params = EnergyParams(k_neighbors=1)
         keep = energy._candidates(np.eye(d)[:2], snap, params)
         assert keep[0].tolist() == [True, True, False]
@@ -661,7 +663,7 @@ class TestEnergyBounds:
         copies = np.tile(np.eye(d)[0], (2 * params.k_neighbors, 1))
         groups[0] = (np.concatenate([groups[0][0], copies]),
                      np.concatenate([groups[0][1], rng.uniform(1e-3, 1.0, size=len(copies))]))
-        snap = BankSnapshot(groups)
+        snap = BankSnapshot(*bank_rows(groups))
         near_e0 = np.eye(d)[0] + 0.01 * rng.standard_normal((20, d))
         points = np.concatenate([unit_rows(rng, 300, d), np.eye(d)[:1],
                                  near_e0 / np.linalg.norm(near_e0, axis=1)[:, None],
@@ -678,27 +680,31 @@ class TestEnergyBounds:
 
 
 class TestMassErrors:
-    @pytest.mark.parametrize("size,weight,message", [
-        (0, 1.0, "class 1 has no entries"),
-        (9, 0.0, "weight must be in (0, 1], got 0.0 at entry 0 of class 1"),
-        (40, 0.0, "weight must be in (0, 1], got 0.0 at entry 0 of class 1"),
-    ], ids=["empty", "massless-under-k", "massless-over-k"])
-    def test_every_bank_builder_rejects_alike(self, size, weight, message):
+    @pytest.mark.parametrize("size,weight", [(0, 1.0), (9, 0.0), (40, 0.0)],
+                             ids=["empty", "massless-under-k", "massless-over-k"])
+    def test_every_bank_builder_rejects_alike(self, size, weight):
         rng = np.random.default_rng(14)
         d = 8
         feats = [unit_rows(rng, 30, d), unit_rows(rng, size, d), unit_rows(rng, 20, d)]
         weights = [np.ones(30), np.full(size, weight), np.ones(20)]
-        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            BankSnapshot(dict(enumerate(zip(feats, weights))))
-        if size:  # rows carry no empty class: the first zero weight is row 30
-            with pytest.raises(ValueError, match=re.escape("got 0.0 at row 30")):
-                BankSnapshot.from_arrays(np.concatenate(feats), np.concatenate(weights),
-                                         np.repeat([0, 1, 2], [30, size, 20]))
-            with pytest.raises(ValueError, match=re.escape("got 0.0")):
-                BankEntry(UnitVector(feats[1][0]), weight, 1)
+        rows = (np.concatenate(feats), np.concatenate(weights),
+                np.repeat([0, 1, 2], [30, size, 20]))
+        if not size:  # rows carry no empty class: class 1 is one the bank lacks
+            snap = BankSnapshot(*rows)
+            assert snap.classes == [0, 2]
+            with pytest.raises(EmptyClass, match="^class 1 has no entries$"):
+                class_free_energy(e(0, d), snap, 1)
+            return
+        # the first zero weight is row 30
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "weight must be in (0, 1], got 0.0 at row 30") + "$"):
+            BankSnapshot(*rows)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "weight must be in (0, 1], got 0.0") + "$"):
+            BankEntry(UnitVector(feats[1][0]), weight, 1)
 
     def test_query_for_a_class_the_bank_lacks_raises(self):
-        snap = BankSnapshot({0: (np.array([e(0).coords]), np.ones(1))})
+        snap = BankSnapshot([e(0).coords], [1.0], [0])
         with pytest.raises(EmptyClass, match="^class 1 has no entries$"):
             class_free_energy(e(0), snap, 1)
 
@@ -706,8 +712,8 @@ class TestMassErrors:
 def padded_stack_sims(rng, d, sizes):
     """The similarities global_potential selects from: one unit point against
     a snapshot's padded (C, m_max) stack, -inf on padding."""
-    snap = BankSnapshot({c: (unit_rows(rng, m, d), rng.uniform(0.1, 1.0, size=m))
-                         for c, m in enumerate(sizes)})
+    snap = BankSnapshot(*bank_rows({c: (unit_rows(rng, m, d), rng.uniform(0.1, 1.0, size=m))
+                                    for c, m in enumerate(sizes)}))
     sims = (snap._stack_feats @ unit_rows(rng, 1, d)[0]).reshape(snap._stack_bias.shape)
     return sims + snap._stack_bias, snap._stack_weights
 
@@ -821,7 +827,7 @@ class TestRiemannianGrad:
 
 def fresh(snap):
     """A new snapshot of the same entries, whose memo is empty."""
-    return BankSnapshot(groups_of(snap))
+    return BankSnapshot(*bank_rows(groups_of(snap)))
 
 
 def same_bits(a, b):
@@ -869,7 +875,7 @@ class TestQueryMemo:
     def test_failed_query_is_not_remembered(self):
         # a point of the wrong dimension fails the scan's matvec
         feats = np.array([e(0).coords, e(1).coords, e(2).coords])
-        snap = BankSnapshot.from_arrays(feats, [0.5, 1.0, 1.0], [0, 0, 1])
+        snap = BankSnapshot(feats, [0.5, 1.0, 1.0], [0, 0, 1])
         z, wrong = normalize([1.0, 0.2, 0.1]), normalize([1.0, 0.2, 0.1, 0.3])
         two = EnergyParams(k_neighbors=2)
         for query in (global_potential, riemannian_grad_U):
@@ -898,11 +904,6 @@ class TestQueryMemo:
         assert same_bits(riemannian_grad_U(z, snap, params).coords, want.coords)
         assert snap._recall(z, params)[4].coords.tobytes() == want.coords.tobytes()
 
-    def test_empty_class_is_rejected_before_any_query(self):
-        with pytest.raises(ValueError, match="^class 1 has no entries$"):
-            BankSnapshot({0: (np.array([e(0).coords]), np.ones(1)),
-                          1: (np.empty((0, 3)), np.empty(0))})
-
     def test_interleaved_queries_match_fresh_snapshots(self):
         rng = np.random.default_rng(62)
         snaps = [self.snap, uneven_bank(rng, 8, 3, self.params.k_neighbors).snapshot()]
@@ -916,7 +917,10 @@ class TestQueryMemo:
                 assert same_bits(got, want)
 
 
-class TestBankFromArrays:
+class TestBankSnapshot:
+    """The one bank constructor: every row checked once, each class's last
+    rows kept, in one padded stack."""
+
     # class sizes around the FIFO cap; class 3 has no rows at all
     SIZES = {0: 300, 1: DEFAULT_CAPACITY, 2: DEFAULT_CAPACITY + 1, 4: 40}
 
@@ -937,7 +941,7 @@ class TestBankFromArrays:
     def test_capped_bank_equals_the_per_sample_fifo_bank(self):
         x, weights, labels = self.rows()
         want = self.per_sample_bank(x, weights, labels).snapshot()
-        got = BankSnapshot.from_arrays(x, weights, labels, DEFAULT_CAPACITY)
+        got = BankSnapshot(x, weights, labels, DEFAULT_CAPACITY)
         assert got.classes == want.classes == [0, 1, 2, 4]
         assert 3 not in got
         for c in got.classes:
@@ -960,8 +964,7 @@ class TestBankFromArrays:
         x, weights, labels = self.rows(seed=10)
         ids = np.flatnonzero(np.random.default_rng(11).random(labels.size) < 0.9)
         want = self.per_sample_bank(x[ids], weights[ids], labels[ids]).snapshot()
-        got = BankSnapshot.from_arrays(x[ids], weights[ids], labels[ids],
-                                       DEFAULT_CAPACITY)
+        got = BankSnapshot(x[ids], weights[ids], labels[ids], DEFAULT_CAPACITY)
         assert got.classes == want.classes
         for c in got.classes:
             assert got.features(c).tobytes() == want.features(c).tobytes()
@@ -969,7 +972,7 @@ class TestBankFromArrays:
 
     def test_no_cap_keeps_every_row(self):
         x, weights, labels = self.rows()
-        got = BankSnapshot.from_arrays(x, weights, labels)
+        got = BankSnapshot(x, weights, labels)
         assert len(got) == labels.size
         for c, m in self.SIZES.items():
             assert got.size(c) == m
@@ -977,13 +980,32 @@ class TestBankFromArrays:
 
     def test_is_its_own_snapshot_and_read_only(self):
         x, weights, labels = self.rows()
-        snap = BankSnapshot.from_arrays(x, weights, labels, 16)
+        snap = BankSnapshot(x, weights, labels, 16)
         assert snap.snapshot() is snap
         assert not snap.features(0).flags.writeable
         assert not snap.weights(0).flags.writeable
-        empty = BankSnapshot.from_arrays(np.empty((0, 8)), np.empty(0),
-                                         np.empty(0, dtype=np.int64))
-        assert len(empty) == 0 and empty.classes == []
+        empty = BankSnapshot(np.empty((0, 8)), np.empty(0), np.empty(0, dtype=np.int64))
+        assert len(empty) == 0 and empty.classes == [] and empty.dim == 0
+        with pytest.raises(EmptyBank):
+            global_potential(e(0, 8), empty)
+
+    def test_classes_are_read_only_views_of_the_stack(self):
+        x, weights, labels = self.rows()
+        snap = BankSnapshot(x, weights, labels, DEFAULT_CAPACITY)
+        for c in snap.classes:
+            feats, w = snap.features(c), snap.weights(c)
+            assert not feats.flags.writeable and not w.flags.writeable
+            assert feats.flags.c_contiguous and feats.shape == (snap.size(c), 8)
+            assert np.shares_memory(feats, snap._stack_feats)
+            assert np.shares_memory(w, snap._stack_weights)
+
+    def test_lists_score_like_arrays(self):
+        rng = np.random.default_rng(15)
+        x, weights, labels = bank_rows(groups_of(uneven_bank(rng, 8, 3, 16).snapshot()))
+        lists = BankSnapshot(x.tolist(), weights.tolist(), labels.tolist())
+        points = unit_rows(rng, 50, 8)
+        assert np.array_equal(potential_batch(points, lists),
+                              potential_batch(points, BankSnapshot(x, weights, labels)))
 
     @pytest.mark.parametrize("bad", ["non_unit_row", "nan_row", "inf_row",
                                      "weight_1.5", "nan_weight", "negative_weight",
@@ -993,90 +1015,73 @@ class TestBankFromArrays:
                                      "cap_0"])
     def test_rejects_what_the_entry_types_reject(self, bad):
         x, weights, labels = self.rows()
-        cap = DEFAULT_CAPACITY
+        n, cap = labels.size, DEFAULT_CAPACITY
         if bad == "non_unit_row":
             x[7] *= 1.0 + 1e-6
+            message = f"row 7 is not unit norm: |v| = {_norm(x[7])!r}"
         elif bad == "nan_row":
             x[7, 3] = np.nan
+            message = "row 7 is not unit norm: |v| = nan"
         elif bad == "inf_row":
             x[7, 3] = np.inf
+            message = "row 7 is not unit norm: |v| = inf"
         elif bad == "weight_1.5":
             weights[7] = 1.5
+            message = "weight must be in (0, 1], got 1.5 at row 7"
         elif bad == "nan_weight":
             weights[7] = np.nan
+            message = "weight must be in (0, 1], got nan at row 7"
         elif bad == "negative_weight":
             weights[7] = -0.1
+            message = "weight must be in (0, 1], got -0.1 at row 7"
         elif bad == "zero_weight":
             weights[7] = 0.0
+            message = "weight must be in (0, 1], got 0.0 at row 7"
         elif bad == "label_-1":
             labels[7] = -1
+            message = "labels must be non-negative integers"
         elif bad == "float_labels":
             labels = labels.astype(np.float64)
+            message = "labels must be non-negative integers"
         elif bad == "short_weights":
             weights = weights[:-1]
+            message = f"{n} features need as many weights and labels, got ({n - 1},) and ({n},)"
         elif bad == "short_labels":
             labels = labels[:-1]
+            message = f"{n} features need as many weights and labels, got ({n},) and ({n - 1},)"
         elif bad == "vector_features":
             x, weights, labels = x[0], weights[:1], labels[:1]
+            message = "features must be (n, d) with d >= 2, got (8,)"
         elif bad == "d_1":
-            x = np.ones((labels.size, 1))
+            x = np.ones((n, 1))
+            message = f"features must be (n, d) with d >= 2, got ({n}, 1)"
         elif bad == "cap_0":
             cap = 0
-        with pytest.raises(ValueError):
-            BankSnapshot.from_arrays(x, weights, labels, cap)
-
-    @pytest.mark.parametrize("bad, message", [
-        ("feature", "row 1 is not unit norm: |v| = 1.4142135623730951"),
-        ("weight", "weight must be in (0, 1], got 1.5 at row 1"),
-        ("zero weight", "weight must be in (0, 1], got 0.0 at row 1"),
-    ])
-    def test_range_errors_print_plain_floats(self, bad, message):
-        x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        weights = np.array([1.0, 1.0])
-        if bad == "feature":
-            x[1, 0] = 1.0
-        else:
-            weights[1] = 1.5 if bad == "weight" else 0.0
+            message = "capacity_per_class must be >= 1"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            BankSnapshot.from_arrays(x, weights, np.array([0, 1]))
+            BankSnapshot(x, weights, labels, cap)
 
-
-class TestBankSnapshotGroups:
-    """`BankSnapshot(groups)` checks each class's rows by `from_arrays`' rule."""
-
-    SHAPE = "class 1 needs features (m, d) with d >= 2, one d for every class, and m weights, got "
-
-    def test_off_norm_row_rejected(self):
-        # accepted once, and then potential_batch scored -3.0 at e0
-        with pytest.raises(ValueError, match=re.escape(
-                "class 0 entry 0 is not unit norm: |v| = 5.0") + "$"):
-            BankSnapshot({0: (np.array([[3.0, 4.0]]), np.ones(1))})
-
-    @pytest.mark.parametrize("features, weights, message", [
-        (np.array([[1.0, 0.0], [1.0, 1.0]]), np.ones(2),
-         "class 1 entry 1 is not unit norm: |v| = 1.4142135623730951"),
-        (np.array([[1.0, 0.0], [np.nan, 0.0]]), np.ones(2),
-         "class 1 entry 1 is not unit norm: |v| = nan"),
-        (np.array([1.0, 0.0]), np.ones(1), SHAPE + "(2,) and (1,)"),
-        (np.ones((1, 1)), np.ones(1), SHAPE + "(1, 1) and (1,)"),
-        (np.eye(2), np.ones(1), SHAPE + "(2, 2) and (1,)"),
-        (np.eye(2), np.ones((2, 1)), SHAPE + "(2, 2) and (2, 1)"),
-        (np.eye(3), np.ones(3), SHAPE + "(3, 3) and (3,)"),
-        (np.empty((0, 2)), np.empty(0), "class 1 has no entries"),
-        (np.eye(2), np.array([1.0, 0.0]),
-         "weight must be in (0, 1], got 0.0 at entry 1 of class 1"),
-        ([[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0],
-         "class 1 entry 1 is not unit norm: |v| = 1.4142135623730951"),
-    ])
-    def test_rejects_what_from_arrays_rejects(self, features, weights, message):
-        groups = {0: (np.eye(2), np.ones(2)), 1: (features, weights)}
+    @pytest.mark.parametrize("features, weights, labels, message", [
+        ([[3.0, 4.0]], [1.0], [0], "row 0 is not unit norm: |v| = 5.0"),
+        (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(3), [0, 1, 1],
+         "row 2 is not unit norm: |v| = 1.4142135623730951"),
+        ([[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0], [0, 1],
+         "row 1 is not unit norm: |v| = 1.4142135623730951"),
+        (np.array([[1.0, 0.0], [np.nan, 0.0]]), np.ones(2), [0, 1],
+         "row 1 is not unit norm: |v| = nan"),
+        (np.eye(2), np.array([1.0, 1.5]), [0, 1], "weight must be in (0, 1], got 1.5 at row 1"),
+        (np.eye(2), np.array([1.0, 0.0]), [0, 1], "weight must be in (0, 1], got 0.0 at row 1"),
+        (np.array([1.0, 0.0]), np.ones(1), [0], "features must be (n, d) with d >= 2, got (2,)"),
+        (np.ones((1, 1)), np.ones(1), [0], "features must be (n, d) with d >= 2, got (1, 1)"),
+        (np.eye(2), np.ones(1), [0, 1],
+         "2 features need as many weights and labels, got (1,) and (2,)"),
+        (np.eye(2), np.ones((2, 1)), [0, 1],
+         "2 features need as many weights and labels, got (2, 1) and (2,)"),
+        (np.eye(2), np.ones(2), np.array([0, 2 ** 63], dtype=np.uint64),
+         "labels must fit in a 64-bit integer, got 9223372036854775808"),
+    ], ids=["norm-5", "off-norm-row-2", "lists", "nan-row", "weight-1.5", "zero-weight",
+            "vector", "d-1", "short-weights", "column-weights", "label-2**63"])
+    def test_names_the_first_bad_row(self, features, weights, labels, message):
+        # range errors print plain floats, not numpy reprs
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            BankSnapshot(groups)
-
-    def test_lists_score_like_arrays(self):
-        rng = np.random.default_rng(15)
-        arrays = groups_of(uneven_bank(rng, 8, 3, 16).snapshot())
-        lists = {c: (f.tolist(), w.tolist()) for c, (f, w) in arrays.items()}
-        points = unit_rows(rng, 50, 8)
-        assert np.array_equal(potential_batch(points, BankSnapshot(lists)),
-                              potential_batch(points, BankSnapshot(arrays)))
+            BankSnapshot(features, weights, labels)

@@ -76,7 +76,7 @@ class TestWritersMatchPerRowJsonDumps:
         # a bank holds weights in (0, 1]: 5e-324 and 1.0 are its edge values
         feats, weights = unit_rows(n, 4), floats(n, 5, [0.5, 1e-300, 5e-324, 1.0])
         labels = np.where(np.arange(n) < n // 3, 3, 1)
-        snap = BankSnapshot.from_arrays(feats, weights, labels) if n else BankSnapshot({})
+        snap = BankSnapshot(feats, weights, labels)
         want = lines({"class": int(c), "weight": float(w), "feature": f.tolist()}
                      for c in (1, 3) for f, w in zip(feats[labels == c], weights[labels == c]))
         assert written(dump_bank, snap) == want

@@ -378,7 +378,7 @@ class TestComputePrototypes:
         with pytest.raises(ValueError, match=r"weight must be in \(0, 1\], got 0.0"):
             BankEntry(UnitVector(e(1)), 0.0, 0)
         with pytest.raises(ValueError, match=r"weight must be in \(0, 1\], got 0.0 at row 1"):
-            BankSnapshot.from_arrays([e(0), e(1)], [1.0, 0.0], [0, 0])
+            BankSnapshot([e(0), e(1)], [1.0, 0.0], [0, 0])
 
     def test_only_populated_classes_present(self):
         bank = FeatureBank()
@@ -397,7 +397,7 @@ class TestComputePrototypes:
         feats = np.concatenate([feats, feats[:1], -feats[:1]])
         weights = np.concatenate([weights, [0.5, 0.5]])
         labels = np.concatenate([labels, [7, 7]])
-        protos = compute_prototypes(BankSnapshot.from_arrays(feats, weights, labels))
+        protos = compute_prototypes(BankSnapshot(feats, weights, labels))
         assert protos.classes.tolist() == [0, 2, 5]
         for i, c in enumerate(protos.classes):
             s = weights[labels == c] @ feats[labels == c]
@@ -405,7 +405,7 @@ class TestComputePrototypes:
             assert protos.support[i] == np.count_nonzero(weights[labels == c] > 0)
 
     def test_empty_bank_has_no_prototypes(self):
-        protos = compute_prototypes(BankSnapshot({}))
+        protos = compute_prototypes(BankSnapshot(np.empty((0, 3)), [], []))
         assert len(protos) == 0 and protos.directions.shape[0] == 0
 
 

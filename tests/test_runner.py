@@ -78,8 +78,6 @@ SPECIAL_VALUES = {
 def other_value(path, default):
     if path in SPECIAL_VALUES:
         return SPECIAL_VALUES[path]
-    if isinstance(default, bool):
-        return not default
     if isinstance(default, int):
         return default + 1
     if isinstance(default, float):
@@ -99,7 +97,7 @@ NON_DEFAULTS = [(path, other_value(path, default))
                 for path, default in leaf_paths(ExperimentConfig())]
 NON_DEFAULTS.append(("dataset.noise", None))
 INTEGER_PATHS = [path for path, default in leaf_paths(ExperimentConfig())
-                 if isinstance(default, int) and not isinstance(default, bool)]
+                 if isinstance(default, int)]
 SEED_PATHS = [path for path in INTEGER_PATHS if path.endswith("seed")]
 
 

@@ -118,8 +118,7 @@ UNIT_ENTRY_POINTS = {
     "UnitVector": UnitVector,
     "check_unit_rows": lambda v: check_unit_rows(v[None], "row"),
     "sample_vmf": lambda v: sample_vmf(v, 1.0, 1, np.random.default_rng(0)),
-    "BankSnapshot": lambda v: BankSnapshot({0: (v[None], np.ones(1))}),
-    "from_arrays": lambda v: BankSnapshot.from_arrays(v[None], [1.0], [0]),
+    "BankSnapshot": lambda v: BankSnapshot(v[None], [1.0], [0]),
     "load_bank": lambda v: load_bank(io.StringIO(json.dumps(
         {"class": 0, "weight": 1.0, "feature": v.tolist()}))),
 }
