@@ -585,13 +585,25 @@ class TestBlockedPotentialBatch:
         self.assert_matches_reference(points, snap, params)
 
     # rows of the classes (200, 9, 150, 60), in class order
-    @pytest.mark.parametrize("position, row", [(0, 0), (1, 200), (3, 359)],
-                             ids=["massless-0", "massless-1", "massless-3"])
-    def test_class_without_mass_is_rejected_where_the_bank_is_built(self, position, row):
+    @pytest.mark.parametrize("kind, position, row", [
+        ("empty", 0, None), ("empty", 1, None), ("empty", 3, None),
+        ("massless", 0, 0), ("massless", 1, 200), ("massless", 3, 359),
+    ], ids=["empty-0", "empty-1", "empty-3", "massless-0", "massless-1", "massless-3"])
+    def test_class_without_mass_is_rejected_where_the_bank_is_built(self, kind, position, row):
         rng = np.random.default_rng(30 + position)
         d = 8
         base = clustered_bank(rng, d, (200, 9, 150, 60))
         classes = groups_of(base)
+        if kind == "empty":
+            # rows carry no empty class: the bank lacks it and scores the rest
+            classes[position] = (np.empty((0, d)), np.empty(0))
+            snap = BankSnapshot(*bank_rows(classes))
+            assert snap.classes == [c for c in range(4) if c != position]
+            with pytest.raises(EmptyClass, match=f"^class {position} has no entries$"):
+                class_free_energy(e(0, d), snap, position)
+            points = clustered_points(rng, d, (30, 30, 30, 30))
+            self.assert_matches_reference(points, snap, EnergyParams())
+            return
         classes[position] = (sample_vmf(-np.eye(d)[4], 200.0, 30, rng), np.zeros(30))
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"weight must be in (0, 1], got 0.0 at row {row}") + "$"):

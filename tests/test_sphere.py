@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from hambr.energy import BankSnapshot, load_bank
+from hambr.energy import BankSnapshot, EnergyParams, load_bank
+from hambr.sampler import SamplerConfig, synthesize_outliers
 from hambr.sphere import (
     NORM_TOL,
     AntipodalTransport,
@@ -119,6 +120,9 @@ UNIT_ENTRY_POINTS = {
     "check_unit_rows": lambda v: check_unit_rows(v[None], "row"),
     "sample_vmf": lambda v: sample_vmf(v, 1.0, 1, np.random.default_rng(0)),
     "BankSnapshot": lambda v: BankSnapshot(v[None], [1.0], [0]),
+    "synthesize_outliers": lambda v: synthesize_outliers(
+        BankSnapshot(np.eye(v.size)[:1], [1.0], [0]), np.stack([v, v]), EnergyParams(),
+        SamplerConfig(n_rounds=1, steps_per_round=1, n_chains=1)),
     "load_bank": lambda v: load_bank(io.StringIO(json.dumps(
         {"class": 0, "weight": 1.0, "feature": v.tolist()}))),
 }
