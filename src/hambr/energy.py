@@ -18,7 +18,7 @@ import numpy as np
 
 from ._jsonl import write_rows
 from ._rules import check_rules, rule
-from .sphere import NORM_TOL, TangentVector, UnitVector, _norm, check_unit_rows, project_tangent
+from .sphere import NORM_TOL, UnitVector, _norm, check_unit_rows, project_tangent
 
 DEFAULT_CAPACITY = 256
 _BLOCK_SIMS = 1 << 16  # elements a row-blocked kernel's widest temporary holds
@@ -92,7 +92,7 @@ class BankSnapshot:
     next step starts with the gradient at that same position, so each step
     scores the bank once.  A hit is the answer a fresh query would compute,
     because that answer depends on the snapshot, the point and the params
-    alone: the snapshot's arrays are read-only, the point is matched by
+    alone: its arrays and gradient are read-only, the point is matched by
     identity (a `UnitVector` copies its coordinates and makes them
     read-only, and the memo's reference keeps its id from being reused), and
     the params by value.  A query that raises leaves the memo as it was.
@@ -302,6 +302,7 @@ def _scan(z: UnitVector, snap: BankSnapshot, params: EnergyParams) -> tuple:
     terms = terms[best, :size]
     grad = project_tangent(
         -((terms / terms.sum()) @ snap._stack_feats[best * stack[1] + cols]), z)
+    grad.flags.writeable = False  # every memo hit hands out this array again
     memo = (z, params, float(energies[best]), c, grad)
     snap._memo = memo
     return memo
@@ -320,8 +321,8 @@ def global_potential(z: UnitVector, bank,
 
 
 def riemannian_grad_U(z: UnitVector, bank,
-                      params: EnergyParams = EnergyParams()) -> TangentVector:
-    """Tangent gradient of the global potential at z.
+                      params: EnergyParams = EnergyParams()) -> np.ndarray:
+    """Tangent gradient of the global potential at z, a read-only 1-d array.
 
     The neighbor set of the argmin class is treated as locally constant, so the
     Euclidean gradient is -sum_j s_j k_j with s_j the weighted softmax of the

@@ -81,7 +81,8 @@ class ExperimentConfig:
     def __post_init__(self):
         check_rules(self, ConfigError)
         if not 0 <= self.warmup_epochs < self.epochs:
-            raise ConfigError("need 0 <= warmup_epochs < epochs")
+            raise ConfigError("warmup_epochs must be in [0, epochs), "
+                              f"got {self.warmup_epochs} with epochs {self.epochs}")
 
 
 @dataclass

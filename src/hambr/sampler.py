@@ -47,7 +47,12 @@ class SamplerConfig:
     integrator_variant: str = rule(VARIANTS, "exponential")
     seed: int = 0
 
-    __post_init__ = check_rules
+    def __post_init__(self):
+        check_rules(self)
+        # euler damps by 1 - friction * step_size, which must not go negative
+        if self.integrator_variant == "euler" and self.friction * self.step_size > 1:
+            raise ValueError("friction * step_size must be <= 1 for the euler variant, "
+                             f"got {self.friction * self.step_size}")
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,10 @@ def _init_pair(prototypes: np.ndarray, rng: np.random.Generator) -> ChainState:
     else:
         # every draw was (near-)antipodal: nudge one endpoint tangentially so
         # the midpoint direction is well defined
-        u = normalize(sample_tangent_gaussian(UnitVector(a), rng).coords)
+        u = normalize(sample_tangent_gaussian(UnitVector(a), rng))
         nudged = normalize(a + FALLBACK_PERTURBATION * u.coords)
         pos = normalize(nudged.coords + b)
-    momentum = sample_tangent_gaussian(pos, rng)
-    return ChainState(pos, momentum)
+    return ChainState(pos, TangentVector(sample_tangent_gaussian(pos, rng), pos))
 
 
 def dshd_step(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
@@ -94,13 +98,14 @@ def dshd_step(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
     space; `run_chain` reuses one draw for every step of a round.  `bank=None`
     means a zero potential, which the conservation and equipartition tests
     rely on.  The bank's snapshot remembers the gradient at z_new, so when
-    the next step starts there it asks for that gradient at no cost.
+    the next step starts there it asks for that gradient at no cost.  Only
+    the returned state's two wrappers check it: tangent vectors pass as arrays.
     """
-    z, v = state.position, state.momentum
+    z, v = state.position, state.momentum.coords
     eps, gam, temp = cfg.step_size, cfg.friction, cfg.dyn_temperature
 
-    grad = riemannian_grad_U(z, bank, params).coords if bank is not None else 0.0
-    xi = project_tangent(noise, z).coords
+    grad = riemannian_grad_U(z, bank, params) if bank is not None else 0.0
+    xi = project_tangent(noise, z)
 
     if cfg.integrator_variant == "exponential":
         alpha = np.exp(-gam * eps)      # exact OU damping over one step
@@ -108,12 +113,12 @@ def dshd_step(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
     else:
         alpha = 1.0 - gam * eps
         sigma = np.sqrt(2.0 * gam * eps * temp)
-    v_half = TangentVector(alpha * v.coords - 0.5 * eps * grad + sigma * xi, z)
+    v_half = alpha * v - 0.5 * eps * grad + sigma * xi
 
     z_new = geodesic_step(z, v_half, eps)
-    v_new = transport(v_half, z, z_new).coords
+    v_new = transport(v_half, z, z_new)
     if bank is not None:
-        v_new = v_new - 0.5 * eps * riemannian_grad_U(z_new, bank, params).coords
+        v_new = v_new - 0.5 * eps * riemannian_grad_U(z_new, bank, params)
 
     return ChainState(z_new, TangentVector(v_new, z_new))
 

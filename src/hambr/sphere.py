@@ -1,8 +1,8 @@
 """Primitive geometry on the unit hypersphere.
 
-Positions live on S^{d-1}, momenta in the tangent space at their base point.
-Everything downstream (energy queries, the sampler, the training loop) relies
-on those two invariants, so the wrapper types enforce them at construction.
+Positions are `UnitVector`s on S^{d-1}, checked at construction.  The
+primitives pass tangent vectors as plain 1-d float arrays; `TangentVector`
+checks one where it is kept, as a chain state's momentum.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class TangentVector:
         v.flags.writeable = False
         object.__setattr__(self, "coords", v)
 
-    @property
-    def norm(self) -> float:
-        return _norm(self.coords)
-
 
 def check_unit_rows(x: np.ndarray, what: str) -> None:
     """Raise ValueError naming the first row of the (n, d) array `x` whose norm
@@ -108,28 +104,27 @@ def normalize(x) -> UnitVector:
     return UnitVector(v / n)
 
 
-def project_tangent(v, z: UnitVector) -> TangentVector:
+def project_tangent(v, z: UnitVector) -> np.ndarray:
     """Orthogonal projection of v onto the tangent space at z: v - <v,z> z."""
     v = _as_float_vector(v)
-    out = v - v.dot(z.coords) * z.coords
-    return TangentVector(out, z)
+    return v - v.dot(z.coords) * z.coords
 
 
-def geodesic_step(z: UnitVector, v: TangentVector, eps: float) -> UnitVector:
+def geodesic_step(z: UnitVector, v: np.ndarray, eps: float) -> UnitVector:
     """Move along the great circle through z in direction v for arc length |v|*eps.
 
     A zero-magnitude momentum (|v| < 1e-12) leaves z unchanged.  The result is
     renormalized so rounding never drifts off the sphere.
     """
-    speed = v.norm
+    speed = _norm(v)
     if speed < DEGENERATE_NORM:
         return z
     angle = speed * eps
-    out = math.cos(angle) * z.coords + math.sin(angle) * (v.coords / speed)
+    out = math.cos(angle) * z.coords + math.sin(angle) * (v / speed)
     return normalize(out)
 
 
-def transport(v: TangentVector, z_from: UnitVector, z_to: UnitVector) -> TangentVector:
+def transport(v: np.ndarray, z_from: UnitVector, z_to: UnitVector) -> np.ndarray:
     """Parallel-transport v from z_from to z_to along the connecting geodesic.
 
     Rotation in span{z_from, z_to}; the component of v orthogonal to that plane
@@ -141,17 +136,15 @@ def transport(v: TangentVector, z_from: UnitVector, z_to: UnitVector) -> Tangent
     w = z_to.coords - c * z_from.coords
     wn = _norm(w)
     if wn < DEGENERATE_NORM:
-        # same base point: transport is the identity
-        return TangentVector(v.coords, z_to)
+        return v.copy()  # same base point: the identity, on a new array
     e = w / wn
-    a = float(v.coords.dot(e))
+    a = float(v.dot(e))
     # np.arctan2, not math.atan2: the two round differently on some inputs
     theta = np.arctan2(wn, c)  # wn = sin(theta) for unit inputs
-    out = (v.coords - a * e) + a * (math.cos(theta) * e - math.sin(theta) * z_from.coords)
-    out = out - out.dot(z_to.coords) * z_to.coords  # scrub rounding residual
-    return TangentVector(out, z_to)
+    out = (v - a * e) + a * (math.cos(theta) * e - math.sin(theta) * z_from.coords)
+    return out - out.dot(z_to.coords) * z_to.coords  # scrub rounding residual
 
 
-def sample_tangent_gaussian(z: UnitVector, rng: np.random.Generator) -> TangentVector:
+def sample_tangent_gaussian(z: UnitVector, rng: np.random.Generator) -> np.ndarray:
     """Standard normal in the ambient space, projected onto the tangent at z."""
     return project_tangent(rng.standard_normal(z.dim), z)

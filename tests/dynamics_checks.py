@@ -8,7 +8,7 @@ import numpy as np
 
 from hambr.energy import BankEntry, EnergyParams, FeatureBank
 from hambr.sampler import ChainState, SamplerConfig, dshd_step
-from hambr.sphere import TangentVector, UnitVector, project_tangent
+from hambr.sphere import TangentVector, UnitVector, _norm, project_tangent
 
 N_BINS = 36
 
@@ -44,7 +44,7 @@ def gibbs_histogram_tv(n_steps: int = 200_000, burn_in: int = 10_000,
     snap = two_pole_bank().snapshot()
     rng = np.random.default_rng(seed)
     z = UnitVector(np.array([0.0, 1.0]))
-    state = ChainState(z, project_tangent(rng.standard_normal(2), z))
+    state = ChainState(z, TangentVector(project_tangent(rng.standard_normal(2), z), z))
 
     width = 2.0 * np.pi / N_BINS
     counts = np.zeros(N_BINS)
@@ -81,5 +81,5 @@ def equipartition_mean_sq(dim: int, dyn_temperature: float,
         state = dshd_step(state, None, EnergyParams(), cfg,
                           noise=rng.standard_normal(dim))
         if t >= burn_in:
-            total += state.momentum.norm ** 2
+            total += _norm(state.momentum.coords) ** 2
     return total / n_steps

@@ -162,10 +162,14 @@ UNSAMPLABLE_DATASETS = [
     ({"n_classes": 1}, "noise"), ({"n_classes": 1, "noise": {"rate": 0.1}}, "noise"),
 ]
 
-# (document, whole message)
+# (document, whole message); a section's own check starts with the section's path
 SECTION_RANGES = [
     ({"sampler": {"step_size": -1.0}}, "sampler: step_size must be positive and finite"),
     ({"dataset": {"noise": {"rate": 2.0}}}, "dataset.noise: rate must be in [0, 1]"),
+    ({"sampler": {"friction": 300.0, "step_size": 0.01, "integrator_variant": "euler"}},
+     "sampler: friction * step_size must be <= 1 for the euler variant, got 3.0"),
+    ({"warmup_epochs": 30}, "warmup_epochs must be in [0, epochs), got 30 with epochs 30"),
+    ({"warmup_epochs": -1}, "warmup_epochs must be in [0, epochs), got -1 with epochs 30"),
 ]
 
 # (document, the start of its message)

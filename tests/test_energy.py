@@ -302,7 +302,7 @@ class TestGlobalPotential:
         assert c_base == c_scaled
         g_base = riemannian_grad_U(z, base, params)
         g_scaled = riemannian_grad_U(z, scaled, params)
-        assert np.allclose(g_base.coords, g_scaled.coords, atol=1e-12)
+        assert np.allclose(g_base, g_scaled, atol=1e-12)
 
     def test_grid_minimum_at_lone_unit_weight_feature(self):
         # singleton class: U over the whole sphere bottoms out at the feature
@@ -406,7 +406,7 @@ class TestFusedGradient:
             ref, ref_cls = reference_gradient(z.coords, classes, params.k_neighbors,
                                               params.tau_energy)
             assert global_potential(z, snap, params)[1] == ref_cls
-            assert np.max(np.abs(grad.coords - ref)) <= 1e-12
+            assert np.max(np.abs(grad - ref)) <= 1e-12
             argmins.append(ref_cls)
         # the class smaller than K, the tied copies and other classes all won
         assert argmins[1] == 1 and set(argmins[n_classes:n_classes + 20]) == {0}
@@ -796,12 +796,12 @@ class TestRiemannianGrad:
     def test_aligned_entry_gives_zero_tangent(self):
         bank = single_entry_bank(e(0))
         g = riemannian_grad_U(e(0), bank)
-        assert np.allclose(g.coords, 0.0, atol=1e-12)
+        assert np.allclose(g, 0.0, atol=1e-12)
 
     def test_orthogonal_entry(self):
         bank = single_entry_bank(e(1))
         g = riemannian_grad_U(e(0), bank, EnergyParams(tau_energy=1.0))
-        assert np.allclose(g.coords, [0.0, -1.0, 0.0], atol=1e-12)
+        assert np.allclose(g, [0.0, -1.0, 0.0], atol=1e-12)
 
     def test_output_is_tangent(self):
         rng = np.random.default_rng(41)
@@ -809,7 +809,7 @@ class TestRiemannianGrad:
             bank = random_bank(rng, 6, 10, n_classes=2)
             z = normalize(rng.standard_normal(6))
             g = riemannian_grad_U(z, bank)
-            assert abs(float(g.coords @ z.coords)) <= 1e-9
+            assert abs(float(g @ z.coords)) <= 1e-9
 
     def test_matches_finite_differences(self):
         # directional derivative along random tangent directions, h=1e-5.
@@ -824,10 +824,10 @@ class TestRiemannianGrad:
             bank = random_bank(rng, 4, 5, n_classes=1)
             z = normalize(rng.standard_normal(4))
             u = project_tangent(rng.standard_normal(4), z)
-            if u.norm < 1e-6:
+            if _norm(u) < 1e-6:
                 continue
             g = riemannian_grad_U(z, bank, params)
-            analytic = float(g.coords @ u.coords)
+            analytic = float(g @ u)
             if abs(analytic) < 0.1:   # relative error needs a live derivative
                 continue
             u0 = global_potential(z, bank, params)[0]
@@ -861,14 +861,14 @@ class TestQueryMemo:
         assert same_bits(again, first)
         assert riemannian_grad_U(z, snap, params) is grad
         assert same_bits(global_potential(z, fresh(snap), params), first)
-        assert same_bits(riemannian_grad_U(z, fresh(snap), params).coords, grad.coords)
+        assert same_bits(riemannian_grad_U(z, fresh(snap), params), grad)
 
     def test_equal_point_of_another_vector_gets_the_same_bits(self):
         z, snap, params = self.points[0], self.snap, self.params
         first = global_potential(z, snap, params)
         grad = riemannian_grad_U(z, snap, params)
         twin = UnitVector(z.coords.copy())
-        assert same_bits(riemannian_grad_U(twin, snap, params).coords, grad.coords)
+        assert same_bits(riemannian_grad_U(twin, snap, params), grad)
         assert same_bits(global_potential(twin, snap, params), first)
 
     @pytest.mark.parametrize("other", [EnergyParams(k_neighbors=12),
@@ -881,8 +881,8 @@ class TestQueryMemo:
         got = global_potential(z, snap, other)
         want = global_potential(z, fresh(snap), other)
         assert same_bits(got, want) and got[0] != memo_answer[0]
-        assert same_bits(riemannian_grad_U(z, snap, other).coords,
-                         riemannian_grad_U(z, fresh(snap), other).coords)
+        assert same_bits(riemannian_grad_U(z, snap, other),
+                         riemannian_grad_U(z, fresh(snap), other))
 
     def test_failed_query_is_not_remembered(self):
         # a point of the wrong dimension fails the scan's matvec
@@ -899,22 +899,38 @@ class TestQueryMemo:
             riemannian_grad_U(wrong, snap, two)
         assert snap._recall(wrong, two) is None and snap._recall(z, two) is not None
         assert same_bits(global_potential(z, snap, two), global_potential(z, fresh(snap), two))
-        assert same_bits(good.coords, riemannian_grad_U(z, fresh(snap), two).coords)
+        assert same_bits(good, riemannian_grad_U(z, fresh(snap), two))
 
-    def test_memo_replaced_after_the_potential_is_scanned_again(self, monkeypatch):
-        z, other = self.points
-        snap, params = self.snap, self.params
-        want = riemannian_grad_U(z, fresh(snap), params)
-        real = energy.global_potential
+    def race(self, monkeypatch):
+        """Make every global_potential call query the second point after the
+        one it answers, as another thread's query would."""
+        real, other = energy.global_potential, self.points[1]
 
         def racing(point, bank, query_params):
             answer = real(point, bank, query_params)
-            real(other, bank, query_params)  # another thread's query
+            real(other, bank, query_params)
             return answer
 
         monkeypatch.setattr(energy, "global_potential", racing)
-        assert same_bits(riemannian_grad_U(z, snap, params).coords, want.coords)
-        assert snap._recall(z, params)[4].coords.tobytes() == want.coords.tobytes()
+
+    def test_memo_replaced_after_the_potential_is_scanned_again(self, monkeypatch):
+        z, snap, params = self.points[0], self.snap, self.params
+        want = riemannian_grad_U(z, fresh(snap), params)
+        self.race(monkeypatch)
+        assert same_bits(riemannian_grad_U(z, snap, params), want)
+        assert snap._recall(z, params)[4].tobytes() == want.tobytes()
+
+    def test_gradient_is_read_only(self, monkeypatch):
+        # the memo hands the same array out again, so no caller may write it
+        z, snap, params = self.points[0], self.snap, self.params
+        scanned = riemannian_grad_U(z, snap, params)
+        recalled = riemannian_grad_U(z, snap, params)
+        self.race(monkeypatch)
+        rescanned = riemannian_grad_U(z, snap, params)  # the memo missed: a fresh scan
+        assert recalled is scanned and rescanned is not scanned
+        for grad in (scanned, recalled, rescanned):
+            with pytest.raises(ValueError, match="read-only"):
+                grad[0] = 1.0
 
     def test_interleaved_queries_match_fresh_snapshots(self):
         rng = np.random.default_rng(62)
@@ -923,10 +939,8 @@ class TestQueryMemo:
         for s, p in order:
             snap, z = snaps[s], self.points[p]
             for query in (global_potential, riemannian_grad_U):
-                got, want = query(z, snap, self.params), query(z, fresh(snap), self.params)
-                if query is riemannian_grad_U:
-                    got, want = got.coords, want.coords
-                assert same_bits(got, want)
+                assert same_bits(query(z, snap, self.params),
+                                 query(z, fresh(snap), self.params))
 
 
 class TestBankSnapshot:

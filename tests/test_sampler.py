@@ -34,7 +34,7 @@ from hambr.sampler import (
     run_chain,
     synthesize_outliers,
 )
-from hambr.sphere import TangentVector, UnitVector, normalize, project_tangent
+from hambr.sphere import TangentVector, UnitVector, _norm, normalize, project_tangent
 from hambr.synthgen import sample_vmf
 
 
@@ -75,7 +75,7 @@ def small_bank():
 
 def random_chain_state(rng, d):
     z = normalize(rng.standard_normal(d))
-    return ChainState(z, project_tangent(rng.standard_normal(d), z))
+    return ChainState(z, TangentVector(project_tangent(rng.standard_normal(d), z), z))
 
 
 class TestInitChains:
@@ -118,8 +118,8 @@ class TestDshdStep:
         n = 50
         for _ in range(n):
             state = dshd_step(state, None, EnergyParams(), cfg, noise=rng.standard_normal(3))
-            assert state.momentum.norm == pytest.approx(v0.norm, abs=1e-9)
-        want = geodesic_step(z0, v0, n * cfg.step_size)
+            assert _norm(state.momentum.coords) == pytest.approx(_norm(v0.coords), abs=1e-9)
+        want = geodesic_step(z0, v0.coords, n * cfg.step_size)
         assert np.allclose(state.position.coords, want.coords, atol=1e-7)
 
     @pytest.mark.parametrize("eps", [1e-3, 3e-3])
@@ -130,12 +130,12 @@ class TestDshdStep:
         params = EnergyParams()
         cfg = SamplerConfig(step_size=eps, friction=0.0)
         z0 = UnitVector(np.array([np.cos(1.0), np.sin(1.0)]))
-        state = ChainState(z0, project_tangent([0.0, 0.0], z0))
+        state = ChainState(z0, TangentVector(np.zeros(2), z0))
         rng = np.random.default_rng(1)
 
         def hamiltonian(s):
             return (potential_batch(s.position.coords[None, :], snap, params)[0]
-                    + 0.5 * s.momentum.norm ** 2)
+                    + 0.5 * _norm(s.momentum.coords) ** 2)
 
         h0 = hamiltonian(state)
         worst = 0.0
@@ -184,6 +184,38 @@ class TestDshdStep:
             out_e.position.coords - out_u.position.coords,
             out_e.momentum.coords - out_u.momentum.coords]))
         assert gap <= 10.0 * g ** 2
+
+    def test_euler_damping_never_turns_negative(self):
+        # euler scales the momentum by 1 - friction * step_size each step
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "friction * step_size must be <= 1 for the euler variant, got 3.0") + "$"):
+            SamplerConfig(friction=300.0, step_size=0.01, integrator_variant="euler")
+        SamplerConfig(friction=100.0, step_size=0.01, integrator_variant="euler")
+        SamplerConfig(friction=300.0, step_size=0.01)  # exponential damping is exp(-3)
+
+    def test_builds_only_the_wrappers_of_the_state_it_returns(self, monkeypatch):
+        # between the two, tangent vectors pass as arrays
+        built = []
+        for cls in (UnitVector, TangentVector):
+            def counting(self, check=cls.__post_init__):
+                built.append(type(self))
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        snap = small_bank().snapshot()
+        state = random_chain_state(np.random.default_rng(5), 3)
+        noise = np.random.default_rng(6).standard_normal(3)
+        built.clear()
+        out = dshd_step(state, snap, EnergyParams(), SamplerConfig(), noise=noise)
+        assert built == [UnitVector, TangentVector]
+        assert out.momentum.base is out.position
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_noise_fails_the_returned_state_check(self, bad):
+        state = random_chain_state(np.random.default_rng(7), 3)
+        cfg = SamplerConfig(dyn_temperature=1.0)
+        with pytest.raises(ValueError, match="not unit norm"), np.errstate(invalid="ignore"):
+            dshd_step(state, small_bank().snapshot(), EnergyParams(), cfg,
+                      noise=np.array([bad, 0.0, 0.0]))
 
 
 class TestRunChain:

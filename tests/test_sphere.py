@@ -65,10 +65,6 @@ class TestTangentVector:
             with pytest.raises(ValueError), np.errstate(invalid="ignore"):
                 TangentVector(np.array(coords), e(0))
 
-    def test_norm(self):
-        v = TangentVector(np.array([0.0, 3.0, 4.0]), e(0))
-        assert v.norm == pytest.approx(5.0)
-
 
 class TestNorms:
     # the primitives take 1-d norms as sqrt(v.dot(v)) instead of np.linalg.norm;
@@ -88,7 +84,7 @@ class TestNorms:
             z = normalize(v)
             assert z.coords.tobytes() == (v / np.linalg.norm(v)).tobytes()
             t = project_tangent(rng.standard_normal(d), z)
-            assert t.norm == np.linalg.norm(t.coords)
+            assert _norm(t) == np.linalg.norm(t)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_norm_is_what_linalg_gives(self, bad):
@@ -213,39 +209,36 @@ class TestNormalize:
 class TestProjectTangent:
     def test_parallel_component_removed(self):
         out = project_tangent(np.array([1.0, 0.0]), e(0, d=2))
-        assert np.allclose(out.coords, [0.0, 0.0])
+        assert np.allclose(out, [0.0, 0.0])
 
     def test_already_tangent(self):
         out = project_tangent(np.array([0.0, 1.0]), e(0, d=2))
-        assert np.allclose(out.coords, [0.0, 1.0])
+        assert np.allclose(out, [0.0, 1.0])
 
     def test_subtracts_radial_part(self):
         out = project_tangent(np.array([1.0, 1.0]), e(0, d=2))
-        assert np.allclose(out.coords, [0.0, 1.0])
+        assert np.allclose(out, [0.0, 1.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             z = normalize(rng.standard_normal(5))
             once = project_tangent(rng.standard_normal(5), z)
-            twice = project_tangent(once.coords, z)
-            assert np.allclose(once.coords, twice.coords, atol=1e-14)
+            twice = project_tangent(once, z)
+            assert np.allclose(once, twice, atol=1e-14)
 
 
 class TestGeodesicStep:
     def test_quarter_great_circle(self):
-        v = TangentVector(np.array([0.0, np.pi / 2, 0.0]), e(0))
-        out = geodesic_step(e(0), v, 1.0)
+        out = geodesic_step(e(0), np.array([0.0, np.pi / 2, 0.0]), 1.0)
         assert np.allclose(out.coords, e(1).coords, atol=1e-12)
 
     def test_zero_momentum_stays_put(self):
-        v = TangentVector(np.zeros(3), e(0))
-        out = geodesic_step(e(0), v, 0.1)
-        assert np.allclose(out.coords, e(0).coords)
+        z = e(0)
+        assert geodesic_step(z, np.zeros(3), 0.1) is z
 
     def test_full_period_return(self):
-        v = TangentVector(np.array([0.0, 2 * np.pi, 0.0]), e(0))
-        out = geodesic_step(e(0), v, 1.0)
+        out = geodesic_step(e(0), np.array([0.0, 2 * np.pi, 0.0]), 1.0)
         assert np.allclose(out.coords, e(0).coords, atol=1e-12)
 
     def test_output_norm_is_one(self):
@@ -261,32 +254,29 @@ class TestGeodesicStep:
             z, v = random_state(rng, 5)
             eps = rng.uniform(0.01, 1.0)
             z2 = geodesic_step(z, v, eps)
-            back = transport(TangentVector(-v.coords, z), z, z2)
+            back = transport(-v, z, z2)
             z3 = geodesic_step(z2, back, eps)
             assert np.allclose(z3.coords, z.coords, atol=1e-6)
 
 
 class TestTransport:
     def test_quarter_turn_rotates_into_minus_from(self):
-        v = TangentVector(np.array([0.0, 1.0, 0.0]), e(0))
-        out = transport(v, e(0), e(1))
-        assert np.allclose(out.coords, [-1.0, 0.0, 0.0], atol=1e-12)
+        out = transport(np.array([0.0, 1.0, 0.0]), e(0), e(1))
+        assert np.allclose(out, [-1.0, 0.0, 0.0], atol=1e-12)
 
     def test_same_point_is_identity(self):
-        v = TangentVector(np.array([0.0, 0.3, -0.2]), e(0))
+        v = np.array([0.0, 0.3, -0.2])
         out = transport(v, e(0), e(0))
-        assert np.allclose(out.coords, v.coords)
+        assert np.array_equal(out, v) and out is not v
 
     def test_orthogonal_component_unchanged(self):
-        v = TangentVector(np.array([0.0, 0.0, 1.0]), e(0))
-        out = transport(v, e(0), e(1))
-        assert np.allclose(out.coords, [0.0, 0.0, 1.0], atol=1e-12)
+        out = transport(np.array([0.0, 0.0, 1.0]), e(0), e(1))
+        assert np.allclose(out, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_antipodal_raises(self):
-        v = TangentVector(np.array([0.0, 1.0, 0.0]), e(0))
         minus = UnitVector(-e(0).coords)
         with pytest.raises(AntipodalTransport):
-            transport(v, e(0), minus)
+            transport(np.array([0.0, 1.0, 0.0]), e(0), minus)
 
     def test_preserves_norm_and_lands_tangent(self):
         rng = np.random.default_rng(17)
@@ -296,22 +286,22 @@ class TestTransport:
             if float(z.coords @ z2.coords) < -1.0 + 1e-6:
                 continue
             out = transport(v, z, z2)
-            assert abs(out.norm - v.norm) <= 1e-9
-            assert abs(float(out.coords @ z2.coords)) <= 1e-9
+            assert abs(_norm(out) - _norm(v)) <= 1e-9
+            assert abs(float(out @ z2.coords)) <= 1e-9
 
 
 class TestSampleTangentGaussian:
     def test_fixed_seed_is_tangent_and_deterministic(self):
         a = sample_tangent_gaussian(e(0), np.random.default_rng(0))
         b = sample_tangent_gaussian(e(0), np.random.default_rng(0))
-        assert a.coords[0] == 0.0
-        assert np.array_equal(a.coords, b.coords)
+        assert a[0] == 0.0
+        assert np.array_equal(a, b)
 
     def test_mean_tends_to_zero(self):
         d, n = 5, 100_000
         rng = np.random.default_rng(23)
         z = normalize(rng.standard_normal(d))
-        draws = np.array([sample_tangent_gaussian(z, rng).coords for _ in range(n)])
+        draws = np.array([sample_tangent_gaussian(z, rng) for _ in range(n)])
         # each projected coordinate has variance <= 1
         assert np.all(np.abs(draws.mean(axis=0)) < 3.0 / np.sqrt(n))
 
@@ -319,5 +309,5 @@ class TestSampleTangentGaussian:
         d, n = 8, 100_000
         rng = np.random.default_rng(29)
         z = normalize(rng.standard_normal(d))
-        sq = [sample_tangent_gaussian(z, rng).norm ** 2 for _ in range(n)]
+        sq = [_norm(sample_tangent_gaussian(z, rng)) ** 2 for _ in range(n)]
         assert np.mean(sq) == pytest.approx(d - 1, rel=0.02)
