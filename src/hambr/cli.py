@@ -58,6 +58,9 @@ def _read_scores(path: str) -> np.ndarray:
         for number, line in enumerate(fh, 1):
             if line.strip():
                 try:
+                    # float() alone would read 1_5 as 15 and a full-width digit as its digit
+                    if not line.isascii() or "_" in line:
+                        raise ValueError
                     values.append(float(line))
                 except ValueError:
                     raise ValueError(f"{path} line {number}: expected one number, "

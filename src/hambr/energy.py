@@ -83,21 +83,8 @@ class BankSnapshot:
     rows: the empty bank, with dim 0, which raises EmptyBank on every query.
 
     Energy queries run against snapshots so a concurrent writer cannot change
-    the neighbor set mid-query.
-
-    The memo is the one slot that changes after construction.  It holds the
-    answers of the last successful `global_potential` query: the point, its
-    EnergyParams, the potential, the argmin class and the tangent gradient
-    there.  A sampler step ends with the gradient at its new position and the
-    next step starts with the gradient at that same position, so each step
-    scores the bank once.  A hit is the answer a fresh query would compute,
-    because that answer depends on the snapshot, the point and the params
-    alone: its arrays and gradient are read-only, the point is matched by
-    identity (a `UnitVector` copies its coordinates and makes them
-    read-only, and the memo's reference keeps its id from being reused), and
-    the params by value.  A query that raises leaves the memo as it was.
-    The memo is one tuple, read once and replaced whole, so threads that
-    share a snapshot can make each other miss but never read a mixed entry.
+    the neighbor set mid-query.  `_memo` is the one slot that changes after
+    construction: `_scan` keeps its last answer there.
 
     The kept rows are stored once, in one padded layout, so that the global
     potential scores all classes in one pass.  With C classes (row c is
@@ -156,19 +143,11 @@ class BankSnapshot:
         self._stack_feats = stack.reshape(len(kept) * m_max, d)
         self._stack_weights = stack_weights
         self._stack_bias = bias
-        # (point, params, potential, class, gradient)
-        self._memo = None
+        self._memo = None  # (point, params, answer) of the last `_scan`
 
     def snapshot(self) -> "BankSnapshot":
         """A snapshot is its own snapshot, so banks and snapshots answer alike."""
         return self
-
-    def _recall(self, z: UnitVector, params: EnergyParams):
-        """The memo if it answers the query (z, params), else None."""
-        memo = self._memo
-        if memo is not None and memo[0] is z and memo[1] == params:
-            return memo
-        return None
 
     def features(self, class_id: int) -> np.ndarray:
         return self._rows[class_id][0]
@@ -274,20 +253,32 @@ def _soft_min(sims: np.ndarray, weights: np.ndarray, params: EnergyParams) -> tu
 
 def class_free_energy(z: UnitVector, bank, class_id: int,
                       params: EnergyParams = EnergyParams()) -> float:
-    """-tau * log sum_j w_j exp(<z, k_j>/tau) over the K nearest entries of one class."""
+    """-tau * log sum_j w_j exp(<z, k_j>/tau) over the K nearest entries of
+    one class: its entry of `_scan`'s class energies."""
     snap = bank.snapshot()
     if class_id not in snap:
         raise EmptyClass(f"class {class_id} has no entries")
-    sims = (snap.features(class_id) @ z.coords)[None, :]
-    energies, _, _ = _soft_min(sims, snap.weights(class_id), params)
-    return float(energies[0])
+    return float(_scan(z, snap, params)[2][snap.classes.index(class_id)])
 
 
 def _scan(z: UnitVector, snap: BankSnapshot, params: EnergyParams) -> tuple:
-    """Score every class at z in one pass over the padded stack (one matvec,
-    one `_soft_min` of the C rows) and return the memo entry that replaces
-    the snapshot's memo: the potential, the argmin class (ties -> smallest
-    id) and the tangent gradient built from that class's soft-min terms."""
+    """(potential, argmin class, class energies, tangent gradient) at z.
+
+    One pass over the padded stack (one matvec, one `_soft_min` of the C
+    rows) gives the (C,) energies in `snap.classes` order, their minimum,
+    the argmin class (ties -> smallest id) and the gradient built from that
+    class's soft-min terms.  Both arrays are read-only, because the snapshot
+    keeps the answer in its memo and hands it out again to a query with the
+    same point object and equal params; so a sampler step, which starts at
+    the point where the last one ended, scores the bank once.  The answer
+    depends on the snapshot, the point and the params alone, and a
+    `UnitVector`'s coordinates are a read-only copy whose id the memo's
+    reference keeps from reuse, so a hit is what a fresh pass would return.
+    A query that raises leaves the memo as it was.
+    """
+    memo = snap._memo
+    if memo is not None and memo[0] is z and memo[1] == params:
+        return memo[2]
     if not snap.classes:
         raise EmptyBank("bank has no entries")
     stack = snap._stack_bias.shape
@@ -302,22 +293,17 @@ def _scan(z: UnitVector, snap: BankSnapshot, params: EnergyParams) -> tuple:
     terms = terms[best, :size]
     grad = project_tangent(
         -((terms / terms.sum()) @ snap._stack_feats[best * stack[1] + cols]), z)
-    grad.flags.writeable = False  # every memo hit hands out this array again
-    memo = (z, params, float(energies[best]), c, grad)
-    snap._memo = memo
-    return memo
+    energies.flags.writeable = grad.flags.writeable = False
+    answer = (float(energies[best]), c, energies, grad)
+    snap._memo = (z, params, answer)
+    return answer
 
 
 def global_potential(z: UnitVector, bank,
                      params: EnergyParams = EnergyParams()) -> tuple[float, int]:
-    """Minimum class free energy and its argmin class (ties -> smallest id).
-
-    One `_scan` of the snapshot's padded stack scores every class.  The
-    snapshot's memo answers a repeat of its last query without the scan.
-    """
-    snap = bank.snapshot()
-    memo = snap._recall(z, params) or _scan(z, snap, params)
-    return memo[2], memo[3]
+    """Minimum class free energy and its argmin class (ties -> smallest id),
+    from one `_scan` of the snapshot."""
+    return _scan(z, bank.snapshot(), params)[:2]
 
 
 def riemannian_grad_U(z: UnitVector, bank,
@@ -326,15 +312,13 @@ def riemannian_grad_U(z: UnitVector, bank,
 
     The neighbor set of the argmin class is treated as locally constant, so the
     Euclidean gradient is -sum_j s_j k_j with s_j the weighted softmax of the
-    selected similarities.  `_scan` builds it with the potential, and the
-    snapshot's memo returns it again.  `global_potential` is looked up by
-    name at call time, because perfbench's tracer reads the argmin class
-    from that call.
+    selected similarities.  `_scan` builds it with the potential.
+    `global_potential` is looked up by name at call time, because
+    perfbench's tracer reads the argmin class from that call.
     """
     snap = bank.snapshot()
     global_potential(z, snap, params)
-    # another thread's query may have replaced the memo since: scan again
-    return (snap._recall(z, params) or _scan(z, snap, params))[4]
+    return _scan(z, snap, params)[3]
 
 
 def _bound_offsets(snap: BankSnapshot, classes, params: EnergyParams):

@@ -101,6 +101,12 @@ def reference_contrastive_grads(v1, v2, tau):
     return loss, g1, g2
 
 
+def reference_auroc(id_scores, ood_scores):
+    """Reference for auroc: P(ood > id) + 0.5 P(tie), counted over all pairs."""
+    diff = np.subtract.outer(np.asarray(ood_scores, float), np.asarray(id_scores, float))
+    return float(((diff > 0).sum() + 0.5 * (diff == 0).sum()) / diff.size)
+
+
 def reference_ranks(values):
     """The tie-group loop _ranks_with_ties replaced."""
     order = np.argsort(values, kind="mergesort")

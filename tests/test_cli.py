@@ -84,7 +84,9 @@ class TestEvalOod:
         ("2.0\n0.1 0.2\n", 2, "'0.1 0.2'"),
         ("\nabc\n", 2, "'abc'"),
         ("2.0\n\n3.0,\n", 3, "'3.0,'"),
-    ], ids=["two-numbers", "word", "comma"])
+        ("2.0\n1_5\n", 2, "'1_5'"),
+        ("\uff11\n", 1, "'\uff11'"),
+    ], ids=["two-numbers", "word", "comma", "underscore", "full-width-digit"])
     def test_line_that_is_not_one_number_is_named(self, tmp_path, capsys, text, number, got):
         id_path, ood_path = tmp_path / "id.txt", tmp_path / "ood.txt"
         write_scores(id_path, np.linspace(0.0, 1.0, 25))

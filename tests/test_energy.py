@@ -31,6 +31,7 @@ from reference import (
     BAD_BANK_LINES,
     BAD_LINE_PREFIX,
     bank_rows,
+    class_energies,
     reference_gradient,
     reference_potential,
     soft_min_reference,
@@ -342,24 +343,45 @@ def uneven_bank(rng, d, n_classes, k):
     return bank
 
 
+def tied_bank(rng, d, n_classes, k):
+    """`uneven_bank` with 2k copies of e_0 among class 0's entries: any
+    point's similarity to them ties exactly, so near e_0 more than k entries
+    tie at class 0's k-th largest value."""
+    classes = groups_of(uneven_bank(rng, d, n_classes, k).snapshot())
+    feats, weights = classes[0]
+    copies = np.tile(np.eye(d)[0], (2 * k, 1))
+    copy_weights = rng.uniform(0.1, 1.0, size=2 * k)
+    classes[0] = (np.concatenate([feats[:5], copies, feats[5:]]),
+                  np.concatenate([weights[:5], copy_weights, weights[5:]]))
+    return BankSnapshot(*bank_rows(classes))
+
+
 class TestFusedPotential:
-    @pytest.mark.parametrize("d,n_classes", [(8, 3), (32, 10)])
-    def test_matches_per_class_loop(self, d, n_classes):
+    # class 1 is smaller than K in both banks, so its padded row selects
+    # padding; the tied bank's copies of e_0 tie at class 0's K-th value
+    @pytest.mark.parametrize("d,n_classes,make_bank", [
+        (8, 3, uneven_bank), (32, 10, uneven_bank), (8, 3, tied_bank)],
+        ids=["8-3", "32-10", "8-3-tied"])
+    def test_matches_per_class_loop(self, d, n_classes, make_bank):
         rng = np.random.default_rng(d)
         params = EnergyParams(tau_energy=0.1, k_neighbors=16)
-        bank = uneven_bank(rng, d, n_classes, params.k_neighbors)
+        k, tau = params.k_neighbors, params.tau_energy
+        bank = make_bank(rng, d, n_classes, k)
         classes = groups_of(bank.snapshot())
         anchors = [f[1] for f, _ in classes.values()]  # weighted bank points
         points = [UnitVector(a) for a in anchors] + [
-            normalize(rng.standard_normal(d)) for _ in range(300)]
+            normalize(rng.standard_normal(d)) for _ in range(300)] + [
+            normalize(np.eye(d)[0] + 0.05 * rng.standard_normal(d)) for _ in range(20)]
         argmins = set()
         for z in points:
             val, cls = global_potential(z, bank, params)
-            ref_val, ref_cls = reference_potential(z.coords, classes, params.k_neighbors,
-                                                   params.tau_energy)
+            ref_val, ref_cls = reference_potential(z.coords, classes, k, tau)
             assert cls == ref_cls
             assert val == pytest.approx(ref_val, abs=1e-12)
             argmins.add(cls)
+            energies = [class_free_energy(z, bank, c, params) for c in classes]
+            ref = class_energies(z.coords[None, :], classes, k, tau)[0]
+            assert np.max(np.abs(np.subtract(energies, ref))) <= 1e-12
         assert len(argmins) > 1
 
     @pytest.mark.parametrize("massless", [(0,), (2,), (1, 2)])
@@ -373,19 +395,6 @@ class TestFusedPotential:
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"weight must be in (0, 1], got 0.0 at row {first}") + "$"):
             BankSnapshot(feats, weights, labels)
-
-
-def tied_bank(rng, d, n_classes, k):
-    """`uneven_bank` with 2k copies of e_0 among class 0's entries: any
-    point's similarity to them ties exactly, so near e_0 more than k entries
-    tie at class 0's k-th largest value."""
-    classes = groups_of(uneven_bank(rng, d, n_classes, k).snapshot())
-    feats, weights = classes[0]
-    copies = np.tile(np.eye(d)[0], (2 * k, 1))
-    copy_weights = rng.uniform(0.1, 1.0, size=2 * k)
-    classes[0] = (np.concatenate([feats[:5], copies, feats[5:]]),
-                  np.concatenate([weights[:5], copy_weights, weights[5:]]))
-    return BankSnapshot(*bank_rows(classes))
 
 
 class TestFusedGradient:
@@ -890,14 +899,19 @@ class TestQueryMemo:
         snap = BankSnapshot(feats, [0.5, 1.0, 1.0], [0, 0, 1])
         z, wrong = normalize([1.0, 0.2, 0.1]), normalize([1.0, 0.2, 0.1, 0.3])
         two = EnergyParams(k_neighbors=2)
-        for query in (global_potential, riemannian_grad_U):
+        queries = (global_potential, riemannian_grad_U,
+                   lambda point, bank, params: class_free_energy(point, bank, 0, params))
+        for query in queries:
             with pytest.raises(ValueError):
                 query(wrong, snap, two)
             assert snap._memo is None
         good = riemannian_grad_U(z, snap, two)
-        with pytest.raises(ValueError):
-            riemannian_grad_U(wrong, snap, two)
-        assert snap._recall(wrong, two) is None and snap._recall(z, two) is not None
+        memo = snap._memo
+        for query in queries:
+            with pytest.raises(ValueError):
+                query(wrong, snap, two)
+            assert snap._memo is memo
+        assert riemannian_grad_U(z, snap, two) is good
         assert same_bits(global_potential(z, snap, two), global_potential(z, fresh(snap), two))
         assert same_bits(good, riemannian_grad_U(z, fresh(snap), two))
 
@@ -918,7 +932,6 @@ class TestQueryMemo:
         want = riemannian_grad_U(z, fresh(snap), params)
         self.race(monkeypatch)
         assert same_bits(riemannian_grad_U(z, snap, params), want)
-        assert snap._recall(z, params)[4].tobytes() == want.tobytes()
 
     def test_gradient_is_read_only(self, monkeypatch):
         # the memo hands the same array out again, so no caller may write it
@@ -931,6 +944,24 @@ class TestQueryMemo:
         for grad in (scanned, recalled, rescanned):
             with pytest.raises(ValueError, match="read-only"):
                 grad[0] = 1.0
+
+    def test_every_scalar_query_at_a_point_reads_one_stacked_pass(self, monkeypatch):
+        # a stacked pass selects from the (C, m_max) weight stack, a one-class
+        # selection from one class's (m,) weights
+        passes = []
+        top_k = energy._top_k
+
+        def counting(sims, weights, k):
+            passes.append("stacked" if weights.ndim == 2 else "one class")
+            return top_k(sims, weights, k)
+
+        monkeypatch.setattr(energy, "_top_k", counting)
+        z, snap, params = self.points[0], self.snap, self.params
+        energies = [class_free_energy(z, snap, c, params) for c in snap.classes]
+        potential, cls = global_potential(z, snap, params)
+        riemannian_grad_U(z, snap, params)
+        assert passes == ["stacked"]
+        assert (potential, cls) == (min(energies), snap.classes[int(np.argmin(energies))])
 
     def test_interleaved_queries_match_fresh_snapshots(self):
         rng = np.random.default_rng(62)

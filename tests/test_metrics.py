@@ -21,7 +21,7 @@ from hambr.metrics import (
     singular_spectrum,
 )
 from hambr.sphere import normalize
-from reference import reference_ranks, unit_rows
+from reference import reference_auroc, reference_ranks, unit_rows
 
 
 def e(i, d=3):
@@ -60,6 +60,17 @@ class TestAuroc:
         base = auroc(a, b)
         assert auroc(np.exp(a), np.exp(b)) == pytest.approx(base, abs=1e-12)
         assert auroc(3 * a + 7, 3 * b + 7) == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("n_id,n_ood,decimals", [
+        (1, 7, 1), (40, 3, 1), (257, 90, 1), (500, 1000, 0), (300, 200, None)])
+    def test_matches_pair_counting(self, n_id, n_ood, decimals):
+        # scores rounded to one decimal or to integers tie heavily, within and
+        # across the two sets; decimals None leaves them unrounded
+        rng = np.random.default_rng(n_id * 1000 + n_ood)
+        a, b = rng.normal(0, 1, n_id), rng.normal(0.4, 1, n_ood)
+        if decimals is not None:
+            a, b = a.round(decimals), b.round(decimals)
+        assert abs(auroc(a, b) - reference_auroc(a, b)) <= 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
