@@ -202,19 +202,21 @@ def contrastive_grads(view1, view2, tau: float) -> tuple[float, np.ndarray, np.n
     gradients of the mean divide by the anchor count.  Each anchor view1[i]
     is contrasted with its positive view2[i] and with the other first views.
 
-    Anchors are taken in the row blocks of `_row_blocks(n, 1 + n)`, so the
-    logits never fill an (n, 1 + n) array: one block buffer, about
-    _BLOCK_SIMS elements, holds a block's logits (column 0 the positive
-    logits, column k + 1 the logit of view1[i] against view1[k]) and then
-    their softmax p.  A block adds its own rows' p @ view1 to the gradient
-    and its p.T @ view1[block] to the column term that every anchor's
-    negatives share.  The loss and the view2 gradient are row-local; the
-    view1 gradient sums the column term block by block.
+    Anchors are taken in the row blocks of `_row_blocks(n, 1 + n)`: one
+    buffer of about _BLOCK_SIMS elements holds a block's logits (column 0
+    the positives, column k + 1 view1[i] . view1[k]), made from the anchors
+    divided by tau as a (B, d) array; then only max, subtract, exp and the
+    row sums pass over it.  The sums divide the (B, d) products e @ view1
+    (the block's rows) and e.T @ view1[block] (the column term every
+    anchor's negatives share).  No block takes numpy's syrk `A @ A.T`, so
+    the row-local loss and view2 gradient round alike whatever the blocks.
     """
     v1 = np.asarray(view1, dtype=np.float64)
     v2 = np.asarray(view2, dtype=np.float64)
     if v1.ndim != 2 or v1.shape != v2.shape:
         raise ValueError("views must be two equal-shape (n, d) arrays")
+    if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
+        raise ValueError("views must be finite")
     n = v1.shape[0]
     if n < 2:
         raise InsufficientBatch(f"need >= 2 view pairs, got {n}")
@@ -228,23 +230,22 @@ def contrastive_grads(view1, view2, tau: float) -> tuple[float, np.ndarray, np.n
     g1 = np.empty_like(v1)                              # p @ v1, a block's rows at a time
     col = np.zeros_like(v1)                             # p.T @ v1, summed over the blocks
     for r, stop in blocks:
-        p = buf[:stop - r]
-        p[:, 0] = np.einsum("ij,ij->i", v1[r:stop], v2[r:stop])  # positive logits
-        np.matmul(v1[r:stop], v1.T, out=p[:, 1:])       # anchor against first views
-        p /= tau
-        pos = p[:, 0].copy()
+        e = buf[:stop - r]
+        a = v1[r:stop] / tau
+        e[:, 0] = np.einsum("ij,ij->i", a, v2[r:stop])  # positive logits
+        np.matmul(a, v1.T, out=e[:, 1:])                # anchor against first views
+        pos = e[:, 0].copy()
         rows = np.arange(stop - r)
-        p[rows, r + rows + 1] = -np.inf                 # k != i
+        e[rows, r + rows + 1] = -np.inf                 # k != i
 
-        m = p.max(axis=1)
-        p -= m[:, None]
-        np.exp(p, out=p)
-        denom = p.sum(axis=1)
-        p /= denom[:, None]
+        m = e.max(axis=1)
+        e -= m[:, None]
+        np.exp(e, out=e)
+        denom = e.sum(axis=1)
         terms[r:stop] = np.log(denom) + m - pos
-        p_pos[r:stop] = p[:, 0]
-        np.matmul(p[:, 1:], v1, out=g1[r:stop])         # p[:, 1:]: weights on the first views
-        col += p[:, 1:].T @ v1[r:stop]
+        p_pos[r:stop] = e[:, 0] / denom
+        g1[r:stop] = (e[:, 1:] @ v1) / denom[:, None]   # e[:, 1:]: weights on the first views
+        col += e[:, 1:].T @ (v1[r:stop] / denom[:, None])
 
     loss = float(terms.mean())
     g1 = ((p_pos - 1.0)[:, None] * v2 + g1 + col) / tau
