@@ -343,9 +343,7 @@ def _candidates(points: np.ndarray, snap: BankSnapshot, params: EnergyParams) ->
     exceeds another class's upper bound by more than a rounding slack, so
     its energy is above the point's minimum.  One matmul per row block
     against every class's features (no padding) gives each point's largest
-    similarity to each; when the first block drops nothing (as on a bank
-    whose floored weights make the bounds wide), the later blocks are not
-    bounded.
+    similarity to each.
     """
     n = points.shape[0]
     keep = np.ones((n, len(snap.classes)), dtype=bool)
@@ -363,11 +361,9 @@ def _candidates(points: np.ndarray, snap: BankSnapshot, params: EnergyParams) ->
     for r, stop in blocks:
         sims = np.matmul(points[r:stop], feats.T, out=buf[:stop - r])
         top = np.maximum.reduceat(sims, starts, axis=1)
-        # lower bound -top - most above the least upper bound min(-top - least) + slack
-        skip = top + most < (top + least).max(axis=1, keepdims=True) - slack
-        if r == 0 and not skip.any():
-            break
-        keep[r:stop] = ~skip
+        # kept unless its lower bound -top - most lies above the least upper
+        # bound min(-top - least) + slack
+        keep[r:stop] = top + most >= (top + least).max(axis=1, keepdims=True) - slack
     return keep
 
 

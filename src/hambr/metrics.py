@@ -160,8 +160,10 @@ class MetricsRecord:
         expected = 2 * p * r / (p + r) if p + r > 0 else 0.0
         if abs(f - expected) > 1e-9:
             raise ValueError("sel_f1 inconsistent with precision/recall")
-        if not 0.0 <= self.auroc <= 1.0:
-            raise ValueError("auroc must lie in [0, 1]")
+        for name in ("auroc", "fpr95"):  # NaN when an epoch has no bank to score against
+            value = getattr(self, name)
+            if not (0.0 <= value <= 1.0 or math.isnan(value)):
+                raise ValueError(f"{name} must lie in [0, 1] or be NaN")
         object.__setattr__(self, "log_singular_values",
                            tuple(float(v) for v in self.log_singular_values))
 

@@ -242,11 +242,6 @@ def _fill_prototypes(proto_set: PrototypeSet | None, fallback: np.ndarray) -> np
     return out
 
 
-def _fallback_bank(x: np.ndarray, labels: np.ndarray, posteriors: np.ndarray) -> BankSnapshot:
-    """Scoring stopgap while the live bank is empty: every sample, floored weights."""
-    return BankSnapshot(x, np.maximum(posteriors, 1e-6), labels)
-
-
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the full pipeline; writes artifacts into cfg.output_dir as it goes.
 
@@ -254,8 +249,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     metrics.csv and metrics.jsonl rows when it ends, line-buffered, so a failed
     run keeps them; bank.jsonl and outliers.jsonl (final epoch; empty when
     weights.lambda_hambr is 0, since no term then uses outliers) last. Returns
-    the train state, metric records and output path.  A dataset of fewer than
-    MIN_ID_SCORES samples raises ConfigError before anything is written.
+    the train state, metric records and output path.  An epoch with no labeled
+    rows has an empty bank, so its auroc and fpr95 are NaN.  A dataset of fewer
+    than MIN_ID_SCORES samples raises ConfigError before anything is written.
     """
     n_samples = cfg.dataset.n_per_class * cfg.dataset.n_classes
     if n_samples < MIN_ID_SCORES:  # fpr95 takes one ID score per sample
@@ -320,15 +316,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             # the consensus set once the window is full, this epoch's flags before
             labeled_mask = np.isin(np.arange(n), consensus) if window_ready else flags
 
-            # (4) bank rebuilt from the consensus set only: the last
-            # DEFAULT_CAPACITY consensus ids of each class, in id order
-            # (no rows, so the empty bank, until the window is full)
-            bank = BankSnapshot(x[consensus], posteriors[consensus], y_obs[consensus],
-                                DEFAULT_CAPACITY)
+            # (4) bank rebuilt from the labeled rows only: the last
+            # DEFAULT_CAPACITY labeled ids of each class, in id order
+            bank = BankSnapshot(x[labeled_mask], posteriors[labeled_mask],
+                                y_obs[labeled_mask], DEFAULT_CAPACITY)
             state.bank = bank
 
-            # (5) fresh prototypes from the bank
-            proto_set = compute_prototypes(bank) if len(bank) else None
+            # (5) fresh prototypes from the bank, once the window is full
+            proto_set = compute_prototypes(bank) if window_ready and len(bank) else None
             state.prototypes = proto_set
             p_fresh = _fill_prototypes(proto_set, obs_means)
 
@@ -352,15 +347,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             # (9) metrics on the post-step state
             sel_p, sel_r, sel_f = selection_f1(np.flatnonzero(labeled_mask), noise_mask)
             intra, inter = geometry_metrics(x, y_true, p_fresh)
-            score_bank = bank if len(bank) else _fallback_bank(x, y_obs, posteriors)
-            u_id, u_ood = np.split(potential_batch(np.concatenate([x, ood_feats]),
-                                                   score_bank, cfg.energy), [n])
+            ood = (float("nan"),) * 2  # no labeled rows: no bank to score against
+            if len(bank):
+                u_id, u_ood = np.split(potential_batch(np.concatenate([x, ood_feats]),
+                                                       bank, cfg.energy), [n])
+                ood = auroc(u_id, u_ood), fpr_at_95_tpr(u_id, u_ood)
             rec = MetricsRecord(
                 epoch=epoch, loss_x=terms.x, loss_u=terms.u, loss_reg=terms.reg,
                 loss_con=terms.con, loss_hambr=terms.hambr,
                 sel_precision=sel_p, sel_recall=sel_r, sel_f1=sel_f,
                 intra=intra, inter=inter,
-                auroc=auroc(u_id, u_ood), fpr95=fpr_at_95_tpr(u_id, u_ood),
+                auroc=ood[0], fpr95=ood[1],
                 log_singular_values=tuple(singular_spectrum(x)))
             records.append(rec)
 

@@ -639,14 +639,17 @@ class TestBlockedPotentialBatch:
         assert np.array_equal(got, reference_batch(points, snap, EnergyParams()))
 
     def test_floored_weights_score_every_row(self, monkeypatch):
-        # a fallback-like bank: every point against itself, weights floored
-        # at 1e-6, so no class can be ruled out
+        # a bank of every point, weights floored at 1e-6, so the bounds are
+        # wide and no class can be ruled out in any of the row blocks the
+        # 900 points span (13 under the 2^16-similarity budget)
         rng = np.random.default_rng(60)
         d = 8
         points = clustered_points(rng, d, (300, 300, 300))
         labels = np.argmax(points @ cluster_centers(d, 3).T, axis=1)
         weights = np.maximum(rng.uniform(-0.5, 1.0, size=len(points)), 1e-6)
         snap = BankSnapshot(points, weights, labels)
+        assert len(energy._row_blocks(len(points), len(snap))) > 1
+        assert energy._candidates(points, snap, EnergyParams()).all()
         got, rows = rows_scored(monkeypatch, points, snap)
         assert rows == points.shape[0] * len(snap.classes)
         assert np.array_equal(got, reference_batch(points, snap, EnergyParams()))

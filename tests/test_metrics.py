@@ -253,9 +253,18 @@ class TestMetricsRecord:
         with pytest.raises(ValueError):
             self.record(sel_f1=0.9)
 
-    def test_auroc_range_checked(self):
-        with pytest.raises(ValueError):
-            self.record(auroc=1.5)
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["auroc", "fpr95"])
+    def test_ood_score_range_checked(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 1\\] or be NaN$"):
+            self.record(**{name: value})
+
+    @pytest.mark.parametrize("name", ["auroc", "fpr95"])
+    def test_ood_score_may_be_nan(self, name):
+        # an epoch with no labeled rows has no bank to score against
+        for value in (0.0, 1.0, float("nan")):
+            assert self.record(**{name: value}).csv_row().split(",")[
+                CSV_COLUMNS.index(name)] == repr(value)
 
     def test_csv_row_matches_header(self):
         row = self.record().csv_row()

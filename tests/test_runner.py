@@ -11,9 +11,7 @@ import pytest
 
 from hambr.energy import (
     DEFAULT_CAPACITY,
-    BankEntry,
     BankSnapshot,
-    FeatureBank,
     potential_batch,
 )
 from hambr.runner import (
@@ -23,9 +21,7 @@ from hambr.runner import (
     config_to_dict,
     load_config,
     run_experiment,
-    _fallback_bank,
 )
-from hambr.sphere import UnitVector
 from hambr.sampler import SamplerConfig, VirtualOutlierSet, synthesize_outliers
 from hambr.synthgen import DatasetSpec, NoiseSpec
 from reference import (
@@ -39,7 +35,6 @@ from reference import (
     UNSAMPLABLE_DATASETS,
     WRONG_JSON_TYPES,
     nested,
-    unit_rows,
 )
 
 
@@ -52,6 +47,20 @@ def small_config(out_dir, seed=11, **overrides):
         output_dir=str(out_dir), seed=seed)
     fields.update(overrides)
     return ExperimentConfig(**fields)
+
+
+def labeled_rows(out_dir, cfg):
+    """(epochs, n) labeled masks and posteriors from partition.jsonl, and the
+    observed labels from dataset.jsonl.  An epoch's labeled rows are its flags
+    until the consensus window fills, its consensus rows after."""
+    n = cfg.dataset.n_classes * cfg.dataset.n_per_class
+    rows = [json.loads(l) for l in (out_dir / "partition.jsonl").read_text().splitlines()]
+    flags, consensus, posteriors = (np.array([row[key] for row in rows]).reshape(-1, n)
+                                    for key in ("flag", "in_consensus", "posterior"))
+    window_ready = np.arange(len(flags))[:, None] + 1 >= cfg.t_filter
+    y_obs = np.array([json.loads(l)["observed"] for l in
+                      (out_dir / "dataset.jsonl").read_text().splitlines()])
+    return np.where(window_ready, consensus, flags), posteriors, y_obs
 
 
 def leaf_paths(obj, prefix=()):
@@ -311,6 +320,43 @@ class TestRunExperiment:
             assert ids.size > DEFAULT_CAPACITY
             assert np.array_equal(bank.weights(c), posteriors[ids[-DEFAULT_CAPACITY:]])
 
+    def test_every_epoch_scores_against_its_labeled_bank(self, tmp_path, monkeypatch):
+        banks = []  # the bank of each potential_batch call, one per epoch
+
+        def spy(points, bank, params):
+            banks.append(bank)
+            return potential_batch(points, bank, params)
+
+        monkeypatch.setattr("hambr.runner.potential_batch", spy)
+        # 500 samples per class put more than DEFAULT_CAPACITY of a class into
+        # the labeled rows; the window of 3 fills in epoch 2
+        cfg = small_config(tmp_path / "run", seed=3, epochs=4, warmup_epochs=1, t_filter=3,
+                           dataset=DatasetSpec(n_per_class=500, seed=3))
+        run_experiment(cfg)
+        labeled, posteriors, y_obs = labeled_rows(tmp_path / "run", cfg)
+        assert labeled.any(axis=1).all() and len(banks) == cfg.epochs
+        over_capacity = 0
+        for epoch, (bank, mask, post) in enumerate(zip(banks, labeled, posteriors)):
+            ids = {c: np.flatnonzero(mask & (y_obs == c)) for c in range(cfg.dataset.n_classes)}
+            assert bank.classes == [c for c in ids if ids[c].size], f"epoch {epoch}"
+            for c in bank.classes:
+                assert bank.size(c) == min(DEFAULT_CAPACITY, ids[c].size), f"epoch {epoch}"
+                assert np.array_equal(bank.weights(c), post[ids[c][-DEFAULT_CAPACITY:]])
+                over_capacity += ids[c].size > DEFAULT_CAPACITY
+        assert over_capacity > 0
+
+    def test_epoch_without_labeled_rows_has_no_energy_score(self, tmp_path):
+        # so high a threshold flags no sample in some epochs
+        out = tmp_path / "run"
+        cfg = small_config(out, clean_threshold=0.999999)
+        run_experiment(cfg)
+        empty = ~labeled_rows(out, cfg)[0].any(axis=1)
+        assert empty.any() and not empty.all()
+        rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
+        assert [row["auroc"] is None for row in rows] == empty.tolist()
+        assert [row["fpr95"] is None for row in rows] == empty.tolist()
+        assert (out / "bank.jsonl").read_bytes() == b""
+
     def test_single_post_warmup_epoch(self, tmp_path):
         cfg = small_config(tmp_path / "run", epochs=4, warmup_epochs=3)
         run_experiment(cfg)
@@ -442,34 +488,3 @@ class TestRunExperiment:
                 want = flags[e - cfg.t_filter + 1:e + 1].all(axis=0)
             got = np.array([row["in_consensus"] for row in block])
             assert np.array_equal(got, want), f"epoch {e}"
-
-
-def test_fallback_bank_floors_exact_zero_posteriors():
-    rng = np.random.default_rng(5)
-    x = unit_rows(rng, 50, 8)
-    labels = rng.integers(0, 3, 50)
-    posteriors = rng.uniform(0.0, 1.0, 50)
-    posteriors[::4] = 0.0
-    for post in (posteriors, np.zeros(50)):
-        snap = _fallback_bank(x, labels, post)
-        weights = np.concatenate([snap.weights(c) for c in snap.classes])
-        assert len(snap) == 50 and weights.min() == 1e-6
-        assert np.count_nonzero(weights == 1e-6) == np.count_nonzero(post < 1e-6)
-
-
-def test_fallback_bank_scores_like_a_per_sample_feature_bank():
-    rng = np.random.default_rng(4)
-    x = unit_rows(rng, 300, 8)
-    labels = rng.integers(0, 3, 300)
-    labels[labels == 2] = 3                     # class 2 absent
-    posteriors = rng.uniform(0.0, 1.0, 300)
-    posteriors[:20] = 0.0                       # floored at 1e-6
-    bank = FeatureBank(capacity_per_class=300)
-    for i in range(300):
-        bank.add(BankEntry(UnitVector(x[i]), float(max(posteriors[i], 1e-6)),
-                           int(labels[i])))
-    snap = _fallback_bank(x, labels, posteriors)
-    assert snap.classes == bank.snapshot().classes == [0, 1, 3]
-    queries = unit_rows(rng, 300, 8)
-    assert potential_batch(queries, snap).tobytes() == \
-        potential_batch(queries, bank).tobytes()
