@@ -75,12 +75,13 @@ class BankSnapshot:
 
     Every row is checked once, here: features (n, d) with d >= 2, each row
     finite and unit-norm to NORM_TOL, one weight and one label per row, each
-    weight in (0, 1] and each label a non-negative integer that fits in 64
-    bits; ValueError naming the first bad row otherwise.  So every class
-    holds entries with mass wherever it is queried.  With a cap, each class
-    keeps its last `capacity_per_class` rows in input order, the entries a
-    FeatureBank of that capacity keeps after adding the rows one by one.  No
-    rows: the empty bank, with dim 0, which raises EmptyBank on every query.
+    weight a number, not a bool, in (0, 1], each label a non-negative integer
+    that fits in 64 bits; ValueError naming the first bad row otherwise.  So
+    every class holds entries with mass wherever it is queried.  With a cap,
+    each class keeps its last `capacity_per_class` rows in input order, the
+    entries a FeatureBank of that capacity keeps after adding the rows one by
+    one.  No rows: the empty bank, with dim 0, which raises EmptyBank on every
+    query.
 
     Energy queries run against snapshots so a concurrent writer cannot change
     the neighbor set mid-query.  `_memo` is the one slot that changes after
@@ -105,6 +106,10 @@ class BankSnapshot:
 
     def __init__(self, features, weights, labels, capacity_per_class: int | None = None):
         feats = np.asarray(features, dtype=np.float64)
+        if not (isinstance(weights, np.ndarray) and weights.dtype.kind in "fiu"):
+            for i, w in enumerate(np.asarray(weights, dtype=object).ravel()):
+                if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                    raise ValueError(f"weight must be a number, got {w!r} at row {i}")
         weights = np.asarray(weights, dtype=np.float64)
         labels = np.asarray(labels)
         if feats.ndim != 2 or feats.shape[1] < 2:
@@ -500,4 +505,4 @@ def load_bank(fh) -> BankSnapshot:
     # the parsed floats are dropped line by line and the row arrays once
     # stacked, so the checks and the grouping never run beside either
     feats = np.array(feats) if feats else np.empty((0, 2))
-    return BankSnapshot(feats, weights, labels)
+    return BankSnapshot(feats, np.array(weights, dtype=np.float64), labels)

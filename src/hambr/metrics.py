@@ -1,7 +1,7 @@
 """Evaluation metrics: OOD separation, selection quality, feature geometry.
 
 The potential score convention is "higher = more out-of-distribution"
-throughout; auroc is the rank statistic P(ood > id) + 0.5 P(tie).
+throughout; auroc is the statistic P(ood > id) + 0.5 P(tie).
 """
 
 from __future__ import annotations
@@ -38,28 +38,18 @@ def _check_finite(scores: np.ndarray, name: str) -> None:
                              f"the first {float(scores[bad[0]])} at index {int(bad[0])}")
 
 
-def _ranks_with_ties(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the mean of their positions."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    ends = np.r_[starts[1:], values.size]  # one past the last position of each tie group
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
-    return ranks
-
-
 def auroc(id_scores, ood_scores) -> float:
-    """P(ood > id) + 0.5 P(tie) over all ID/OOD pairs."""
+    """P(ood > id) + 0.5 P(tie) over all ID/OOD pairs, from exact pair counts."""
     s_id = np.asarray(id_scores, dtype=np.float64).ravel()
     s_ood = np.asarray(ood_scores, dtype=np.float64).ravel()
     if s_id.size == 0 or s_ood.size == 0:
         raise EmptyInput("auroc needs non-empty ID and OOD scores")
     _check_finite(s_id, "ID scores")
     _check_finite(s_ood, "OOD scores")
-    ranks = _ranks_with_ties(np.concatenate([s_id, s_ood]))
-    u = ranks[s_id.size:].sum() - s_ood.size * (s_ood.size + 1) / 2.0
-    return float(u / (s_id.size * s_ood.size))
+    s_id = np.sort(s_id)
+    twice_u = int(np.searchsorted(s_id, s_ood, "left").sum()
+                  + np.searchsorted(s_id, s_ood, "right").sum())
+    return twice_u / (2 * s_id.size * s_ood.size)
 
 
 def fpr_at_95_tpr(id_scores, ood_scores) -> float:

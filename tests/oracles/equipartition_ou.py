@@ -4,9 +4,9 @@
 With zero potential the momentum update is an exact Ornstein-Uhlenbeck map per
 coordinate of the tangent space: v' = a*v + sqrt((1-a^2)*T)*xi with
 a = exp(-friction*eps).  The stationary second moment per coordinate is T, the
-tangent space has d-1 dimensions (transport preserves the norm between steps),
-so E[|v|^2] -> (d-1)*T.  This script simulates the scalar OU map directly,
-without any package code, to confirm the per-coordinate moment.
+tangent space has d-1 dimensions (the geodesic flow preserves the norm between
+steps), so E[|v|^2] -> (d-1)*T.  This script simulates the scalar OU map
+directly, without any package code, to confirm the per-coordinate moment.
 """
 
 import math

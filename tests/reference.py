@@ -107,21 +107,6 @@ def reference_auroc(id_scores, ood_scores):
     return float(((diff > 0).sum() + 0.5 * (diff == 0).sum()) / diff.size)
 
 
-def reference_ranks(values):
-    """The tie-group loop _ranks_with_ties replaced."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 # -- config documents config_from_dict rejects --------------------------------
 
 def nested(path, value):

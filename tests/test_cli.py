@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from reference import (
     BAD_LINE_PREFIX,
     REJECTED_CONFIGS,
 )
+
+
+BOUNDARY_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "boundary.json"
 
 
 def write_scores(path, values):
@@ -309,3 +313,20 @@ class TestRunCommand:
         assert resolved["seed"] == 23
         assert resolved["dataset"]["seed"] == 23
         assert (out / "metrics.csv").exists()
+
+    def test_boundary_config(self, tmp_path, capsys):
+        # three class means at pairwise cosine 0.5, everything else default
+        cfg = load_config(BOUNDARY_CONFIG)
+        means = np.array(cfg.dataset.means)
+        cosines = means @ means.T
+        assert np.abs(cosines[np.triu_indices(3, 1)] - 0.5).max() <= 1e-12
+        doc = json.loads(BOUNDARY_CONFIG.read_text())
+        assert list(doc) == ["dataset"] and list(doc["dataset"]) == ["means"]
+        doc["dataset"]["n_per_class"] = 20
+        doc.update(epochs=6, warmup_epochs=1)
+        shrunk = tmp_path / "boundary.json"
+        shrunk.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert cli_main(["run", "--config", str(shrunk), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == str(out)
+        assert len((out / "metrics.csv").read_text().splitlines()) == 7

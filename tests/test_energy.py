@@ -727,6 +727,21 @@ class TestMassErrors:
                 "weight must be in (0, 1], got 0.0") + "$"):
             BankEntry(UnitVector(feats[1][0]), weight, 1)
 
+    @pytest.mark.parametrize("weight", ["0.5", True], ids=["string", "bool"])
+    def test_every_bank_builder_rejects_a_non_number_weight(self, weight):
+        message = f"weight must be a number, got {weight!r}"
+        feats = np.eye(3)
+        for weights in ([1.0, weight, 0.5], np.array([1.0, weight, 0.5], dtype=object)):
+            with pytest.raises(ValueError, match="^" + re.escape(f"{message} at row 1") + "$"):
+                BankSnapshot(feats, weights, [0, 1, 1])
+        with pytest.raises(ValueError, match="^" + re.escape(f"{message} at row 0") + "$"):
+            BankSnapshot(feats[:2], [weight, True], [0, 1])
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            BankEntry(UnitVector(feats[1]), weight, 1)
+        line = json.dumps({"class": 1, "weight": weight, "feature": [0.0, 1.0, 0.0]})
+        with pytest.raises(ValueError, match="^" + re.escape(f"bank line 1: {message}") + "$"):
+            load_bank(io.StringIO(line))
+
     def test_query_for_a_class_the_bank_lacks_raises(self):
         snap = BankSnapshot([e(0).coords], [1.0], [0])
         with pytest.raises(EmptyClass, match="^class 1 has no entries$"):

@@ -12,7 +12,6 @@ from hambr.metrics import (
     InsufficientId,
     MetricsRecord,
     NonFiniteScore,
-    _ranks_with_ties,
     auroc,
     csv_header,
     fpr_at_95_tpr,
@@ -21,13 +20,24 @@ from hambr.metrics import (
     singular_spectrum,
 )
 from hambr.sphere import normalize
-from reference import reference_auroc, reference_ranks, unit_rows
+from reference import reference_auroc, unit_rows
 
 
 def e(i, d=3):
     v = np.zeros(d)
     v[i] = 1.0
     return v
+
+
+def rounded_scores(n_id, n_ood, decimals):
+    """ID and OOD scores rounded to `decimals` (None: unrounded), which tie
+    heavily within and across the two sets once rounded to one decimal or
+    to integers."""
+    rng = np.random.default_rng(n_id * 1000 + n_ood)
+    a, b = rng.normal(0, 1, n_id), rng.normal(0.4, 1, n_ood)
+    if decimals is not None:
+        a, b = a.round(decimals), b.round(decimals)
+    return pytest.param(a, b, id=f"{n_id}-{n_ood}-{decimals}")
 
 
 class TestAuroc:
@@ -61,15 +71,14 @@ class TestAuroc:
         assert auroc(np.exp(a), np.exp(b)) == pytest.approx(base, abs=1e-12)
         assert auroc(3 * a + 7, 3 * b + 7) == pytest.approx(base, abs=1e-12)
 
-    @pytest.mark.parametrize("n_id,n_ood,decimals", [
-        (1, 7, 1), (40, 3, 1), (257, 90, 1), (500, 1000, 0), (300, 200, None)])
-    def test_matches_pair_counting(self, n_id, n_ood, decimals):
-        # scores rounded to one decimal or to integers tie heavily, within and
-        # across the two sets; decimals None leaves them unrounded
-        rng = np.random.default_rng(n_id * 1000 + n_ood)
-        a, b = rng.normal(0, 1, n_id), rng.normal(0.4, 1, n_ood)
-        if decimals is not None:
-            a, b = a.round(decimals), b.round(decimals)
+    @pytest.mark.parametrize("a,b", [
+        *(rounded_scores(n_id, n_ood, decimals) for n_id, n_ood, decimals in [
+            (1, 7, 1), (40, 3, 1), (257, 90, 1), (500, 1000, 0), (300, 200, None)]),
+        # -0.0 ties 0.0; one value everywhere ties every pair
+        pytest.param([0.0, -0.0, 0.0], [1.0, -0.0], id="signed-zeros"),
+        pytest.param([1.0, -0.0], [0.0, -0.0, 0.0], id="signed-zeros-swapped"),
+        pytest.param(np.full(4, 0.3), np.full(3, 0.3), id="all-equal")])
+    def test_matches_pair_counting(self, a, b):
         assert abs(auroc(a, b) - reference_auroc(a, b)) <= 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -78,20 +87,6 @@ class TestAuroc:
             auroc([0.1, 0.2], [bad])
         with pytest.raises(NonFiniteScore):
             auroc([bad, 0.1], [0.2])
-
-
-class TestRanksWithTies:
-    @pytest.mark.parametrize("values", [
-        np.array([]),
-        np.array([2.5]),
-        np.full(7, 0.3),
-        np.array([0.0, -0.0, 0.0, 1.0, -0.0]),
-        np.random.default_rng(1).integers(0, 4, size=1000).astype(float),
-        np.random.default_rng(2).integers(-50, 50, size=5000) / 8.0,
-        np.random.default_rng(3).standard_normal(999),
-    ])
-    def test_matches_reference_loop(self, values):
-        assert np.array_equal(_ranks_with_ties(values), reference_ranks(values))
 
 
 class TestFpr95:
