@@ -470,7 +470,10 @@ def _bank_row(line: str, d: int | None):
         raise ValueError(f"missing key {missing[0]!r}")
     label, weight, values = row["class"], row["weight"], row["feature"]
     _check_entry(weight, label)
-    feature = np.asarray(values)
+    try:
+        feature = np.asarray(values)
+    except ValueError:  # lists nested to different depths
+        raise ValueError("feature must be a list of numbers") from None
     # numpy reads true and false in a list of numbers as 1.0 and 0.0
     if feature.ndim != 1 or feature.dtype.kind not in "iuf" or bool in map(type, values):
         raise ValueError("feature must be a list of numbers")

@@ -258,12 +258,11 @@ class PrototypeSet:
     """Unit prototypes of the bank's usable classes, as arrays.
 
     Row i of `directions` (k, d) is the prototype of class `classes[i]`
-    (classes ascending) and `support[i]` counts its entries.
+    (classes ascending).
     """
 
     classes: np.ndarray
     directions: np.ndarray
-    support: np.ndarray
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -275,7 +274,7 @@ def compute_prototypes(bank) -> PrototypeSet:
     A class whose weighted sum has no usable direction carries no prototype.
     """
     snap = bank.snapshot()
-    classes, directions, support = [], [], []
+    classes, directions = [], []
     for c in snap.classes:
         w = snap.weights(c)
         s = w @ snap.features(c)
@@ -284,7 +283,5 @@ def compute_prototypes(bank) -> PrototypeSet:
             continue
         classes.append(c)
         directions.append(s / norm)
-        support.append(w.size)
     return PrototypeSet(np.array(classes, dtype=np.int64),
-                        np.array(directions).reshape(len(classes), snap.dim),
-                        np.array(support, dtype=np.int64))
+                        np.array(directions).reshape(len(classes), snap.dim))

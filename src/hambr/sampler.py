@@ -2,12 +2,12 @@
 
 Chains start at midpoints between class prototypes and evolve under the global
 potential with friction and (optionally tempered) tangent noise.  The split
-step is: damped kick, geodesic flow (Spherical HMC's closed form), half-kick.
+step is: damped kick, geodesic flow (`sphere.geodesic_flow`, Spherical HMC's
+closed form), half-kick.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +19,8 @@ from .sphere import (
     ANTIPODAL_TOL,
     TangentVector,
     UnitVector,
-    _norm,
     check_unit_rows,
-    geodesic_step,
+    geodesic_flow,
     normalize,
     project_tangent,
     sample_tangent_gaussian,
@@ -93,8 +92,8 @@ def _init_pair(prototypes: np.ndarray, rng: np.random.Generator) -> ChainState:
 def dshd_step(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
               noise: np.ndarray) -> ChainState:
     """One split step of the dissipative dynamics: damped kick, geodesic
-    flow, half-kick.  The flow turns z and v together along z's great circle
-    in direction v, so an arc that reaches the antipode still runs.
+    flow, half-kick.  `sphere.geodesic_flow` turns z and v together along z's
+    great circle in direction v, so an arc that reaches the antipode still runs.
 
     `noise` is a raw ambient Gaussian draw, projected onto the current tangent
     space; `run_chain` reuses one draw for every step of a round.  `bank=None`
@@ -117,10 +116,7 @@ def dshd_step(state: ChainState, bank, params: EnergyParams, cfg: SamplerConfig,
         sigma = np.sqrt(2.0 * gam * eps * temp)
     v_half = alpha * v - 0.5 * eps * grad + sigma * xi
 
-    z_new = geodesic_step(z, v_half, eps)
-    s = _norm(v_half)  # geodesic_step's arc is s * eps; v turns with z along it
-    v_new = math.cos(s * eps) * v_half - (s * math.sin(s * eps)) * z.coords
-    v_new = v_new - v_new.dot(z_new.coords) * z_new.coords  # scrub rounding residual
+    z_new, v_new = geodesic_flow(z, v_half, eps)
     if bank is not None:
         v_new = v_new - 0.5 * eps * riemannian_grad_U(z_new, bank, params)
 

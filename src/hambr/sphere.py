@@ -110,18 +110,21 @@ def project_tangent(v, z: UnitVector) -> np.ndarray:
     return v - v.dot(z.coords) * z.coords
 
 
-def geodesic_step(z: UnitVector, v: np.ndarray, eps: float) -> UnitVector:
-    """Move along the great circle through z in direction v for arc length |v|*eps.
-
-    A zero-magnitude momentum (|v| < 1e-12) leaves z unchanged.  The result is
-    renormalized so rounding never drifts off the sphere.
-    """
+def geodesic_flow(z: UnitVector, v: np.ndarray, eps: float) -> tuple[UnitVector, np.ndarray]:
+    """Spherical HMC's flow: turn z and v together along z's great circle in
+    direction v for arc length |v|*eps.  The position is renormalized and the
+    velocity projected onto the new tangent space; |v| < 1e-12 keeps z itself."""
     speed = _norm(v)
-    if speed < DEGENERATE_NORM:
-        return z
     angle = speed * eps
-    out = math.cos(angle) * z.coords + math.sin(angle) * (v / speed)
-    return normalize(out)
+    cos, sin = math.cos(angle), math.sin(angle)
+    z_new = z if speed < DEGENERATE_NORM else normalize(cos * z.coords + sin * (v / speed))
+    v_new = cos * v - (speed * sin) * z.coords
+    return z_new, v_new - v_new.dot(z_new.coords) * z_new.coords  # scrub rounding residual
+
+
+def geodesic_step(z: UnitVector, v: np.ndarray, eps: float) -> UnitVector:
+    """The position `geodesic_flow` reaches: z itself when |v| < 1e-12."""
+    return geodesic_flow(z, v, eps)[0]
 
 
 def transport(v: np.ndarray, z_from: UnitVector, z_to: UnitVector) -> np.ndarray:

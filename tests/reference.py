@@ -1,11 +1,13 @@
 """Reference formulas and rejection tables the test modules share.
 
-This module imports numpy only, never hambr: each formula is written out
-plainly, so a fast kernel compared with it is compared with the math, not
-with itself.  The tables list inputs the package must reject; the module
-that owns the check asserts its message, and test_cli.py runs each input
-through the command line.
+This module imports numpy and math only, never hambr: each formula is
+written out plainly, so a fast kernel compared with it is compared with the
+math, not with itself.  The tables list inputs the package must reject; the
+module that owns the check asserts its message, and test_cli.py runs each
+input through the command line.
 """
+
+import math
 
 import numpy as np
 
@@ -79,6 +81,21 @@ def reference_gradient(z, groups, k, tau):
     terms = weights[0] * np.exp((masked - masked.max()) / tau)
     g = -((terms / terms.sum()) @ feats[cols[0]])
     return g - (g @ z) * z, c
+
+
+# -- the geodesic step ----------------------------------------------------------
+
+def reference_geodesic_step(z, v, eps):
+    """The (d,) position geodesic_step took before geodesic_flow: over the arc
+    a = |v| eps, cos(a) z + sin(a) v / |v| divided by its norm, and z itself
+    when |v| < 1e-12.  Norms are sqrt(x.dot(x)) and cos and sin are math's, as
+    in the package, so the two agree bit for bit."""
+    speed = math.sqrt(v.dot(v))
+    if speed < 1e-12:
+        return z
+    angle = speed * eps
+    out = math.cos(angle) * z + math.sin(angle) * (v / speed)
+    return out / math.sqrt(out.dot(out))
 
 
 # -- the InfoNCE term and the AUROC ranks -------------------------------------
@@ -315,6 +332,8 @@ BAD_BANK_LINES = [
     ('{"class": 1, "weight": 1.0, "feature": [true, 0.0]}',
      "feature must be a list of numbers"),
     ('{"class": 1, "weight": 1.0, "feature": [0.0, false]}',
+     "feature must be a list of numbers"),
+    ('{"class": 1, "weight": 1.0, "feature": [[0.0, 1.0], [1.0]]}',
      "feature must be a list of numbers"),
     ('{"class": 1, "weight": 1.0, "feature": [1.0]}',
      "feature has 1 values, at least 2 are needed"),

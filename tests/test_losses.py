@@ -391,7 +391,6 @@ class TestComputePrototypes:
         want = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
         assert protos.classes.tolist() == [0]
         assert np.allclose(protos.directions[0], want)
-        assert protos.support.tolist() == [2]
 
     def test_single_entry_is_itself(self):
         bank = FeatureBank()
@@ -428,7 +427,6 @@ class TestComputePrototypes:
         for i, c in enumerate(protos.classes):
             s = weights[labels == c] @ feats[labels == c]
             assert protos.directions[i].tobytes() == (s / np.linalg.norm(s)).tobytes()
-            assert protos.support[i] == np.count_nonzero(weights[labels == c] > 0)
 
     def test_empty_bank_has_no_prototypes(self):
         protos = compute_prototypes(BankSnapshot(np.empty((0, 3)), [], []))

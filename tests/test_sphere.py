@@ -1,11 +1,17 @@
-"""Geometry primitive tests: unit vectors, tangent spaces, geodesics, transport."""
+"""Geometry primitive tests: unit vectors, tangent spaces, the geodesic flow,
+transport."""
 
 import io
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference import reference_geodesic_step
 
 from hambr.energy import BankSnapshot, EnergyParams, load_bank
 from hambr.sampler import SamplerConfig, synthesize_outliers
@@ -16,6 +22,7 @@ from hambr.sphere import (
     TangentVector,
     UnitVector,
     check_unit_rows,
+    geodesic_flow,
     geodesic_step,
     normalize,
     project_tangent,
@@ -257,6 +264,58 @@ class TestGeodesicStep:
             back = transport(-v, z, z2)
             z3 = geodesic_step(z2, back, eps)
             assert np.allclose(z3.coords, z.coords, atol=1e-6)
+
+
+SHORT_ARCS, LONG_ARCS = np.geomspace(1e-9, 0.1, 25), np.linspace(0.1, 3.0, 30)
+
+
+class TestGeodesicFlow:
+    # the flow carries v along its own great circle, which is the geodesic
+    # transport follows: the two agree wherever transport is defined
+    @pytest.mark.parametrize("d", [2, 3, 8, 32])
+    @pytest.mark.parametrize("arcs,tol", [(SHORT_ARCS, 1e-15), (LONG_ARCS, 1e-12)],
+                             ids=["short", "long"])
+    def test_carried_velocity_is_the_parallel_transport(self, d, arcs, tol):
+        rng = np.random.default_rng(d)
+        for arc in arcs:
+            z, v = random_state(rng, d)
+            z_new, v_new = geodesic_flow(z, v, arc / _norm(v))
+            assert _norm(v_new - transport(v, z, z_new)) <= tol * _norm(v)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_arc_reaching_the_antipode_runs(self, d):
+        z, v = random_state(np.random.default_rng(31), d)
+        z_new, v_new = geodesic_flow(z, v, (np.pi - 1e-6) / _norm(v))
+        assert float(z_new.coords @ z.coords) < -1.0 + 1e-11
+        assert _norm(v_new) == pytest.approx(_norm(v), rel=1e-14)
+        assert abs(float(v_new @ z_new.coords)) <= 1e-15 * _norm(v)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 32])
+    @pytest.mark.parametrize("arcs", [SHORT_ARCS, LONG_ARCS], ids=["short", "long"])
+    def test_position_is_geodesic_step_and_the_reference_bitwise(self, d, arcs):
+        rng = np.random.default_rng(100 + d)
+        for arc in arcs:
+            z, v = random_state(rng, d)
+            eps = arc / _norm(v)
+            z_new, _ = geodesic_flow(z, v, eps)
+            assert np.array_equal(z_new.coords, geodesic_step(z, v, eps).coords)
+            assert np.array_equal(z_new.coords, reference_geodesic_step(z.coords, v, eps))
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 32])
+    @pytest.mark.parametrize("arcs", [SHORT_ARCS, LONG_ARCS], ids=["short", "long"])
+    def test_velocity_is_tangent_and_keeps_its_speed(self, d, arcs):
+        rng = np.random.default_rng(200 + d)
+        for arc in arcs:
+            z, v = random_state(rng, d)
+            z_new, v_new = geodesic_flow(z, v, arc / _norm(v))
+            assert abs(float(v_new @ z_new.coords)) <= 1e-15 * _norm(v)
+            assert _norm(v_new) == pytest.approx(_norm(v), rel=1e-14)
+
+    def test_zero_speed_keeps_z_itself(self):
+        z = e(0)
+        z_new, v_new = geodesic_flow(z, np.zeros(3), 0.1)
+        assert z_new is z
+        assert np.array_equal(v_new, np.zeros(3))
 
 
 class TestTransport:
