@@ -220,7 +220,11 @@ def _top_k(sims: np.ndarray, weights: np.ndarray, k: int):
     similarities), the row keeps the k largest values and, among equal ones,
     the lowest columns; every other row is selected as if scored alone.  When
     k covers the whole row, nothing is dropped: `sims` and `weights` come back
-    as given and columns is None.
+    as given and columns is None.  Identical bank rows need not tie: a matrix
+    product can round their similarities apart by where the rows sit in it,
+    so the scan's matvec and `potential_batch`'s blocks may keep different
+    copies of a repeated row.  Copies of a basis vector, whose products are
+    exact, always tie.
     """
     rows, m = sims.shape
     if k >= m:
@@ -374,7 +378,9 @@ def _candidates(points: np.ndarray, snap: BankSnapshot, params: EnergyParams) ->
 
 def potential_batch(points: np.ndarray, bank,
                     params: EnergyParams = EnergyParams()) -> np.ndarray:
-    """Global potential for each row of `points` (n, d); same math as global_potential.
+    """Global potential for each row of `points` (n, d): the math of
+    global_potential, and its values to within rounding unless the bank
+    repeats a row, whose copies the two products can round apart (`_top_k`).
 
     Each class scores only the points where `_candidates` says it can hold
     the minimum; the classes it drops there have energies above the

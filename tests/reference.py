@@ -2,9 +2,10 @@
 
 This module imports numpy and math only, never hambr: each formula is
 written out plainly, so a fast kernel compared with it is compared with the
-math, not with itself.  The tables list inputs the package must reject; the
-module that owns the check asserts its message, and test_cli.py runs each
-input through the command line.
+math, not with itself.  EDGE_CASES is the seeded table of banks over which
+test_differential.py compares the energy kernels with it.  The rejection
+tables list inputs the package must reject; the module that owns the check
+asserts its message, and test_cli.py runs each input through the command line.
 """
 
 import math
@@ -62,25 +63,138 @@ def unblocked_potential_batch(points, groups, k, tau):
     return np.min(class_energies(points, groups, k, tau), axis=1)
 
 
-def reference_potential(z, groups, k, tau):
-    """Reference for global_potential: (U(z), argmin class), a tie going to
-    the smallest class id."""
-    energies = class_energies(z[None, :], groups, k, tau)[0]
-    j = int(np.argmin(energies))
-    return energies[j], sorted(groups)[j]
+def reference_selection(z, groups, k, tau):
+    """(argmin class, a tie going to the smallest id, and its k nearest
+    similarities, their weights and columns) at z: the potential is their
+    soft-min and the gradient is built from them."""
+    c = sorted(groups)[int(np.argmin(class_energies(z[None, :], groups, k, tau)[0]))]
+    feats, w = groups[c]
+    sims, weights, cols = stable_top_k((feats @ z)[None, :], w, min(k, feats.shape[0]))
+    return c, sims[0], weights[0], cols[0]
 
 
 def reference_gradient(z, groups, k, tau):
     """Reference for riemannian_grad_U: (gradient, argmin class).  Over the
     argmin class's k nearest entries k_j, with s the softmax of
     log w_j + z.k_j / tau, the gradient is -sum_j s_j k_j less its radial part."""
-    _, c = reference_potential(z, groups, k, tau)
-    feats, w = groups[c]
-    sims, weights, cols = stable_top_k((feats @ z)[None, :], w, min(k, feats.shape[0]))
-    masked = np.where(weights[0] > 0, sims[0], -np.inf)
-    terms = weights[0] * np.exp((masked - masked.max()) / tau)
-    g = -((terms / terms.sum()) @ feats[cols[0]])
+    c, sims, weights, cols = reference_selection(z, groups, k, tau)
+    masked = np.where(weights > 0, sims, -np.inf)
+    terms = weights * np.exp((masked - masked.max()) / tau)
+    g = -((terms / terms.sum()) @ groups[c][0][cols])
     return g - (g @ z) * z, c
+
+
+def central_difference(z, u, groups, k, tau, h):
+    """The reference potential's derivative at z along the unit tangent u,
+    (U(z cos h + u sin h) - U(z cos h - u sin h)) / 2h over the great circle
+    through z, or None where the argmin class or its top-k selection differs
+    between z and either stencil point, since the gradient holds it fixed."""
+    ends = [math.cos(h) * z + sign * math.sin(h) * u for sign in (1.0, -1.0)]
+    picks = [reference_selection(x, groups, k, tau) for x in [z, *ends]]
+    if any(c != picks[0][0] or not np.array_equal(cols, picks[0][3])
+           for c, _, _, cols in picks[1:]):
+        return None
+    plus, minus = (soft_min_reference(sims, weights, tau) for _, sims, weights, _ in picks[1:])
+    return (plus - minus) / (2.0 * h)
+
+
+# -- a seeded table of edge banks for the energy kernels -----------------------
+# Each builder returns ({class id: (features, weights)}, (n, d) unit probe
+# points, K, tau); its first probes are the ones that reach its edge.
+
+def _near(rng, centers, spread):
+    """A unit point near each row of `centers`, `spread` per coordinate."""
+    x = centers + spread * rng.standard_normal(centers.shape)
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _spread_classes(rng, d, sizes):
+    return {c: (unit_rows(rng, m, d), rng.uniform(0.1, 1.0, m)) for c, m in enumerate(sizes)}
+
+
+def _under_k(rng, d):
+    """Class 1 holds 8 entries, under K = 16: its padded-stack row takes padding."""
+    groups = _spread_classes(rng, d, [int(rng.integers(17, 96)), 8, int(rng.integers(17, 96))])
+    small = groups[1][0]
+    return groups, np.concatenate([small, _near(rng, small, 0.05), unit_rows(rng, 24, d)]), 16, 0.1
+
+
+def _ties(rng, d):
+    """`_under_k` with 2K copies of e_0 in class 0.  A basis vector's
+    products are exact, so at e_0 and the 20 probes near it more than K
+    entries tie exactly at class 0's K-th value."""
+    groups, points, k, tau = _under_k(rng, d)
+    feats, w = groups[0]
+    copies = np.tile(np.eye(d)[0], (2 * k, 1))
+    groups[0] = (np.concatenate([feats[:5], copies, feats[5:]]),
+                 np.concatenate([w[:5], rng.uniform(0.1, 1.0, 2 * k), w[5:]]))
+    return groups, np.concatenate([copies[:1], _near(rng, copies[:20], 0.05), points]), k, tau
+
+
+def _weight_edges(rng, d):
+    """Weights of 1 (class 0), falling from 1 to 5e-324, the least subnormal
+    (class 1), and each 1 or 5e-324 (class 2), probed at and near every
+    third entry, where the nearest class need not hold the least energy."""
+    groups = {0: (unit_rows(rng, 24, d), np.ones(24)),
+              1: (unit_rows(rng, 40, d), np.geomspace(1.0, 5e-324, 40)),
+              2: (unit_rows(rng, 30, d), rng.choice([1.0, 5e-324], 30))}
+    anchors = np.concatenate([f for f, _ in groups.values()])[::3]
+    return groups, np.concatenate([anchors, _near(rng, anchors, 0.05),
+                                   unit_rows(rng, 24, d)]), 16, 0.1
+
+
+def _single_class(rng, d):
+    """One class, id 4, at tau = 1e-3: the padded stack is one row."""
+    feats = unit_rows(rng, 30, d)
+    points = np.concatenate([feats[:8], _near(rng, feats[:8], 0.05), unit_rows(rng, 24, d)])
+    return {4: (feats, rng.uniform(0.1, 1.0, 30))}, points, 16, 1e-3
+
+
+def _k_covers(rng, d):
+    """K = 40 at or above every class size, at tau = 1: no selection drops."""
+    groups = _spread_classes(rng, d, [40, 1, 23])
+    anchors = np.concatenate([f[:4] for f, _ in groups.values()])
+    return groups, np.concatenate([anchors, unit_rows(rng, 24, d)]), 40, 1.0
+
+
+def _clustered(rng, d):
+    """min(10, 2d) tight clusters of 300, 9 and then 20 to 400 entries around
+    e_0, e_1, ..., -e_0, -e_1, ..., probed at 160 points drawn alike, one of
+    them in the last cluster: the bounds rule most (point, class) pairs out,
+    and at d >= 8 keep the last class at that probe alone."""
+    centers = np.concatenate([np.eye(d), -np.eye(d)])[:min(10, 2 * d)]
+    sizes = [300, 9] + rng.integers(20, 400, len(centers) - 2).tolist()
+    spread = 0.2 / math.sqrt(d)
+    groups = {c: (_near(rng, np.tile(centers[c], (m, 1)), spread), rng.uniform(0.1, 1.0, m))
+              for c, m in enumerate(sizes)}
+    probes = rng.permutation(np.append(rng.integers(0, len(centers) - 1, 159), len(centers) - 1))
+    return groups, _near(rng, centers[probes], spread), 16, 0.1
+
+
+def _blocks(sizes, n):
+    return lambda rng, d: (_spread_classes(rng, d, sizes), unit_rows(rng, n, d), 16, 0.1)
+
+
+# the block-height edges under the 2^16-similarity budget: a 2,000-entry
+# class is scored in 32-row blocks and a 300-entry one in 218-row blocks, so
+# 241 probes end each in a short block; a 70,000-entry row outgrows the
+# budget, so 9 probes take the floor's 2-row blocks, the last of 3 rows
+_EDGE_KINDS = {"under-k": _under_k, "ties": _ties, "weights": _weight_edges,
+               "single-class": _single_class, "k-covers": _k_covers,
+               "clustered": _clustered, "blocks-2000": _blocks([2000, 9, 300], 241),
+               "blocks-70000": _blocks([2000, 70_000, 9], 9)}
+
+# every kind at d = 2, 3, 8 and 32, but the 70,000-entry bank, the largest
+# reference slab, at d = 8 and 32 only
+EDGE_CASES = [f"{kind}-{d}" for kind in _EDGE_KINDS for d in (2, 3, 8, 32)
+              if kind != "blocks-70000" or d >= 8]
+
+
+def edge_case(case_id):
+    """(groups, points, K, tau) of EDGE_CASES id "<kind>-<d>", seeded by kind and d."""
+    kind, d = case_id.rsplit("-", 1)
+    rng = np.random.default_rng([list(_EDGE_KINDS).index(kind), int(d)])
+    return _EDGE_KINDS[kind](rng, int(d))
 
 
 # -- the geodesic step ----------------------------------------------------------

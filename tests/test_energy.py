@@ -22,20 +22,14 @@ from hambr.energy import (
     load_bank,
     potential_batch,
     riemannian_grad_U,
-    _top_k,
 )
-from hambr.sphere import UnitVector, _norm, geodesic_step, normalize, project_tangent
+from hambr.sphere import UnitVector, _norm, normalize
 from hambr.synthgen import sample_vmf
 from reference import (
     BAD_BANK_FILES,
     BAD_BANK_LINES,
     BAD_LINE_PREFIX,
     bank_rows,
-    class_energies,
-    reference_gradient,
-    reference_potential,
-    soft_min_reference,
-    stable_top_k,
     unblocked_potential_batch,
     unit_rows,
 )
@@ -322,14 +316,6 @@ class TestGlobalPotential:
             best = grid[np.argmin(vals)]
             assert float(best @ k.coords) >= 1.0 - 1e-6
 
-    def test_potential_batch_matches_scalar_path(self):
-        rng = np.random.default_rng(33)
-        bank = random_bank(rng, 5, 12, n_classes=3)
-        pts = np.array([normalize(rng.standard_normal(5)).coords for _ in range(20)])
-        batch = potential_batch(pts, bank)
-        singles = [global_potential(UnitVector(p), bank)[0] for p in pts]
-        assert np.allclose(batch, singles, atol=1e-12)
-
 
 def uneven_bank(rng, d, n_classes, k):
     """Uneven classes, class 1 smaller than k, weights in [0.1, 1]."""
@@ -343,47 +329,7 @@ def uneven_bank(rng, d, n_classes, k):
     return bank
 
 
-def tied_bank(rng, d, n_classes, k):
-    """`uneven_bank` with 2k copies of e_0 among class 0's entries: any
-    point's similarity to them ties exactly, so near e_0 more than k entries
-    tie at class 0's k-th largest value."""
-    classes = groups_of(uneven_bank(rng, d, n_classes, k).snapshot())
-    feats, weights = classes[0]
-    copies = np.tile(np.eye(d)[0], (2 * k, 1))
-    copy_weights = rng.uniform(0.1, 1.0, size=2 * k)
-    classes[0] = (np.concatenate([feats[:5], copies, feats[5:]]),
-                  np.concatenate([weights[:5], copy_weights, weights[5:]]))
-    return BankSnapshot(*bank_rows(classes))
-
-
 class TestFusedPotential:
-    # class 1 is smaller than K in both banks, so its padded row selects
-    # padding; the tied bank's copies of e_0 tie at class 0's K-th value
-    @pytest.mark.parametrize("d,n_classes,make_bank", [
-        (8, 3, uneven_bank), (32, 10, uneven_bank), (8, 3, tied_bank)],
-        ids=["8-3", "32-10", "8-3-tied"])
-    def test_matches_per_class_loop(self, d, n_classes, make_bank):
-        rng = np.random.default_rng(d)
-        params = EnergyParams(tau_energy=0.1, k_neighbors=16)
-        k, tau = params.k_neighbors, params.tau_energy
-        bank = make_bank(rng, d, n_classes, k)
-        classes = groups_of(bank.snapshot())
-        anchors = [f[1] for f, _ in classes.values()]  # weighted bank points
-        points = [UnitVector(a) for a in anchors] + [
-            normalize(rng.standard_normal(d)) for _ in range(300)] + [
-            normalize(np.eye(d)[0] + 0.05 * rng.standard_normal(d)) for _ in range(20)]
-        argmins = set()
-        for z in points:
-            val, cls = global_potential(z, bank, params)
-            ref_val, ref_cls = reference_potential(z.coords, classes, k, tau)
-            assert cls == ref_cls
-            assert val == pytest.approx(ref_val, abs=1e-12)
-            argmins.add(cls)
-            energies = [class_free_energy(z, bank, c, params) for c in classes]
-            ref = class_energies(z.coords[None, :], classes, k, tau)[0]
-            assert np.max(np.abs(np.subtract(energies, ref))) <= 1e-12
-        assert len(argmins) > 1
-
     @pytest.mark.parametrize("massless", [(0,), (2,), (1, 2)])
     def test_massless_class_is_rejected_where_the_bank_is_built(self, massless):
         rng = np.random.default_rng(77)
@@ -395,32 +341,6 @@ class TestFusedPotential:
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"weight must be in (0, 1], got 0.0 at row {first}") + "$"):
             BankSnapshot(feats, weights, labels)
-
-
-class TestFusedGradient:
-    @pytest.mark.parametrize("d,n_classes", [(8, 3), (32, 10)])
-    def test_matches_one_class_reference(self, d, n_classes):
-        rng = np.random.default_rng(100 + d)
-        params = EnergyParams(tau_energy=0.1, k_neighbors=16)
-        snap = tied_bank(rng, d, n_classes, params.k_neighbors)
-        assert snap.size(1) < params.k_neighbors
-        anchors = [UnitVector(snap.features(c)[1]) for c in snap.classes]
-        near_e0 = [normalize(np.eye(d)[0] + 0.05 * rng.standard_normal(d))
-                   for _ in range(20)]
-        points = anchors + near_e0 + [normalize(rng.standard_normal(d)) for _ in range(200)]
-        classes = groups_of(snap)
-        argmins = []
-        for z in points:
-            grad = riemannian_grad_U(z, snap, params)
-            ref, ref_cls = reference_gradient(z.coords, classes, params.k_neighbors,
-                                              params.tau_energy)
-            assert global_potential(z, snap, params)[1] == ref_cls
-            assert np.max(np.abs(grad - ref)) <= 1e-12
-            argmins.append(ref_cls)
-        # the class smaller than K, the tied copies and other classes all won
-        assert argmins[1] == 1 and set(argmins[n_classes:n_classes + 20]) == {0}
-        assert len(set(argmins)) > 2
-
 
 
 def cluster_centers(d, n_classes):
@@ -460,33 +380,9 @@ def rows_scored(monkeypatch, *args):
 
 
 class TestBlockedPotentialBatch:
-    # block heights under the 2^16-similarity budget: 32 rows for a 2000-entry
-    # class, 218 for 300, and the floor of 2 for 70,000 (larger than the budget)
-    SMALL = (2000, 9, 300)
-    LARGE = (2000, 70_000, 9)
-
     def snapshot(self, rng, d, sizes):
         return BankSnapshot(*bank_rows({c: (unit_rows(rng, m, d), rng.uniform(0.1, 1.0, size=m))
                                         for c, m in enumerate(sizes)}))
-
-    # n = 33 and 1001 are no multiple of 32; the reference's (n, m_c) slabs
-    # stay under 20 MB
-    @pytest.mark.parametrize("d", [8, 32])
-    @pytest.mark.parametrize("sizes,n", [
-        pytest.param(sizes, n, id=f"{name}-{n}")
-        for name, sizes, ns in (("small", SMALL, (97, 1001)), ("large", LARGE, (1, 2, 3, 33)))
-        for n in ns])
-    def test_matches_unblocked_reference(self, d, sizes, n):
-        rng = np.random.default_rng(d * 10_000 + n)
-        snap = self.snapshot(rng, d, sizes)
-        points = unit_rows(rng, n, d)
-        params = EnergyParams()
-        got = potential_batch(points, snap, params)
-        ref = reference_batch(points, snap, params)
-        if d == 8:
-            assert np.array_equal(got, ref)
-        else:
-            assert np.max(np.abs(got - ref)) <= 1e-15
 
     def test_peak_memory_does_not_grow_with_points(self):
         import tracemalloc
@@ -504,13 +400,6 @@ class TestBlockedPotentialBatch:
                 tracemalloc.stop()
         # one (4000, 2000) slab of similarities alone would be 64 MB
         assert max(peaks) < 4 * 2 ** 20
-
-    def test_no_points_give_no_values(self):
-        rng = np.random.default_rng(6)
-        d = 8
-        none = np.empty((0, d))
-        for sizes in ((40,), (40, 9), (9, 40, 300)):
-            assert potential_batch(none, self.snapshot(rng, d, sizes)).shape == (0,)
 
     # classes in reverse order, (300, 9, 40, 2000) rows: the first zero
     # weight is in the massless class given first
@@ -535,64 +424,6 @@ class TestBlockedPotentialBatch:
         with pytest.raises(ValueError, match=f"^{message}$"):
             potential_batch(points, snap)
 
-    def test_tie_row_leaves_the_other_rows_alone(self):
-        # class 0 has 10 entries with a positive first coordinate and 20 with
-        # a zero one, so e_0 ties 20 entries at its 16th largest similarity
-        rng = np.random.default_rng(10)
-        d = 8
-        pos = unit_rows(rng, 10, d)
-        pos[:, 0] = np.abs(pos[:, 0])
-        flat = unit_rows(rng, 20, d - 1)
-        feats = np.concatenate([pos, np.hstack([np.zeros((20, 1)), flat])])
-        snap = BankSnapshot(*bank_rows({
-            0: (feats, rng.uniform(0.1, 1.0, size=30)),
-            1: (unit_rows(rng, 40, d), rng.uniform(0.1, 1.0, size=40))}))
-        params = EnergyParams()
-        others = unit_rows(rng, 12, d)
-        points = np.concatenate([others[:5], np.eye(d)[:1], others[5:]])
-        got = potential_batch(points, snap, params)
-        assert np.array_equal(np.delete(got, 5), potential_batch(others, snap, params))
-        # the tie row keeps the 10 positive entries and the first 6 zero ones
-        keep = np.arange(16)
-        class0 = soft_min_reference(feats[keep, 0][None, :], snap.weights(0)[keep],
-                                    params.tau_energy)
-        class1 = unblocked_potential_batch(np.eye(d)[:1], {1: groups_of(snap)[1]},
-                                           params.k_neighbors, params.tau_energy)
-        assert got[5] == min(class0[0], class1[0])
-
-    # the cases below skip the (point, class) pairs the bounds rule out
-    def assert_matches_reference(self, points, snap, params):
-        got = potential_batch(points, snap, params)
-        ref = reference_batch(points, snap, params)
-        if points.shape[1] == 8:
-            assert np.array_equal(got, ref)
-        else:
-            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-15
-
-    # class 1 is smaller than K; n = 0, 1 and 2 reach the smallest blocks
-    @pytest.mark.parametrize("d,n_classes", [(8, 3), (8, 10), (32, 3), (32, 10)])
-    @pytest.mark.parametrize("n", [0, 1, 2, 97, 1001])
-    def test_matches_unblocked_reference_where_most_classes_skip(self, d, n_classes, n):
-        rng = np.random.default_rng([d, n_classes, n])
-        sizes = [300, 9] + [int(m) for m in rng.integers(20, 400, size=n_classes - 2)]
-        snap = clustered_bank(rng, d, sizes)
-        points = clustered_points(rng, d, rng.multinomial(n, np.ones(n_classes) / n_classes))
-        params = EnergyParams()
-        assert params.k_neighbors > snap.size(1)
-        self.assert_matches_reference(points, snap, params)
-        if n >= 97:
-            keep = energy._candidates(points, snap, params)
-            assert keep.any(axis=1).all() and keep.mean() < 0.4
-
-    @pytest.mark.parametrize("d", [8, 32])
-    def test_class_with_one_surviving_point(self, d):
-        rng = np.random.default_rng(20 + d)
-        snap = clustered_bank(rng, d, (300, 40, 200))
-        points = clustered_points(rng, d, (60, 60, 1))
-        params = EnergyParams()
-        assert energy._candidates(points, snap, params)[:, 2].sum() == 1
-        self.assert_matches_reference(points, snap, params)
-
     # rows of the classes (200, 9, 150, 60), in class order
     @pytest.mark.parametrize("kind, position, row", [
         ("empty", 0, None), ("empty", 1, None), ("empty", 3, None),
@@ -611,7 +442,8 @@ class TestBlockedPotentialBatch:
             with pytest.raises(EmptyClass, match=f"^class {position} has no entries$"):
                 class_free_energy(e(0, d), snap, position)
             points = clustered_points(rng, d, (30, 30, 30, 30))
-            self.assert_matches_reference(points, snap, EnergyParams())
+            assert np.array_equal(potential_batch(points, snap),
+                                  reference_batch(points, snap, EnergyParams()))
             return
         classes[position] = (sample_vmf(-np.eye(d)[4], 200.0, 30, rng), np.zeros(30))
         with pytest.raises(ValueError, match="^" + re.escape(
@@ -669,40 +501,6 @@ class TestBlockedPotentialBatch:
                               reference_batch(np.eye(d)[:2], snap, params))
 
 
-class TestEnergyBounds:
-    """The bounds `_candidates` skips by hold for the reference energies."""
-
-    @pytest.mark.parametrize("tau", [0.05, 1.0])
-    @pytest.mark.parametrize("d,n_classes", [(8, 3), (8, 10), (32, 3), (32, 10)])
-    def test_reference_energies_lie_within_the_bounds(self, d, n_classes, tau):
-        rng = np.random.default_rng([d, n_classes, int(tau * 100)])
-        params = EnergyParams(tau_energy=tau, k_neighbors=16)
-        groups = {}
-        for c in range(n_classes):
-            m = int(rng.choice([1, 5, 16, 40, 200]))
-            w = rng.uniform(1e-6, 1.0, size=m)
-            w[rng.random(m) < 0.2] = 1.0
-            groups[c] = (unit_rows(rng, m, d), w)
-        # class 0 holds 2K exact copies of e_0, so points near e_0 tie
-        copies = np.tile(np.eye(d)[0], (2 * params.k_neighbors, 1))
-        groups[0] = (np.concatenate([groups[0][0], copies]),
-                     np.concatenate([groups[0][1], rng.uniform(1e-3, 1.0, size=len(copies))]))
-        snap = BankSnapshot(*bank_rows(groups))
-        near_e0 = np.eye(d)[0] + 0.01 * rng.standard_normal((20, d))
-        points = np.concatenate([unit_rows(rng, 300, d), np.eye(d)[:1],
-                                 near_e0 / np.linalg.norm(near_e0, axis=1)[:, None],
-                                 *(snap.features(c) for c in snap.classes)])
-        for c in snap.classes:
-            feats, w = snap.features(c), snap.weights(c)
-            sims = points @ feats.T
-            selected = stable_top_k(sims, w, min(params.k_neighbors, len(w)))
-            ref = soft_min_reference(selected[0], selected[1], tau)
-            (least,), (most,) = energy._bound_offsets(snap, [c], params)
-            top = sims.max(axis=1)
-            assert np.all(-top - most <= ref + 1e-12)
-            assert np.all(ref <= -top - least + 1e-12)
-
-
 class TestMassErrors:
     @pytest.mark.parametrize("size,weight", [(0, 1.0), (9, 0.0), (40, 0.0)],
                              ids=["empty", "massless-under-k", "massless-over-k"])
@@ -748,77 +546,6 @@ class TestMassErrors:
             class_free_energy(e(0), snap, 1)
 
 
-def padded_stack_sims(rng, d, sizes):
-    """The similarities global_potential selects from: one unit point against
-    a snapshot's padded (C, m_max) stack, -inf on padding."""
-    snap = BankSnapshot(*bank_rows({c: (unit_rows(rng, m, d), rng.uniform(0.1, 1.0, size=m))
-                                    for c, m in enumerate(sizes)}))
-    sims = (snap._stack_feats @ unit_rows(rng, 1, d)[0]).reshape(snap._stack_bias.shape)
-    return sims + snap._stack_bias, snap._stack_weights
-
-
-class TestTopK:
-    # the shapes the program selects from: a 1-row class (riemannian_grad_U),
-    # the padded stack with a class smaller than K (global_potential), and
-    # potential_batch's blocks of a 256-entry and a 2000-entry class
-    SHAPES = [(1, 256), (256, 256), (32, 2000)]
-    VALUES = ["distinct", "integers", "padded"]
-
-    def assert_matches_oracle(self, sims, weights, k):
-        got = _top_k(sims, weights, k)
-        ref = stable_top_k(sims, weights, k)
-        for a, b in zip(got, ref):
-            assert a.shape == b.shape
-            assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("values", VALUES)
-    @pytest.mark.parametrize("shared", [True, False], ids=["shared-weights", "row-weights"])
-    def test_matches_stable_sort(self, shape, values, shared):
-        rng = np.random.default_rng([*shape, self.VALUES.index(values), shared])
-        if values == "distinct":
-            sims = rng.uniform(-1.0, 1.0, size=shape)
-        else:  # heavy ties: four values, so every row ties at its 16th largest
-            sims = rng.integers(-2, 2, size=shape).astype(np.float64)
-        if values == "padded":  # rows whose tail is -inf padding, 7 real entries
-            sims[::2, 7:] = -np.inf
-        weights = rng.uniform(0.0, 1.0, size=shape[1] if shared else shape)
-        self.assert_matches_oracle(sims, weights, 16)
-
-    @pytest.mark.parametrize("d,sizes", [(8, (40, 7, 300)), (32, (256, 256, 3, 256, 1))])
-    def test_padded_stack_with_a_class_smaller_than_k(self, d, sizes):
-        rng = np.random.default_rng(d)
-        sims, weights = padded_stack_sims(rng, d, sizes)
-        assert np.isneginf(sims).any(axis=1).sum() == sum(m < max(sizes) for m in sizes)
-        self.assert_matches_oracle(sims, weights, 16)
-
-    def test_random_cases_against_the_oracle(self):
-        rng = np.random.default_rng(12)
-        for _ in range(300):
-            rows, m = int(rng.integers(1, 40)), int(rng.integers(2, 80))
-            k = int(rng.integers(1, m))
-            sims = rng.integers(-3, 3, size=(rows, m)) / rng.choice([1.0, 7.0])
-            sims[rng.random((rows, m)) < 0.2] = -np.inf
-            self.assert_matches_oracle(sims, rng.uniform(size=m), k)
-
-    def test_tie_row_selection_matches_the_row_alone(self):
-        rng = np.random.default_rng(13)
-        sims = rng.uniform(-1.0, 1.0, size=(32, 2000))
-        sims[9, :40] = sims[9].max() + 1.0  # 40 ties above every other entry
-        weights = rng.uniform(size=2000)
-        got = _top_k(sims, weights, 16)
-        assert np.array_equal(got[2][9], np.arange(16))
-        for row in (0, 8, 10, 31):
-            alone = _top_k(sims[row:row + 1], weights, 16)
-            for a, b in zip(got, alone):
-                assert np.array_equal(a[row], b[0])
-
-    def test_k_covering_the_row_returns_it_whole(self):
-        sims, weights = np.arange(6.0).reshape(2, 3), np.ones(3)
-        got = _top_k(sims, weights, 3)
-        assert got[0] is sims and got[1] is weights and got[2] is None
-
-
 class TestRiemannianGrad:
     def test_aligned_entry_gives_zero_tangent(self):
         bank = single_entry_bank(e(0))
@@ -829,39 +556,6 @@ class TestRiemannianGrad:
         bank = single_entry_bank(e(1))
         g = riemannian_grad_U(e(0), bank, EnergyParams(tau_energy=1.0))
         assert np.allclose(g, [0.0, -1.0, 0.0], atol=1e-12)
-
-    def test_output_is_tangent(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            bank = random_bank(rng, 6, 10, n_classes=2)
-            z = normalize(rng.standard_normal(6))
-            g = riemannian_grad_U(z, bank)
-            assert abs(float(g @ z.coords)) <= 1e-9
-
-    def test_matches_finite_differences(self):
-        # directional derivative along random tangent directions, h=1e-5.
-        # tau=1 keeps the one-sided truncation error (h/2 * U'') below the
-        # 1e-4 relative tolerance; the acceptance suite covers the default
-        # temperature with central differences.
-        rng = np.random.default_rng(55)
-        params = EnergyParams(tau_energy=1.0)
-        h = 1e-5
-        checked = 0
-        while checked < 40:
-            bank = random_bank(rng, 4, 5, n_classes=1)
-            z = normalize(rng.standard_normal(4))
-            u = project_tangent(rng.standard_normal(4), z)
-            if _norm(u) < 1e-6:
-                continue
-            g = riemannian_grad_U(z, bank, params)
-            analytic = float(g @ u)
-            if abs(analytic) < 0.1:   # relative error needs a live derivative
-                continue
-            u0 = global_potential(z, bank, params)[0]
-            u1 = global_potential(geodesic_step(z, u, h), bank, params)[0]
-            fd = (u1 - u0) / h
-            assert analytic == pytest.approx(fd, rel=1e-4)
-            checked += 1
 
 
 def fresh(snap):

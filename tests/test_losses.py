@@ -294,9 +294,8 @@ class TestContrastiveLoss:
 
 
 class TestContrastiveGrads:
-    # "first": each anchor's negatives are the other first views
-    @pytest.mark.parametrize("negatives", ["first"])
-    def test_matches_finite_differences(self, negatives):
+    # each anchor's negatives are the other first views
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(31)
         n, d, tau, h = 4, 5, 0.7, 1e-6
         v1 = np.array([normalize(rng.standard_normal(d)).coords for _ in range(n)])
@@ -324,9 +323,8 @@ class TestContrastiveGrads:
 class TestContrastiveKernel:
     # up to about 250 anchors the kernel takes one row block; 301 anchors take
     # two and 1000 take sixteen, the last one partial
-    @pytest.mark.parametrize("negatives", ["first"])  # the other first views
     @pytest.mark.parametrize("n,d", [(2, 3), (7, 8), (64, 8)])
-    def test_bitwise_equal_to_reference(self, negatives, n, d):
+    def test_bitwise_equal_to_reference(self, n, d):
         rng = np.random.default_rng(n)
         v1, v2 = unit_rows(rng, n, d), unit_rows(rng, n, d)
         loss, g1, g2 = contrastive_grads(v1, v2, 0.5)
