@@ -46,31 +46,30 @@ def soft_min_reference(sims, weights, tau):
 
 
 def class_energies(points, groups, k, tau):
-    """(n, C) class energies of `groups` ({class id: (features, weights)}),
-    classes in id order: each class scored in one (n, m_c) slab, a masked
-    log-sum-exp over each point's k nearest entries (a stable sort)."""
-    classes = sorted(groups)
-    energies = np.empty((points.shape[0], len(classes)))
-    for j, c in enumerate(classes):
-        feats, w = groups[c]
-        sims, weights, _ = stable_top_k(points @ feats.T, w, min(k, feats.shape[0]))
+    """(n, C) class energies of `groups` ({class id: (features, weights)}) at
+    the (n, d) `points`, and each class's stable top-k (similarities, weights,
+    columns), classes in id order: each class scored in one (n, m_c) slab, a
+    masked log-sum-exp over each point's k nearest entries."""
+    picks = [stable_top_k(points @ f.T, w, min(k, f.shape[0]))
+             for f, w in (groups[c] for c in sorted(groups))]
+    energies = np.empty((points.shape[0], len(picks)))
+    for j, (sims, weights, _) in enumerate(picks):
         energies[:, j] = soft_min_reference(sims, weights, tau)
-    return energies
+    return energies, picks
 
 
 def unblocked_potential_batch(points, groups, k, tau):
     """Reference for potential_batch: the least class energy of each point."""
-    return np.min(class_energies(points, groups, k, tau), axis=1)
+    return np.min(class_energies(points, groups, k, tau)[0], axis=1)
 
 
 def reference_selection(z, groups, k, tau):
     """(argmin class, a tie going to the smallest id, and its k nearest
     similarities, their weights and columns) at z: the potential is their
     soft-min and the gradient is built from them."""
-    c = sorted(groups)[int(np.argmin(class_energies(z[None, :], groups, k, tau)[0]))]
-    feats, w = groups[c]
-    sims, weights, cols = stable_top_k((feats @ z)[None, :], w, min(k, feats.shape[0]))
-    return c, sims[0], weights[0], cols[0]
+    energies, picks = class_energies(z[None, :], groups, k, tau)
+    j = int(np.argmin(energies[0]))
+    return sorted(groups)[j], *(a[0] for a in picks[j])
 
 
 def reference_gradient(z, groups, k, tau):
@@ -89,13 +88,12 @@ def central_difference(z, u, groups, k, tau, h):
     (U(z cos h + u sin h) - U(z cos h - u sin h)) / 2h over the great circle
     through z, or None where the argmin class or its top-k selection differs
     between z and either stencil point, since the gradient holds it fixed."""
-    ends = [math.cos(h) * z + sign * math.sin(h) * u for sign in (1.0, -1.0)]
-    picks = [reference_selection(x, groups, k, tau) for x in [z, *ends]]
-    if any(c != picks[0][0] or not np.array_equal(cols, picks[0][3])
-           for c, _, _, cols in picks[1:]):
+    x = np.stack([z, *(math.cos(h) * z + sign * math.sin(h) * u for sign in (1.0, -1.0))])
+    energies, picks = class_energies(x, groups, k, tau)
+    j = int(np.argmin(energies[0]))
+    if (np.argmin(energies, axis=1) != j).any() or (picks[j][2] != picks[j][2][0]).any():
         return None
-    plus, minus = (soft_min_reference(sims, weights, tau) for _, sims, weights, _ in picks[1:])
-    return (plus - minus) / (2.0 * h)
+    return (energies[1, j] - energies[2, j]) / (2.0 * h)
 
 
 # -- a seeded table of edge banks for the energy kernels -----------------------
@@ -157,12 +155,12 @@ def _k_covers(rng, d):
     return groups, np.concatenate([anchors, unit_rows(rng, 24, d)]), 40, 1.0
 
 
-def _clustered(rng, d):
-    """min(10, 2d) tight clusters of 300, 9 and then 20 to 400 entries around
-    e_0, e_1, ..., -e_0, -e_1, ..., probed at 160 points drawn alike, one of
-    them in the last cluster: the bounds rule most (point, class) pairs out,
-    and at d >= 8 keep the last class at that probe alone."""
-    centers = np.concatenate([np.eye(d), -np.eye(d)])[:min(10, 2 * d)]
+def _clustered(rng, d, most):
+    """min(most, 2d) tight clusters of 300, 9 and then 20 to 400 entries
+    around e_0, e_1, ..., -e_0, -e_1, ..., probed at 160 points drawn alike,
+    one of them in the last cluster: the bounds rule most (point, class)
+    pairs out, and at d >= 8 keep the last class at that probe alone."""
+    centers = np.concatenate([np.eye(d), -np.eye(d)])[:min(most, 2 * d)]
     sizes = [300, 9] + rng.integers(20, 400, len(centers) - 2).tolist()
     spread = 0.2 / math.sqrt(d)
     groups = {c: (_near(rng, np.tile(centers[c], (m, 1)), spread), rng.uniform(0.1, 1.0, m))
@@ -181,13 +179,16 @@ def _blocks(sizes, n):
 # budget, so 9 probes take the floor's 2-row blocks, the last of 3 rows
 _EDGE_KINDS = {"under-k": _under_k, "ties": _ties, "weights": _weight_edges,
                "single-class": _single_class, "k-covers": _k_covers,
-               "clustered": _clustered, "blocks-2000": _blocks([2000, 9, 300], 241),
+               "clustered-10": lambda rng, d: _clustered(rng, d, 10),
+               "clustered-3": lambda rng, d: _clustered(rng, d, 3),
+               "blocks-2000": _blocks([2000, 9, 300], 241),
                "blocks-70000": _blocks([2000, 70_000, 9], 9)}
 
-# every kind at d = 2, 3, 8 and 32, but the 70,000-entry bank, the largest
-# reference slab, at d = 8 and 32 only
+# every kind at d = 2, 3, 8 and 32, but at d = 8 and 32 only the 70,000-entry
+# bank, the largest reference slab, and the three clusters, on which keeping
+# under 40% of the pairs leaves about one class a probe
 EDGE_CASES = [f"{kind}-{d}" for kind in _EDGE_KINDS for d in (2, 3, 8, 32)
-              if kind != "blocks-70000" or d >= 8]
+              if kind not in ("blocks-70000", "clustered-3") or d >= 8]
 
 
 def edge_case(case_id):

@@ -61,15 +61,6 @@ def init_chains(prototypes, n_chains, rng):
     return [_init_pair(prototypes, rng) for _ in range(n_chains)]
 
 
-def angle_bank(angles, class_ids=None):
-    """S^1 bank with unit-weight entries at the given angles."""
-    bank = FeatureBank()
-    for j, t in enumerate(angles):
-        c = 0 if class_ids is None else class_ids[j]
-        bank.add(BankEntry(UnitVector(np.array([np.cos(t), np.sin(t)])), 1.0, c))
-    return bank
-
-
 def small_bank():
     """Two vMF clusters of 20 entries around e(0) and e(1) in d=3."""
     rng = np.random.default_rng(8)
