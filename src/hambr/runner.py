@@ -1,8 +1,9 @@
 """Deterministic desk-scale training loop.
 
 The trainable parameters are the per-sample unit embeddings themselves,
-initialized at the synthetic features; prototypes, the feature bank, the
-GMM partition and the outlier sampler are rebuilt from them every epoch.
+initialized at the synthetic features; prototypes, the feature bank, the GMM
+partition and the outlier sampler are rebuilt from them every epoch. `epochs`
+yields one `Epoch` per epoch and opens no file; `run_experiment` writes them.
 All randomness flows from ExperimentConfig.seed through spawned seed
 sequences, so a config fixes the run byte for byte.
 """
@@ -85,14 +86,19 @@ class ExperimentConfig:
                               f"got {self.warmup_epochs} with epochs {self.epochs}")
 
 
-@dataclass
-class TrainState:
-    """Mutable carrier for everything the epoch loop updates."""
+@dataclass(frozen=True)
+class Epoch:
+    """One epoch's outputs; read-only arrays, since the next epoch trains from `embeddings`."""
 
-    embeddings: np.ndarray
+    losses: np.ndarray
+    posteriors: np.ndarray
+    flags: np.ndarray
+    consensus: np.ndarray
     bank: BankSnapshot
-    window: ConsensusWindow
     prototypes: PrototypeSet | None
+    outliers: VirtualOutlierSet
+    embeddings: np.ndarray
+    record: MetricsRecord
 
 
 def _to_json(value):
@@ -242,16 +248,101 @@ def _fill_prototypes(proto_set: PrototypeSet | None, fallback: np.ndarray) -> np
     return out
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run the full pipeline; writes artifacts into cfg.output_dir as it goes.
+def epochs(cfg: ExperimentConfig, x: np.ndarray, y_true: np.ndarray,
+           y_obs: np.ndarray) -> typing.Iterator[Epoch]:
+    """Train from the unit embeddings `x`, yielding each epoch as it ends; opens no
+    file.  An epoch with no labeled rows has an empty bank: NaN auroc and fpr95."""
+    noise_mask = y_obs != y_true
+    n, _ = x.shape
+    w = cfg.weights
+    temp = cfg.classifier_temperature
 
-    config.json (resolved) and dataset.jsonl first; each epoch's partition.jsonl,
-    metrics.csv and metrics.jsonl rows when it ends, line-buffered, so a failed
-    run keeps them; bank.jsonl and outliers.jsonl (final epoch; empty when
-    weights.lambda_hambr is 0, since no term then uses outliers) last. Returns
-    the train state, metric records and output path.  An epoch with no labeled
-    rows has an empty bank, so its auroc and fpr95 are NaN.  A dataset of fewer
-    than MIN_ID_SCORES samples raises ConfigError before anything is written.
+    ood_child, epochs_parent = np.random.SeedSequence(cfg.seed).spawn(2)
+    ood_feats, _ = make_ood_set(cfg.dataset, np.random.default_rng(ood_child))
+    window = ConsensusWindow(cfg.t_filter, n)
+    proto_set = None  # the last epoch's prototypes
+
+    for epoch in range(cfg.epochs):
+        warmup = epoch < cfg.warmup_epochs
+        # one child as each epoch starts; children are numbered in spawn
+        # order, so the keys are those of spawn(cfg.epochs) up front
+        aug_ss, samp_ss = epochs_parent.spawn(1)[0].spawn(2)
+        aug_rng = np.random.default_rng(aug_ss)
+        sampler_seed = int(np.random.default_rng(samp_ss).integers(0, 2 ** 63 - 1))
+
+        # (1) classify against the carried prototypes (observed means early on)
+        obs_means = _class_mean_prototypes(x, y_obs, cfg.dataset.n_classes)
+        p_cls = obs_means if warmup else _fill_prototypes(proto_set, obs_means)
+        preds = _softmax_rows(x @ p_cls.T / temp)
+        preds = np.clip(preds, PROB_CLAMP, 1.0 - PROB_CLAMP)
+
+        # (2) per-sample losses for the partition
+        losses = sample_losses(preds, y_obs, warmup, w.gce_q)
+
+        # (3) mixture fit, flags, consensus
+        model = fit_gmm_1d(losses)
+        posteriors = clean_posterior(model, losses)
+        flags = posteriors > cfg.clean_threshold
+        consensus_update(window, flags)
+        consensus = consensus_set(window)
+        window_ready = epoch + 1 >= cfg.t_filter  # t_filter epochs recorded
+        # the consensus set once the window is full, this epoch's flags before
+        labeled_mask = np.isin(np.arange(n), consensus) if window_ready else flags
+
+        # (4) bank rebuilt from the labeled rows only: the last
+        # DEFAULT_CAPACITY labeled ids of each class, in id order
+        bank = BankSnapshot(x[labeled_mask], posteriors[labeled_mask],
+                            y_obs[labeled_mask], DEFAULT_CAPACITY)
+
+        # (5) fresh prototypes from the bank, once the window is full
+        proto_set = compute_prototypes(bank) if window_ready and len(bank) else None
+        p_fresh = _fill_prototypes(proto_set, obs_means)
+
+        # (6) virtual outliers between prototype pairs, for the one term that uses them
+        if w.lambda_hambr > 0 and proto_set is not None and len(proto_set) >= 2:
+            samp_cfg = replace(cfg.sampler, seed=sampler_seed)
+            oset = synthesize_outliers(bank, proto_set.directions, cfg.energy, samp_cfg)
+        else:
+            oset = VirtualOutlierSet(np.empty((0, x.shape[1])), np.empty(0))
+
+        # (7)+(8) analytic gradient step
+        terms, grads = objective(x, preds, p_cls, y_obs, w, temp, warmup=warmup,
+                                 posteriors=posteriors, labeled=labeled_mask,
+                                 prototypes=p_fresh, outliers=oset.outliers,
+                                 aug_sigma=cfg.aug_sigma, rng=aug_rng)
+        tangential = grads - np.einsum("ij,ij->i", grads, x)[:, None] * x
+        moved = x - cfg.learn_rate * tangential
+        x = moved / np.linalg.norm(moved, axis=1)[:, None]
+
+        # (9) metrics on the post-step state
+        sel_p, sel_r, sel_f = selection_f1(np.flatnonzero(labeled_mask), noise_mask)
+        intra, inter = geometry_metrics(x, y_true, p_fresh)
+        ood = (float("nan"),) * 2  # no labeled rows: no bank to score against
+        if len(bank):
+            u_id, u_ood = np.split(potential_batch(np.concatenate([x, ood_feats]),
+                                                   bank, cfg.energy), [n])
+            ood = auroc(u_id, u_ood), fpr_at_95_tpr(u_id, u_ood)
+        rec = MetricsRecord(
+            epoch=epoch, loss_x=terms.x, loss_u=terms.u, loss_reg=terms.reg,
+            loss_con=terms.con, loss_hambr=terms.hambr,
+            sel_precision=sel_p, sel_recall=sel_r, sel_f1=sel_f,
+            intra=intra, inter=inter,
+            auroc=ood[0], fpr95=ood[1],
+            log_singular_values=tuple(singular_spectrum(x)))
+
+        for array in (losses, posteriors, flags, consensus, x):
+            array.flags.writeable = False
+        yield Epoch(losses, posteriors, flags, consensus, bank, proto_set, oset, x, rec)
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Run `epochs`, writing artifacts into cfg.output_dir as it goes: config.json
+    (resolved) and dataset.jsonl first; each yielded epoch's partition.jsonl,
+    metrics.csv and metrics.jsonl rows before the next starts, line-buffered, so
+    a failed run keeps them; bank.jsonl and outliers.jsonl (final epoch; empty
+    when weights.lambda_hambr is 0, since no term then uses outliers) last.
+    Returns the output path, the metric records and the final `Epoch` as
+    "state".  Fewer than MIN_ID_SCORES samples raise ConfigError before any write.
     """
     n_samples = cfg.dataset.n_per_class * cfg.dataset.n_classes
     if n_samples < MIN_ID_SCORES:  # fpr95 takes one ID score per sample
@@ -267,108 +358,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
     with open(out_dir / "dataset.jsonl", "w") as fh:
         dump_dataset(x, y_true, y_obs, fh)
-    noise_mask = y_obs != y_true
-    n, _ = x.shape
-    n_classes = cfg.dataset.n_classes
-    w = cfg.weights
-    temp = cfg.classifier_temperature
-
-    root = np.random.SeedSequence(cfg.seed)
-    ood_child, epochs_parent = root.spawn(2)
-    ood_feats, _ = make_ood_set(cfg.dataset, np.random.default_rng(ood_child))
-
-    state = TrainState(embeddings=x, bank=BankSnapshot(x[:0], [], []),
-                       window=ConsensusWindow(cfg.t_filter, n),
-                       prototypes=None)
 
     records: list[MetricsRecord] = []
     with (open(out_dir / "partition.jsonl", "w", buffering=1) as partition_fh,
           open(out_dir / "metrics.csv", "w", buffering=1) as csv_fh,
           open(out_dir / "metrics.jsonl", "w", buffering=1) as jsonl_fh):
         csv_fh.write(csv_header() + "\n")
-        for epoch in range(cfg.epochs):
-            warmup = epoch < cfg.warmup_epochs
-            # one child as each epoch starts; children are numbered in spawn
-            # order, so the keys are those of spawn(cfg.epochs) up front
-            aug_ss, samp_ss = epochs_parent.spawn(1)[0].spawn(2)
-            aug_rng = np.random.default_rng(aug_ss)
-            sampler_seed = int(np.random.default_rng(samp_ss).integers(0, 2 ** 63 - 1))
-
-            # (1) classify against the carried prototypes (observed means early on)
-            obs_means = _class_mean_prototypes(x, y_obs, n_classes)
-            if warmup or state.prototypes is None:
-                p_cls = obs_means
-            else:
-                p_cls = _fill_prototypes(state.prototypes, obs_means)
-            preds = _softmax_rows(x @ p_cls.T / temp)
-            preds = np.clip(preds, PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-            # (2) per-sample losses for the partition
-            losses = sample_losses(preds, y_obs, warmup, w.gce_q)
-
-            # (3) mixture fit, flags, consensus
-            model = fit_gmm_1d(losses)
-            posteriors = clean_posterior(model, losses)
-            flags = posteriors > cfg.clean_threshold
-            consensus_update(state.window, flags)
-            consensus = consensus_set(state.window)
-            window_ready = epoch + 1 >= cfg.t_filter  # t_filter epochs recorded
-            # the consensus set once the window is full, this epoch's flags before
-            labeled_mask = np.isin(np.arange(n), consensus) if window_ready else flags
-
-            # (4) bank rebuilt from the labeled rows only: the last
-            # DEFAULT_CAPACITY labeled ids of each class, in id order
-            bank = BankSnapshot(x[labeled_mask], posteriors[labeled_mask],
-                                y_obs[labeled_mask], DEFAULT_CAPACITY)
-            state.bank = bank
-
-            # (5) fresh prototypes from the bank, once the window is full
-            proto_set = compute_prototypes(bank) if window_ready and len(bank) else None
-            state.prototypes = proto_set
-            p_fresh = _fill_prototypes(proto_set, obs_means)
-
-            # (6) virtual outliers between prototype pairs, for the one term that uses them
-            if w.lambda_hambr > 0 and proto_set is not None and len(proto_set) >= 2:
-                samp_cfg = replace(cfg.sampler, seed=sampler_seed)
-                oset = synthesize_outliers(bank, proto_set.directions, cfg.energy, samp_cfg)
-            else:
-                oset = VirtualOutlierSet(np.empty((0, x.shape[1])), np.empty(0))
-
-            # (7)+(8) analytic gradient step
-            terms, grads = objective(x, preds, p_cls, y_obs, w, temp, warmup=warmup,
-                                     posteriors=posteriors, labeled=labeled_mask,
-                                     prototypes=p_fresh, outliers=oset.outliers,
-                                     aug_sigma=cfg.aug_sigma, rng=aug_rng)
-            tangential = grads - np.einsum("ij,ij->i", grads, x)[:, None] * x
-            moved = x - cfg.learn_rate * tangential
-            state.embeddings = moved / np.linalg.norm(moved, axis=1)[:, None]
-            x = state.embeddings
-
-            # (9) metrics on the post-step state
-            sel_p, sel_r, sel_f = selection_f1(np.flatnonzero(labeled_mask), noise_mask)
-            intra, inter = geometry_metrics(x, y_true, p_fresh)
-            ood = (float("nan"),) * 2  # no labeled rows: no bank to score against
-            if len(bank):
-                u_id, u_ood = np.split(potential_batch(np.concatenate([x, ood_feats]),
-                                                       bank, cfg.energy), [n])
-                ood = auroc(u_id, u_ood), fpr_at_95_tpr(u_id, u_ood)
-            rec = MetricsRecord(
-                epoch=epoch, loss_x=terms.x, loss_u=terms.u, loss_reg=terms.reg,
-                loss_con=terms.con, loss_hambr=terms.hambr,
-                sel_precision=sel_p, sel_recall=sel_r, sel_f1=sel_f,
-                intra=intra, inter=inter,
-                auroc=ood[0], fpr95=ood[1],
-                log_singular_values=tuple(singular_spectrum(x)))
-            records.append(rec)
-
-            # (10) the epoch's rows, written before the next epoch starts
-            dump_partition(partition_fh, losses, posteriors, flags, consensus)
-            csv_fh.write(rec.csv_row() + "\n")
-            jsonl_fh.write(rec.json_line() + "\n")
+        for ep in epochs(cfg, x, y_true, y_obs):
+            dump_partition(partition_fh, ep.losses, ep.posteriors, ep.flags, ep.consensus)
+            csv_fh.write(ep.record.csv_row() + "\n")
+            jsonl_fh.write(ep.record.json_line() + "\n")
+            records.append(ep.record)
 
     with open(out_dir / "bank.jsonl", "w") as fh:
-        dump_bank(state.bank, fh)
+        dump_bank(ep.bank, fh)
     with open(out_dir / "outliers.jsonl", "w") as fh:
-        dump_outliers(oset, fh)  # the final epoch's
+        dump_outliers(ep.outliers, fh)  # the final epoch's
 
-    return {"output_dir": str(out_dir), "records": records, "state": state}
+    return {"output_dir": str(out_dir), "records": records, "state": ep}

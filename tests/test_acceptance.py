@@ -28,7 +28,7 @@ from hambr.energy import (
 )
 from hambr.losses import LossWeights, hambr_term
 from hambr.partition import clean_posterior, fit_gmm_1d
-from hambr.runner import ExperimentConfig, run_experiment
+from hambr.runner import ExperimentConfig, epochs
 from hambr.sampler import (
     ChainState,
     SamplerConfig,
@@ -36,7 +36,7 @@ from hambr.sampler import (
     synthesize_outliers,
 )
 from hambr.sphere import TangentVector, _norm, geodesic_step, normalize, project_tangent
-from hambr.synthgen import sample_vmf
+from hambr.synthgen import dataset_arrays, sample_vmf
 
 SEEDS = (101, 202, 303, 404, 505)
 
@@ -211,19 +211,21 @@ def test_criterion_5_boundary_targeting():
     assert _verdict(5, "boundary targeting", ok), (on_arc, in_decile, elapsed)
 
 
+def _final_record(cfg):
+    for epoch in epochs(cfg, *dataset_arrays(cfg.dataset)):
+        pass
+    return epoch.record
+
+
 @pytest.fixture(scope="module")
-def paired_runs(tmp_path_factory):
+def paired_runs():
     """Five (full, ablation) final-epoch record pairs at the shipped defaults."""
-    base = tmp_path_factory.mktemp("paired")
     start = time.perf_counter()
     pairs = []
     for s in SEEDS:
-        full_cfg = ExperimentConfig(seed=s, output_dir=str(base / f"full_{s}"))
-        abl_cfg = replace(full_cfg,
-                          weights=replace(full_cfg.weights, lambda_hambr=0.0),
-                          output_dir=str(base / f"abl_{s}"))
-        pairs.append((run_experiment(full_cfg)["records"][-1],
-                      run_experiment(abl_cfg)["records"][-1]))
+        full_cfg = ExperimentConfig(seed=s)
+        abl_cfg = replace(full_cfg, weights=replace(full_cfg.weights, lambda_hambr=0.0))
+        pairs.append((_final_record(full_cfg), _final_record(abl_cfg)))
     return pairs, time.perf_counter() - start
 
 

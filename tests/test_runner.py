@@ -1,6 +1,8 @@
 """End-to-end pipeline tests: config plumbing, determinism, artifacts."""
 
+import io
 import json
+import math
 import re
 import shutil
 import tracemalloc
@@ -9,21 +11,20 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from hambr.energy import (
-    DEFAULT_CAPACITY,
-    BankSnapshot,
-    potential_batch,
-)
+from hambr.energy import DEFAULT_CAPACITY, BankSnapshot, dump_bank, potential_batch
+from hambr.metrics import auroc, csv_header, fpr_at_95_tpr
+from hambr.partition import dump_partition
 from hambr.runner import (
     ConfigError,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
+    epochs,
     load_config,
     run_experiment,
 )
-from hambr.sampler import SamplerConfig, VirtualOutlierSet, synthesize_outliers
-from hambr.synthgen import DatasetSpec, NoiseSpec
+from hambr.sampler import SamplerConfig, VirtualOutlierSet, dump_outliers, synthesize_outliers
+from hambr.synthgen import DatasetSpec, NoiseSpec, dataset_arrays, make_ood_set
 from reference import (
     COUNT_PATHS,
     NON_FINITE_FIELDS,
@@ -49,18 +50,14 @@ def small_config(out_dir, seed=11, **overrides):
     return ExperimentConfig(**fields)
 
 
-def labeled_rows(out_dir, cfg):
-    """(epochs, n) labeled masks and posteriors from partition.jsonl, and the
-    observed labels from dataset.jsonl.  An epoch's labeled rows are its flags
-    until the consensus window fills, its consensus rows after."""
-    n = cfg.dataset.n_classes * cfg.dataset.n_per_class
-    rows = [json.loads(l) for l in (out_dir / "partition.jsonl").read_text().splitlines()]
-    flags, consensus, posteriors = (np.array([row[key] for row in rows]).reshape(-1, n)
-                                    for key in ("flag", "in_consensus", "posterior"))
-    window_ready = np.arange(len(flags))[:, None] + 1 >= cfg.t_filter
-    y_obs = np.array([json.loads(l)["observed"] for l in
-                      (out_dir / "dataset.jsonl").read_text().splitlines()])
-    return np.where(window_ready, consensus, flags), posteriors, y_obs
+def run_epochs(cfg):
+    """Every epoch `epochs` yields for cfg, trained on cfg's dataset."""
+    return list(epochs(cfg, *dataset_arrays(cfg.dataset)))
+
+
+def labeled_ids(cfg, ep):
+    """An epoch's labeled ids: its flags until the window fills, its consensus after."""
+    return ep.consensus if ep.record.epoch + 1 >= cfg.t_filter else np.flatnonzero(ep.flags)
 
 
 def leaf_paths(obj, prefix=()):
@@ -239,26 +236,32 @@ class TestRunExperiment:
         cfg = small_config(tmp_path / "run")
         result = run_experiment(cfg)
         out = tmp_path / "run"
-        for name in ("config.json", "dataset.jsonl", "partition.jsonl",
-                     "metrics.csv", "metrics.jsonl", "bank.jsonl",
-                     "outliers.jsonl"):
-            assert (out / name).exists(), name
+        assert sorted(path.name for path in out.iterdir()) == [
+            "bank.jsonl", "config.json", "dataset.jsonl", "metrics.csv",
+            "metrics.jsonl", "outliers.jsonl", "partition.jsonl"]
 
-        resolved = json.loads((out / "config.json").read_text())
-        assert resolved == config_to_dict(cfg)
+        assert json.loads((out / "config.json").read_text()) == config_to_dict(cfg)
         assert len((out / "dataset.jsonl").read_text().splitlines()) == 120
 
-        csv_lines = (out / "metrics.csv").read_text().splitlines()
-        assert len(csv_lines) == 1 + cfg.epochs
-        assert csv_lines[0].startswith("epoch,loss_x")
-        jsonl = [json.loads(l) for l in
-                 (out / "metrics.jsonl").read_text().splitlines()]
-        assert [r["epoch"] for r in jsonl] == list(range(cfg.epochs))
-
-        # final-epoch outliers: one row per chain
-        outlier_rows = (out / "outliers.jsonl").read_text().splitlines()
-        assert len(outlier_rows) == cfg.sampler.n_chains
-        assert len(result["records"]) == cfg.epochs
+        # every other file is the writers' text of the epochs `epochs` yields
+        eps = run_epochs(cfg)
+        assert [ep.record.epoch for ep in eps] == list(range(cfg.epochs))
+        assert result["records"] == [ep.record for ep in eps]
+        partition, bank, outliers = io.StringIO(), io.StringIO(), io.StringIO()
+        for ep in eps:
+            dump_partition(partition, ep.losses, ep.posteriors, ep.flags, ep.consensus)
+        dump_bank(eps[-1].bank, bank)
+        dump_outliers(eps[-1].outliers, outliers)
+        written = {
+            "partition.jsonl": partition.getvalue(),
+            "metrics.csv": "".join(f"{row}\n" for row in
+                                   [csv_header()] + [ep.record.csv_row() for ep in eps]),
+            "metrics.jsonl": "".join(f"{ep.record.json_line()}\n" for ep in eps),
+            "bank.jsonl": bank.getvalue(),
+            "outliers.jsonl": outliers.getvalue()}
+        for name, text in written.items():
+            assert (out / name).read_bytes() == text.encode(), name
+        assert len(eps[-1].outliers) == cfg.sampler.n_chains  # final epoch: one per chain
 
     def test_dataset_too_small_for_fpr95_rejected_before_any_output(self, tmp_path):
         out = tmp_path / "run"
@@ -290,6 +293,8 @@ class TestRunExperiment:
         result = run_experiment(small_config(tmp_path / "run"))
         emb = result["state"].embeddings
         assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-9)
+        with pytest.raises(ValueError, match="read-only"):
+            emb[0, 0] = 0.0  # what a next epoch would train from
 
     def test_final_bank_is_a_snapshot_of_the_consensus(self, tmp_path):
         result = run_experiment(small_config(tmp_path / "run"))
@@ -305,64 +310,57 @@ class TestRunExperiment:
         # each class into the final consensus
         cfg = small_config(tmp_path / "run", seed=3, epochs=3, warmup_epochs=1,
                            dataset=DatasetSpec(n_per_class=500, seed=3))
-        bank = run_experiment(cfg)["state"].bank
-        n = cfg.dataset.n_classes * cfg.dataset.n_per_class
-        out = tmp_path / "run"
-        final = [json.loads(l) for l in
-                 (out / "partition.jsonl").read_text().splitlines()[-n:]]
-        consensus = np.array([row["in_consensus"] for row in final])
-        posteriors = np.array([row["posterior"] for row in final])
-        y_obs = np.array([json.loads(l)["observed"] for l in
-                          (out / "dataset.jsonl").read_text().splitlines()])
-        assert bank.classes == [0, 1, 2]
-        for c in bank.classes:
-            ids = np.flatnonzero(consensus & (y_obs == c))
+        final = run_experiment(cfg)["state"]
+        y_obs = dataset_arrays(cfg.dataset)[2]
+        assert final.bank.classes == [0, 1, 2]
+        for c in final.bank.classes:
+            ids = final.consensus[y_obs[final.consensus] == c]
             assert ids.size > DEFAULT_CAPACITY
-            assert np.array_equal(bank.weights(c), posteriors[ids[-DEFAULT_CAPACITY:]])
+            assert np.array_equal(final.bank.weights(c),
+                                  final.posteriors[ids[-DEFAULT_CAPACITY:]])
 
-    def test_every_epoch_scores_against_its_labeled_bank(self, tmp_path, monkeypatch):
-        banks = []  # the bank of each potential_batch call, one per epoch
-
-        def spy(points, bank, params):
-            banks.append(bank)
-            return potential_batch(points, bank, params)
-
-        monkeypatch.setattr("hambr.runner.potential_batch", spy)
+    def test_every_epoch_scores_against_its_labeled_bank(self, tmp_path):
         # 500 samples per class put more than DEFAULT_CAPACITY of a class into
         # the labeled rows; the window of 3 fills in epoch 2
-        cfg = small_config(tmp_path / "run", seed=3, epochs=4, warmup_epochs=1, t_filter=3,
+        cfg = small_config(tmp_path, seed=3, epochs=4, warmup_epochs=1, t_filter=3,
                            dataset=DatasetSpec(n_per_class=500, seed=3))
-        run_experiment(cfg)
-        labeled, posteriors, y_obs = labeled_rows(tmp_path / "run", cfg)
-        assert labeled.any(axis=1).all() and len(banks) == cfg.epochs
+        y_obs = dataset_arrays(cfg.dataset)[2]
+        ood_child = np.random.SeedSequence(cfg.seed).spawn(2)[0]
+        ood = make_ood_set(cfg.dataset, np.random.default_rng(ood_child))[0]
         over_capacity = 0
-        for epoch, (bank, mask, post) in enumerate(zip(banks, labeled, posteriors)):
-            ids = {c: np.flatnonzero(mask & (y_obs == c)) for c in range(cfg.dataset.n_classes)}
-            assert bank.classes == [c for c in ids if ids[c].size], f"epoch {epoch}"
-            for c in bank.classes:
-                assert bank.size(c) == min(DEFAULT_CAPACITY, ids[c].size), f"epoch {epoch}"
-                assert np.array_equal(bank.weights(c), post[ids[c][-DEFAULT_CAPACITY:]])
+        for epoch, ep in enumerate(run_epochs(cfg)):
+            labeled = labeled_ids(cfg, ep)
+            assert labeled.size, f"epoch {epoch}"
+            ids = {c: labeled[y_obs[labeled] == c] for c in range(cfg.dataset.n_classes)}
+            assert ep.bank.classes == [c for c in ids if ids[c].size], f"epoch {epoch}"
+            for c in ep.bank.classes:
+                assert ep.bank.size(c) == min(DEFAULT_CAPACITY, ids[c].size), f"epoch {epoch}"
+                assert np.array_equal(ep.bank.weights(c),
+                                      ep.posteriors[ids[c][-DEFAULT_CAPACITY:]])
                 over_capacity += ids[c].size > DEFAULT_CAPACITY
+            # the epoch's post-step embeddings and the OOD set, scored against its bank
+            u_id, u_ood = np.split(potential_batch(np.concatenate([ep.embeddings, ood]),
+                                                   ep.bank, cfg.energy), [len(y_obs)])
+            assert ep.record.auroc == auroc(u_id, u_ood), f"epoch {epoch}"
+            assert ep.record.fpr95 == fpr_at_95_tpr(u_id, u_ood), f"epoch {epoch}"
         assert over_capacity > 0
 
     def test_epoch_without_labeled_rows_has_no_energy_score(self, tmp_path):
-        # so high a threshold flags no sample in some epochs
-        out = tmp_path / "run"
-        cfg = small_config(out, clean_threshold=0.999999)
-        run_experiment(cfg)
-        empty = ~labeled_rows(out, cfg)[0].any(axis=1)
-        assert empty.any() and not empty.all()
-        rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
-        assert [row["auroc"] is None for row in rows] == empty.tolist()
-        assert [row["fpr95"] is None for row in rows] == empty.tolist()
-        assert (out / "bank.jsonl").read_bytes() == b""
+        # so high a threshold flags no sample in some epochs, the last among them
+        cfg = small_config(tmp_path, clean_threshold=0.999999)
+        eps = run_epochs(cfg)
+        empty = [labeled_ids(cfg, ep).size == 0 for ep in eps]
+        assert any(empty) and not all(empty) and empty[-1]
+        assert [len(ep.bank) == 0 for ep in eps] == empty
+        assert [math.isnan(ep.record.auroc) for ep in eps] == empty
+        assert [math.isnan(ep.record.fpr95) for ep in eps] == empty
+        dump_bank(eps[-1].bank, final_bank := io.StringIO())
+        assert final_bank.getvalue() == ""  # the bank.jsonl of such a final epoch
 
     def test_single_post_warmup_epoch(self, tmp_path):
         cfg = small_config(tmp_path / "run", epochs=4, warmup_epochs=3)
-        run_experiment(cfg)
-        rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
-        post = [r for r in rows if int(r.split(",")[0]) >= cfg.warmup_epochs]
-        assert len(post) == 1
+        records = run_experiment(cfg)["records"]
+        assert [r.epoch for r in records if r.epoch >= cfg.warmup_epochs] == [3]
 
     def test_metrics_deterministic_across_output_dirs(self, tmp_path):
         cfg_a = small_config(tmp_path / "a", seed=13)
@@ -473,18 +471,12 @@ class TestRunExperiment:
         assert peak(16) - peak(4) <= 0.5 * 2 ** 20
 
     def test_consensus_matches_flag_intersection(self, tmp_path):
-        cfg = small_config(tmp_path / "run", seed=19, t_filter=3)
-        run_experiment(cfg)
-        lines = (tmp_path / "run" / "partition.jsonl").read_text().splitlines()
-        n = cfg.dataset.n_classes * cfg.dataset.n_per_class
-        assert len(lines) == cfg.epochs * n
-        blocks = [[json.loads(l) for l in lines[e * n:(e + 1) * n]]
-                  for e in range(cfg.epochs)]
-        flags = np.array([[row["flag"] for row in block] for block in blocks])
-        for e, block in enumerate(blocks):
+        cfg = small_config(tmp_path, seed=19, t_filter=3)
+        eps = run_epochs(cfg)
+        flags = np.array([ep.flags for ep in eps])
+        for e, ep in enumerate(eps):
             if e < cfg.t_filter - 1:
-                want = np.zeros(n, dtype=bool)
+                want = np.zeros(flags.shape[1], dtype=bool)
             else:
                 want = flags[e - cfg.t_filter + 1:e + 1].all(axis=0)
-            got = np.array([row["in_consensus"] for row in block])
-            assert np.array_equal(got, want), f"epoch {e}"
+            assert np.array_equal(ep.consensus, np.flatnonzero(want)), f"epoch {e}"
